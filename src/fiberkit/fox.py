@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .errors import HypothesisError
@@ -121,18 +122,42 @@ class LaurentPoly:
 
     def exact_div(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact quotient; raises if the division leaves a remainder or
-        non-integer coefficients."""
+        non-integer coefficients.
+
+        Sparse long division over Z: each step cancels the remainder's top
+        term against the divisor's leading term and touches only the
+        divisor's nonzero terms.  An exact quotient's lowest term times the
+        divisor's lowest term is the dividend's lowest term, so every step
+        works at or above ``self.min_exp + divisor.span``.  A nonzero
+        remainder term below that line, or a leading coefficient that does
+        not divide, means the division is not exact.
+        """
         if divisor.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero:
             return self
-        num = _dense(self.shift(-self.min_exp))
-        den = _dense(divisor.shift(-divisor.min_exp))
-        quot, rem = _poly_divmod(num, den)
-        if any(rem) or any(q.denominator != 1 for q in quot):
-            raise HypothesisError("Laurent division is not exact")
-        q = LaurentPoly.from_dict({i: int(c) for i, c in enumerate(quot)})
-        return q.shift(self.min_exp - divisor.min_exp)
+        top, lead = divisor.terms[-1]
+        lower = divisor.terms[:-1]
+        floor = self.min_exp + divisor.span
+        rem = dict(self.terms)
+        pending = [-e for e in rem]
+        heapify(pending)
+        quot: dict[int, int] = {}
+        while pending:
+            e = -heappop(pending)
+            c = rem.pop(e)
+            if not c:
+                continue
+            q, r = divmod(c, lead)
+            if r or e < floor:
+                raise HypothesisError("Laurent division is not exact")
+            quot[e - top] = q
+            for d, k in lower:
+                x = e - top + d
+                if x not in rem:
+                    heappush(pending, -x)
+                rem[x] = rem.get(x, 0) - q * k
+        return LaurentPoly.from_dict(quot)
 
     def __str__(self) -> str:
         """Ascending form, e.g. ``1 - t + t^2``."""
@@ -291,11 +316,36 @@ def fox_derivative(word: Word, gen: str) -> GroupRingElement:
 def alexander_matrix(
     pres: Presentation, phi: ZMap
 ) -> list[list[LaurentPoly]]:
-    """Specialized Fox Jacobian: one row per relator, one column per generator."""
-    return [
-        [fox_derivative(r, g).specialize(phi) for g in pres.generators]
-        for r in pres.relators
-    ]
+    """Specialized Fox Jacobian: one row per relator, one column per generator.
+
+    Entry ``(r, g)`` equals ``fox_derivative(r, g).specialize(phi)``, built
+    in one pass over the syllables of ``r`` that carries ``h``, the phi-value
+    of the prefix read so far.  By the product rule a syllable ``g^e`` with
+    ``v = phi(g)`` adds ``t^h + t^(h+v) + ... + t^(h+(e-1)v)`` to column
+    ``g`` when ``e > 0`` and ``-(t^(h-v) + ... + t^(h+ev))`` when ``e < 0``;
+    when ``v == 0`` both collapse to ``e t^h``, so a huge exponent on a
+    generator of value 0 costs O(1).  Then ``h`` advances by ``e v``.
+    """
+    column = {g: j for j, g in enumerate(pres.generators)}
+    values = {g: phi(Word.gen(g)) for g in pres.generators}
+    matrix = []
+    for relator in pres.relators:
+        entries: list[dict[int, int]] = [{} for _ in pres.generators]
+        h = 0
+        for g, e in relator.syllables:
+            v = values[g]
+            acc = entries[column[g]]
+            if v == 0:
+                acc[h] = acc.get(h, 0) + e
+            elif e > 0:
+                for k in range(h, h + e * v, v):
+                    acc[k] = acc.get(k, 0) + 1
+            else:
+                for k in range(h - v, h + (e - 1) * v, -v):
+                    acc[k] = acc.get(k, 0) - 1
+            h += e * v
+        matrix.append([LaurentPoly.from_dict(acc) for acc in entries])
+    return matrix
 
 
 def _det(matrix: list[list[LaurentPoly]]) -> LaurentPoly:

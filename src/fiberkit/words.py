@@ -53,12 +53,23 @@ class Word:
         return concat(self, other)
 
     def __pow__(self, n: int) -> "Word":
+        """Linear in the result: split ``self = u c u^-1`` where ``c`` does
+        not start and end with inverse syllables, then emit ``u c^n u^-1``.
+        Copies of ``c`` merge at most one syllable pair per seam, and a
+        one-syllable ``c = g^e`` collapses to ``g^(e n)``.
+        """
         if n < 0:
             return self.inverse() ** (-n)
-        result = Word()
-        for _ in range(n):
-            result = result * self
-        return result
+        s = self.syllables
+        k = 0
+        while 2 * k + 1 < len(s) and s[k] == (s[-1 - k][0], -s[-1 - k][1]):
+            k += 1
+        core = s[k : len(s) - k]
+        if len(core) == 1:
+            core = ((core[0][0], core[0][1] * n),)
+        else:
+            core = core * n
+        return reduce_word(s[:k] + core + s[len(s) - k :])
 
     def inverse(self) -> "Word":
         return Word(tuple((g, -e) for g, e in reversed(self.syllables)))

@@ -22,7 +22,7 @@ from fiberkit.corpus import (
 )
 from fiberkit.errors import ContradictionError
 from fiberkit.fox import LaurentPoly, alexander_poly, fox_derivative, monic_degree_check
-from fiberkit.inference import FLAG_NAMES, FgPremises, fg_inference
+from fiberkit.inference import FLAG_NAMES, FgConclusions, FgPremises, fg_inference
 from fiberkit.links import (
     KnotGroupData,
     NOT_APPLICABLE,
@@ -161,10 +161,12 @@ def _masks(flags):
 
 
 def _sweep(kind, flag_names):
-    """Closure of every 3-valued assignment over ``flag_names``; returns,
-    for each index, the ``(yes_mask, no_mask)`` pair from ``_masks``, with
-    None marking contradictions."""
+    """Closure of every 3-valued assignment over ``flag_names``; returns two
+    lists indexed alike: the ``(yes_mask, no_mask)`` pair from ``_masks``
+    and the ``conclusions.flags`` tuple it came from, with None in both
+    marking contradictions."""
     results = []
+    closures = []
     for combo in product(VALUES, repeat=len(flag_names)):
         kwargs = dict(zip(flag_names, combo))
         kwargs.update(PINNED)
@@ -172,9 +174,11 @@ def _sweep(kind, flag_names):
             conclusions = fg_inference(kind, FgPremises(**kwargs))
         except ContradictionError:
             results.append(None)
+            closures.append(None)
             continue
         results.append(_masks(conclusions.flags))
-    return results
+        closures.append(conclusions.flags)
+    return results, closures
 
 
 def _verbatim_clauses(kind):
@@ -222,7 +226,7 @@ def test_acceptance_6_inference_truth_table():
     powers = [3 ** (n - 1 - i) for i in range(n)]
     # the bound covers the two sweeps only, not the checks run on them
     started = time.perf_counter()
-    results = _sweep(AMALGAM, SWEEP_FLAGS)
+    results, closures = _sweep(AMALGAM, SWEEP_FLAGS)
     elapsed = time.perf_counter() - started
     assert len(results) == 3 ** n
 
@@ -252,16 +256,17 @@ def test_acceptance_6_inference_truth_table():
     assert compared > 0
 
     # idempotent: closing the closure changes nothing; conclusions of a
-    # consistent state never overwrite its premises
-    recheck = random.Random(2026)
+    # consistent state never overwrite its premises.  Reads the flags the
+    # sweep already closed instead of closing every state a second time;
+    # indexing and as_premises() read only the flags, not the disjunctions.
     cache = {}
     combos = product(VALUES, repeat=n)
     for index, combo in enumerate(combos):
-        if results[index] is None:
+        if closures[index] is None:
             continue
+        conclusions = FgConclusions(closures[index], frozenset())
         kwargs = dict(zip(SWEEP_FLAGS, combo))
         kwargs.update(PINNED)
-        conclusions = fg_inference(AMALGAM, FgPremises(**kwargs))
         key = conclusions.flags
         if key not in cache:
             cache[key] = fg_inference(
@@ -284,7 +289,7 @@ def test_acceptance_6_inference_truth_table():
         f for f in SWEEP_FLAGS if f not in ("n_and_b_fg", "n_and_b_free")
     )
     started = time.perf_counter()
-    hnn_results = _sweep(HNN, hnn_flags)
+    hnn_results, _ = _sweep(HNN, hnn_flags)
     elapsed += time.perf_counter() - started
     assert len(hnn_results) == 3 ** len(hnn_flags)
     assert elapsed < 10.0

@@ -56,6 +56,15 @@ class TestBasicVerbs:
         assert code == 0
         assert out == "1 - t + t^2\n"
 
+    def test_alexander_huge_exponent_on_class_zero_generator(self, workdir, capsys):
+        (workdir / "big.grp").write_text(
+            "group big\ngen x y\nrel x^1000000 y x^-1000000 y^-1\nphi x=0 y=1\n",
+            encoding="utf-8",
+        )
+        code, out, _ = run(capsys, "alexander", workdir / "big.grp")
+        assert code == 0
+        assert out == "-1000000 + 1000000t\n"
+
     def test_fiber_rank_with_hint(self, workdir, capsys):
         code, out, _ = run(
             capsys, "fiber-rank", workdir / "showcase.grp", "--nielsen", "u->u y"

@@ -1,9 +1,10 @@
 from math import gcd
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
-from fiberkit.corpus import corpus_presentations, torus_knot_data
+from fiberkit.corpus import corpus_presentations, torus_knot_data, trefoil_data
 from fiberkit.errors import HypothesisError
 from fiberkit.fox import (
     GroupRingElement,
@@ -14,6 +15,7 @@ from fiberkit.fox import (
     laurent_gcd,
     monic_degree_check,
 )
+from fiberkit.links import cable_group
 from fiberkit.presentations import Presentation, ZMap, canonical_zmap
 from fiberkit.words import Word, concat, reduce_word
 from tests_support import t_power_minus_one, torus_alexander_closed_form
@@ -30,6 +32,36 @@ def lp(coeffs):
 GENS = ("x", "y")
 syllable = st.tuples(st.sampled_from(GENS), st.integers(-3, 3).filter(bool))
 words = st.lists(syllable, max_size=8).map(reduce_word)
+laurent = st.dictionaries(st.integers(-4, 4), st.integers(-5, 5), max_size=5).map(
+    LaurentPoly.from_dict
+)
+
+
+@st.composite
+def presentations_with_phi(draw):
+    """1-3 generators, 0-3 relators with exponents in +-5, and a class with
+    values in -4..4 (zero included) that need not kill the relators."""
+    gens = ("x", "y", "z")[: draw(st.integers(1, 3))]
+    syllables = st.tuples(st.sampled_from(gens), st.integers(-5, 5).filter(bool))
+    relators = draw(
+        st.lists(st.lists(syllables, max_size=8).map(reduce_word), max_size=3)
+    )
+    phi = ZMap({g: draw(st.integers(-4, 4)) for g in gens})
+    return Presentation(gens, tuple(relators)), phi
+
+
+def sympy_divides(num, den):
+    """True iff ``den`` divides ``num`` in Z[t, t^-1], decided by sympy
+    division over Q after shifting both to ordinary polynomials."""
+    t = sympy.Symbol("t")
+
+    def ordinary(poly):
+        return sympy.Poly(
+            sum(c * t ** (e - poly.min_exp) for e, c in poly.terms), t, domain="QQ"
+        )
+
+    quotient, remainder = sympy.div(ordinary(num), ordinary(den))
+    return remainder.is_zero and all(c.is_integer for c in quotient.coeffs())
 
 
 class TestLaurentPoly:
@@ -51,6 +83,25 @@ class TestLaurentPoly:
     def test_inexact_div_rejected(self):
         with pytest.raises(HypothesisError, match="not exact"):
             lp({0: 1, 1: 1}).exact_div(lp({0: 2}))
+
+    def test_div_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            lp({0: 1, 1: 1}).exact_div(LaurentPoly())
+        with pytest.raises(ZeroDivisionError):
+            LaurentPoly().exact_div(LaurentPoly())
+
+    @given(laurent, laurent.filter(lambda p: not p.is_zero), st.booleans())
+    def test_exact_div_matches_sympy(self, a, divisor, multiply):
+        # half the draws are exact by construction
+        dividend = a * divisor if multiply else a
+        if dividend.is_zero:
+            assert dividend.exact_div(divisor).is_zero
+            return
+        if sympy_divides(dividend, divisor):
+            assert dividend.exact_div(divisor) * divisor == dividend
+        else:
+            with pytest.raises(HypothesisError, match="not exact"):
+                dividend.exact_div(divisor)
 
     def test_str_ascending(self):
         assert str(lp({0: 1, 1: -1, 2: 1})) == "1 - t + t^2"
@@ -200,6 +251,21 @@ class TestAlexanderPoly:
                 assert delta == torus_alexander_closed_form(p, q)
                 assert monic_degree_check(delta, (p - 1) * (q - 1))
 
+    def test_iterated_trefoil_cables_match_closed_form(self):
+        # a (p, q) cable winds q times around its companion K, so
+        # Delta = Delta_K(t^q) * Delta_T(p,q)(t)
+        cables = ((1, 2), (3, 2), (1, 2), (3, 2), (1, 2), (3, 2), (1, 2))
+        degrees = (4, 10, 20, 42, 84, 170, 340)
+        knot = trefoil_data()
+        expected = torus_alexander_closed_form(2, 3)
+        for (p, q), degree in zip(cables, degrees):
+            knot = cable_group(knot, p, q)
+            companion = lp({q * e: c for e, c in expected.terms})
+            expected = (companion * torus_alexander_closed_form(p, q)).normalize()
+            delta = alexander_poly(knot.presentation, knot.phi)
+            assert delta == expected, knot.name
+            assert delta.span == degree, knot.name
+
 
 class TestMonicDegreeCheck:
     def test_trefoil(self):
@@ -219,6 +285,14 @@ class TestMonicDegreeCheck:
 
 
 class TestAlexanderMatrix:
+    @given(presentations_with_phi())
+    def test_matches_word_level_fox(self, pres_phi):
+        pres, phi = pres_phi
+        assert alexander_matrix(pres, phi) == [
+            [fox_derivative(r, g).specialize(phi) for g in pres.generators]
+            for r in pres.relators
+        ]
+
     def test_shape(self):
         pres = Presentation(("x", "y"), (w(("x", 2), ("y", -3)),))
         matrix = alexander_matrix(pres, ZMap({"x": 3, "y": 2}))

@@ -161,3 +161,11 @@ class TestFormatting:
         assert Word.gen("x") ** 3 == w(("x", 3))
         assert Word.gen("x") ** -2 == w(("x", -2))
         assert Word.gen("x") ** 0 == Word()
+
+    @given(words, st.integers(-6, 6))
+    def test_pow_matches_repeated_concat(self, u, n):
+        base = u if n >= 0 else u.inverse()
+        expected = Word()
+        for _ in range(abs(n)):
+            expected = concat(expected, base)
+        assert u ** n == expected

@@ -1,9 +1,11 @@
 """Shared helpers and independent oracles for the test suite.
 
 The oracles here deliberately avoid the code paths they check: the torus
-closed form is built from raw Laurent division, and the rational-function
-reference below never touches the Fox machinery.
+closed form is divided out by sympy, never by ``LaurentPoly.exact_div``,
+and the rational-function reference below never touches the Fox machinery.
 """
+
+import sympy
 
 from fiberkit.fox import LaurentPoly
 from fiberkit.presentations import Presentation, ZMap
@@ -30,12 +32,15 @@ def t_power_minus_one(n):
 
 
 def torus_alexander_closed_form(p, q):
-    """(t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1)), computed by exact
-    polynomial division only."""
-    numerator = t_power_minus_one(p * q) * t_power_minus_one(1)
-    result = numerator.exact_div(t_power_minus_one(p))
-    result = result.exact_div(t_power_minus_one(q))
-    return result.normalize()
+    """(t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1)), divided out by sympy
+    with a zero remainder asserted."""
+    t = sympy.Symbol("t")
+    numerator = sympy.Poly((t ** (p * q) - 1) * (t - 1), t)
+    denominator = sympy.Poly((t ** p - 1) * (t ** q - 1), t)
+    quotient, remainder = sympy.div(numerator, denominator)
+    assert remainder.is_zero
+    coeffs = {e: int(c) for (e,), c in quotient.terms()}
+    return LaurentPoly.from_dict(coeffs).normalize()
 
 
 def random_realizable_splitting(rng):
