@@ -14,7 +14,6 @@ from .fox import (
     alexander_matrix,
     alexander_poly,
     fox_derivative,
-    laurent_gcd,
     monic_degree_check,
 )
 from .inference import FgConclusions, FgPremises, fg_inference
@@ -48,7 +47,7 @@ from .presentations import (
     torsion_number,
     zmap_validate,
 )
-from .snf import int_det, smith_normal_form, xgcd
+from .snf import smith_normal_form, xgcd
 from .splittings import (
     AMALGAM,
     HNN,

@@ -1,36 +1,30 @@
 """Command line front end.
 
-Every verb reads the plain-text formats, prints deterministic key=value
-style reports, and exits 0 on success, 1 on parse errors, 2 on hypothesis
-violations, 3 on inference contradictions.
+Each verb is a short handler: it reads its files through ``textfmt``, calls
+the library, and prints a deterministic key=value style report.  ``main``
+maps the toolkit's errors onto exit codes: 0 on success, 1 on parse errors,
+2 on hypothesis violations, 3 on inference contradictions.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from math import gcd
 from pathlib import Path
 
-from . import corpus as corpus_mod
+from . import corpus
 from .errors import ContradictionError, FiberkitError, HypothesisError, ParseError
 from .fox import alexander_poly
-from .inference import FLAG_NAMES, FgPremises, fg_inference
-from .links import (
-    KnotGroupData,
-    NOT_APPLICABLE,
-    cable_group,
-    fibered_splice,
-    splice,
-    stallings_report,
-)
+from .inference import FLAG_NAMES, fg_inference
+from .links import KnotGroupData, cable_group, splice, stallings_report
 from .one_relator import analyze, fiber_rank
-from .presentations import Presentation, ZMap, abelianize, canonical_zmap, torsion_number
-from .splittings import coset_graph, free_kernel_rank, kernel_indices
+from .presentations import ZMap, abelianize, canonical_zmap, torsion_number
+from .splittings import Splitting, coset_graph, free_kernel_rank, kernel_indices
 from .textfmt import (
     GroupFile,
     format_group,
     parse_group_file,
+    parse_premise_file,
     parse_splitting_file,
     parse_word,
 )
@@ -118,10 +112,15 @@ def _cmd_alexander(args) -> int:
     return 0
 
 
-def _cmd_graph(args) -> int:
-    split, phi = parse_splitting_file(args.file)
+def _splitting_with_phi(path: str) -> tuple[Splitting, ZMap]:
+    split, phi = parse_splitting_file(path)
     if phi is None:
         raise HypothesisError("splitting file has no phi line")
+    return split, phi
+
+
+def _cmd_graph(args) -> int:
+    split, phi = _splitting_with_phi(args.file)
     graph = coset_graph(split, phi)
     print(f"kind = {graph.kind}")
     print(f"a_idx = {graph.a_idx}")
@@ -137,9 +136,7 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    split, phi = parse_splitting_file(args.file)
-    if phi is None:
-        raise HypothesisError("splitting file has no phi line")
+    split, phi = _splitting_with_phi(args.file)
     a_idx, b_idx, c_idx = kernel_indices(split, phi)
     graph = coset_graph(split, phi)
     rank = free_kernel_rank(
@@ -157,38 +154,8 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    kind = None
-    nontrivial = True
-    assignments = {}
-    path = Path(args.file)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        where = f"{path}:{lineno}"
-        if parts[0] == "kind" and len(parts) == 2:
-            kind = parts[1]
-        elif parts[0] == "nontrivial" and len(parts) == 2:
-            nontrivial = parts[1] == "yes"
-        elif parts[0] == "premise" and len(parts) == 3:
-            flag, value = parts[1], parts[2]
-            if flag not in FLAG_NAMES:
-                raise ParseError(f"{where}: unknown flag {flag!r}")
-            if value not in ("yes", "no"):
-                raise ParseError(f"{where}: flag value must be yes or no")
-            assignments[flag] = value == "yes"
-        else:
-            raise ParseError(f"{where}: unknown line {line!r}")
-    if kind not in ("amalgam", "hnn"):
-        raise ParseError(f"{path}: needs a line 'kind amalgam' or 'kind hnn'")
-    conclusions = fg_inference(
-        kind, FgPremises(**assignments), nontrivial_decomposition=nontrivial
-    )
+    kind, premises, nontrivial = parse_premise_file(args.file)
+    conclusions = fg_inference(kind, premises, nontrivial_decomposition=nontrivial)
     for flag in FLAG_NAMES:
         value = conclusions[flag]
         if value is not None:
@@ -217,14 +184,7 @@ def _cmd_splice(args) -> int:
 
 def _cmd_cable(args) -> int:
     knot = _knot_data(parse_group_file(args.file))
-    result = cable_group(knot, args.p, args.q)
-    out = GroupFile(
-        name=result.name,
-        presentation=result.presentation,
-        phi=result.phi,
-        meridian=result.meridian,
-        longitude=result.longitude,
-    )
+    out = GroupFile.from_knot(cable_group(knot, args.p, args.q))
     _emit(format_group(out), args.output)
     return 0
 
@@ -237,116 +197,10 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _corpus_files() -> list[tuple[str, str]]:
-    """Deterministic corpus: (filename, content) pairs."""
-    files: list[tuple[str, str]] = []
-
-    def add_group(filename: str, data: KnotGroupData):
-        gf = GroupFile(
-            name=data.name,
-            presentation=data.presentation,
-            phi=data.phi,
-            meridian=data.meridian,
-            longitude=data.longitude,
-        )
-        files.append((filename, format_group(gf)))
-
-    add_group("unknot.grp", corpus_mod.unknot_data())
-    add_group("trefoil.grp", corpus_mod.trefoil_data())
-    for p in range(2, 7):
-        for q in range(p + 1, 8):
-            if gcd(p, q) == 1:
-                add_group(f"torus_{p}_{q}.grp", corpus_mod.torus_knot_data(p, q))
-
-    showcase = corpus_mod.showcase_presentation()
-    files.append(
-        (
-            "showcase.grp",
-            format_group(
-                GroupFile("showcase", showcase, canonical_zmap(showcase))
-            ),
-        )
-    )
-    descended = corpus_mod.showcase_descended()
-    files.append(
-        (
-            "showcase_descended.grp",
-            format_group(
-                GroupFile("showcase-H", descended, canonical_zmap(descended))
-            ),
-        )
-    )
-
-    rank = fiber_rank(showcase, [corpus_mod.showcase_hint()])
-    files.append(("showcase.rank.txt", f"rank = {rank}\n"))
-    trefoil = corpus_mod.trefoil_data()
-    files.append(
-        (
-            "trefoil.alexander.txt",
-            f"{alexander_poly(trefoil.presentation, trefoil.phi)}\n",
-        )
-    )
-    files.append(
-        (
-            "trefoil.report.txt",
-            stallings_report(trefoil.presentation, trefoil.phi).render() + "\n",
-        )
-    )
-    files.append(
-        (
-            "showcase.report.txt",
-            stallings_report(
-                showcase, canonical_zmap(showcase), [corpus_mod.showcase_hint()]
-            ).render()
-            + "\n",
-        )
-    )
-
-    def zero_class(data: KnotGroupData) -> KnotGroupData:
-        return KnotGroupData(
-            presentation=data.presentation,
-            meridian=data.meridian,
-            longitude=data.longitude,
-            phi=ZMap({g: 0 for g in data.presentation.generators}),
-            name=data.name,
-        )
-
-    spliced, spliced_phi = splice(
-        zero_class(corpus_mod.trefoil_data()),
-        zero_class(corpus_mod.trefoil_data()),
-    )
-    files.append(
-        (
-            "splice_trefoil_trefoil.grp",
-            format_group(
-                GroupFile("trefoil+trefoil", spliced, spliced_phi)
-            ),
-        )
-    )
-    files.append(
-        (
-            "splice_trefoil_trefoil.homology.txt",
-            f"abelianization = {abelianize(spliced)}\n",
-        )
-    )
-
-    verdict = fibered_splice(True, True, False, True)
-    files.append(
-        (
-            "splice_without_incompressibility.txt",
-            "scenario: fibered exterior spliced with an unknot inside a ball\n"
-            "first_fibered = yes\nsecond_fibered = yes\n"
-            "first_incompressible = not asserted\nsecond_incompressible = asserted\n"
-            f"fibered_splice = {verdict}\n",
-        )
-    )
-    return files
-
-
 def _cmd_corpus(args) -> int:
     target = Path(args.dir)
     target.mkdir(parents=True, exist_ok=True)
-    for filename, content in _corpus_files():
+    for filename, content in corpus.corpus_files():
         (target / filename).write_text(content, encoding="utf-8")
         print(f"wrote {target / filename}")
     return 0
@@ -362,83 +216,47 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("abelianize", help="abelianization of a group file")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_abelianize)
+    def verb(name, handler, summary, *files):
+        p = sub.add_parser(name, help=summary)
+        for file in files:
+            p.add_argument(file)
+        p.set_defaults(func=handler)
+        return p
 
-    p = sub.add_parser("phi", help="canonical class to Z of a two-generator one-relator group")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_phi)
-
-    p = sub.add_parser("analyze", help="exponent analysis of the relator")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("fiber-rank", help="rank of the free kernel, if derivable")
-    p.add_argument("file")
+    verb("abelianize", _cmd_abelianize, "abelianization of a group file", "file")
+    verb("phi", _cmd_phi,
+         "canonical class to Z of a two-generator one-relator group", "file")
+    verb("analyze", _cmd_analyze, "exponent analysis of the relator", "file")
+    p = verb("fiber-rank", _cmd_fiber_rank, "rank of the free kernel, if derivable", "file")
     p.add_argument("--nielsen", action="append", default=[], metavar="GEN->WORD")
-    p.set_defaults(func=_cmd_fiber_rank)
-
-    p = sub.add_parser("alexander", help="order polynomial of the twisted kernel")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_alexander)
-
-    p = sub.add_parser("graph", help="coset graph of the kernel over a splitting")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_graph)
-
-    p = sub.add_parser("infer", help="close finite-generation premises under the rules")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_infer)
-
-    p = sub.add_parser("rank", help="free kernel rank over a splitting")
-    p.add_argument("file")
+    verb("alexander", _cmd_alexander, "order polynomial of the twisted kernel", "file")
+    verb("graph", _cmd_graph, "coset graph of the kernel over a splitting", "file")
+    verb("infer", _cmd_infer, "close finite-generation premises under the rules", "file")
+    p = verb("rank", _cmd_rank, "free kernel rank over a splitting", "file")
     p.add_argument("--rank-a", type=int, default=0)
     p.add_argument("--rank-b", type=int, default=0)
-    p.set_defaults(func=_cmd_rank)
-
-    p = sub.add_parser("splice", help="splice two knot group files")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
+    p = verb("splice", _cmd_splice, "splice two knot group files", "file_a", "file_b")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_splice)
-
-    p = sub.add_parser("cable", help="cable a knot group file")
-    p.add_argument("file")
+    p = verb("cable", _cmd_cable, "cable a knot group file", "file")
     p.add_argument("-p", type=int, required=True)
     p.add_argument("-q", type=int, required=True)
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_cable)
-
-    p = sub.add_parser("report", help="fibering consistency report")
-    p.add_argument("file")
+    p = verb("report", _cmd_report, "fibering consistency report", "file")
     p.add_argument("--nielsen", action="append", default=[], metavar="GEN->WORD")
-    p.set_defaults(func=_cmd_report)
-
-    p = sub.add_parser("corpus", help="write the bundled example corpus")
+    p = verb("corpus", _cmd_corpus, "write the bundled example corpus")
     p.add_argument("--dir", default="corpus")
-    p.set_defaults(func=_cmd_corpus)
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ContradictionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except HypothesisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except FiberkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, ParseError):
+            return 1
+        return 3 if isinstance(exc, ContradictionError) else 2
 
 
 def entry() -> None:

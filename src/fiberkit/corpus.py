@@ -1,20 +1,26 @@
-"""Built-in example groups: unknot, torus knots, and the two-generator
-one-relator showcase group, with their standard classes and peripheral
-words.
+"""Built-in example groups and the bundled corpus.
 
-These are the inputs the test suite and the ``corpus`` command verb lean
-on; everything is constructed, never read from disk.
+The groups are the unknot, the torus knots, and the two-generator
+one-relator showcase group, with their standard classes and peripheral
+words.  ``corpus_files`` renders them, with the rank, Alexander, report and
+splice results computed from them, into the files ``fiberkit corpus``
+writes.  The test suite leans on the same groups; everything is
+constructed, never read from disk.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from math import gcd
 
 from .errors import HypothesisError
-from .links import KnotGroupData
-from .presentations import Presentation, ZMap, canonical_zmap
+from .fox import alexander_poly
+from .links import KnotGroupData, fibered_splice, splice, stallings_report
+from .one_relator import fiber_rank
+from .presentations import Presentation, ZMap, abelianize, canonical_zmap
 from .snf import xgcd
 from .splittings import AMALGAM, Splitting
+from .textfmt import GroupFile, format_group
 from .words import Word, concat
 
 __all__ = [
@@ -26,6 +32,7 @@ __all__ = [
     "showcase_hint",
     "torus_knot_splitting",
     "corpus_presentations",
+    "corpus_files",
 ]
 
 
@@ -70,16 +77,7 @@ def torus_knot_data(p: int, q: int) -> KnotGroupData:
 
 
 def trefoil_data() -> KnotGroupData:
-    data = torus_knot_data(2, 3)
-    return KnotGroupData(
-        presentation=data.presentation,
-        meridian=data.meridian,
-        longitude=data.longitude,
-        phi=data.phi,
-        irreducible=True,
-        boundary_incompressible=True,
-        name="trefoil",
-    )
+    return replace(torus_knot_data(2, 3), name="trefoil")
 
 
 def showcase_presentation() -> Presentation:
@@ -137,3 +135,45 @@ def corpus_presentations() -> list[tuple[str, Presentation, ZMap]]:
     )
     out.append(("free-abelian", commutator, ZMap({"x": 1, "y": 0})))
     return out
+
+
+def corpus_files() -> list[tuple[str, str]]:
+    """The files of ``fiberkit corpus`` as ``(filename, text)`` pairs, in
+    the order they are written; the texts are deterministic."""
+    knots = [("unknot.grp", unknot_data()), ("trefoil.grp", trefoil_data())]
+    knots += [
+        (f"torus_{p}_{q}.grp", torus_knot_data(p, q))
+        for p in range(2, 7)
+        for q in range(p + 1, 8)
+        if gcd(p, q) == 1
+    ]
+    files = [(name, format_group(GroupFile.from_knot(data))) for name, data in knots]
+
+    showcase = showcase_presentation()
+    descended = showcase_descended()
+    trefoil = trefoil_data()
+    zero = replace(trefoil, phi=ZMap({g: 0 for g in trefoil.presentation.generators}))
+    spliced, spliced_phi = splice(zero, zero)
+    verdict = fibered_splice(True, True, False, True)
+    files += [
+        ("showcase.grp",
+         format_group(GroupFile("showcase", showcase, canonical_zmap(showcase)))),
+        ("showcase_descended.grp",
+         format_group(GroupFile("showcase-H", descended, canonical_zmap(descended)))),
+        ("showcase.rank.txt", f"rank = {fiber_rank(showcase, [showcase_hint()])}\n"),
+        ("trefoil.alexander.txt", f"{alexander_poly(trefoil.presentation, trefoil.phi)}\n"),
+        ("trefoil.report.txt",
+         stallings_report(trefoil.presentation, trefoil.phi).render() + "\n"),
+        ("showcase.report.txt",
+         stallings_report(showcase, canonical_zmap(showcase), [showcase_hint()]).render()
+         + "\n"),
+        ("splice_trefoil_trefoil.grp",
+         format_group(GroupFile("trefoil+trefoil", spliced, spliced_phi))),
+        ("splice_trefoil_trefoil.homology.txt", f"abelianization = {abelianize(spliced)}\n"),
+        ("splice_without_incompressibility.txt",
+         "scenario: fibered exterior spliced with an unknot inside a ball\n"
+         "first_fibered = yes\nsecond_fibered = yes\n"
+         "first_incompressible = not asserted\nsecond_incompressible = asserted\n"
+         f"fibered_splice = {verdict}\n"),
+    ]
+    return files

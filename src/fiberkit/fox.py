@@ -10,7 +10,6 @@ that kernel rank.  Everything is exact; no floats anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
 
@@ -25,7 +24,6 @@ __all__ = [
     "alexander_matrix",
     "alexander_poly",
     "monic_degree_check",
-    "laurent_gcd",
 ]
 
 
@@ -179,59 +177,6 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({str(self)!r})"
-
-
-def _dense(poly: LaurentPoly) -> list[Fraction]:
-    """Coefficient list of an ordinary polynomial (min exponent must be 0)."""
-    out = [Fraction(0)] * (poly.max_exp + 1)
-    for e, c in poly.terms:
-        out[e] = Fraction(c)
-    return out
-
-
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    dn = len(den) - 1
-    lead = den[-1]
-    quot = [Fraction(0)] * max(len(num) - dn, 0)
-    for i in range(len(num) - 1, dn - 1, -1):
-        factor = num[i] / lead
-        quot[i - dn] = factor
-        if factor:
-            for k in range(dn + 1):
-                num[i - dn + k] -= factor * den[k]
-    while num and not num[-1]:
-        num.pop()
-    return quot, num
-
-
-def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """gcd over Z[t, t^-1], normalized; content and primitive part are
-    handled separately so integer content is preserved exactly."""
-    if a.is_zero:
-        return b.normalize()
-    if b.is_zero:
-        return a.normalize()
-    content = gcd(a.content(), b.content())
-    pa = _dense(a.shift(-a.min_exp))
-    pb = _dense(b.shift(-b.min_exp))
-    while any(pb):
-        _, pa = _poly_divmod(pa, pb)
-        pa, pb = pb, pa
-        while pb and not pb[-1]:
-            pb.pop()
-    # clear denominators, then restore the integer content
-    denom = 1
-    for c in pa:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in pa]
-    prim = 0
-    for c in ints:
-        prim = gcd(prim, c)
-    result = LaurentPoly.from_dict(
-        {i: content * (c // prim) for i, c in enumerate(ints)}
-    )
-    return result.normalize()
 
 
 # ---------------------------------------------------------------------------

@@ -137,7 +137,7 @@ class KnotGroupData:
             if w is not None and not w.generators() <= gens:
                 raise ValueError(f"{label} is not a word in the group generators")
         if not zmap_validate(self.phi, self.presentation):
-            raise ValueError("the class does not kill every relator")
+            raise HypothesisError("the class does not kill every relator")
 
     def require_peripheral(self) -> tuple[Word, Word]:
         if self.meridian is None or self.longitude is None:
@@ -215,6 +215,13 @@ def splice(first: KnotGroupData, second: KnotGroupData) -> tuple[Presentation, Z
     return Presentation(gens, relators), ZMap(values)
 
 
+def _require_cable_framing(p: int, q: int):
+    if q == 0:
+        raise HypothesisError("cable needs q != 0")
+    if gcd(p, q) != 1:
+        raise HypothesisError(f"cable needs coprime framing, gcd({p}, {q}) != 1")
+
+
 def cable_group(knot: KnotGroupData, p: int, q: int) -> KnotGroupData:
     """Group of the cable knot running ``p`` times around the meridian and
     ``q`` times along the longitude of ``knot``.
@@ -230,10 +237,7 @@ def cable_group(knot: KnotGroupData, p: int, q: int) -> KnotGroupData:
     longitude is ``meridian^p longitude^q`` corrected by a meridian power
     to value 0.
     """
-    if q == 0:
-        raise HypothesisError("cable needs q != 0")
-    if gcd(p, q) != 1:
-        raise HypothesisError(f"cable needs coprime framing, gcd({p}, {q}) != 1")
+    _require_cable_framing(p, q)
     meridian, longitude = knot.require_peripheral()
 
     taken = set(knot.presentation.generators)
@@ -295,10 +299,7 @@ def fibered_splice(
 
 def cable_fibered(base_fibered: bool, p: int, q: int) -> bool:
     """A cable fibers exactly when its companion does."""
-    if q == 0:
-        raise HypothesisError("cable needs q != 0")
-    if gcd(p, q) != 1:
-        raise HypothesisError(f"cable needs coprime framing, gcd({p}, {q}) != 1")
+    _require_cable_framing(p, q)
     return base_fibered
 
 
@@ -380,14 +381,9 @@ def stallings_report(
         except HypothesisError as exc:
             diagnostics.append(f"order polynomial unavailable: {exc}")
         else:
-            if delta.is_zero:
-                monic = False
-                degree = None
-            else:
-                monic = (
-                    abs(delta.terms[0][1]) == 1 and abs(delta.terms[-1][1]) == 1
-                )
-                degree = delta.span
+            degree = None if delta.is_zero else delta.span
+            # a polynomial always has its own degree, so this is the unit test
+            monic = monic_degree_check(delta, degree)
 
     if two_gen_one_rel and not m_zero:
         try:

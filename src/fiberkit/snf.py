@@ -1,4 +1,4 @@
-"""Exact integer matrix tools: Smith normal form and determinants.
+"""Exact integer matrix tools: Smith normal form and the extended gcd.
 
 Everything works on plain lists of Python ints, so there is no overflow;
 matrices at the scale used here (relator exponent matrices, well under
@@ -7,7 +7,7 @@ matrices at the scale used here (relator exponent matrices, well under
 
 from __future__ import annotations
 
-__all__ = ["smith_normal_form", "int_det", "xgcd", "identity_matrix", "mat_mul"]
+__all__ = ["smith_normal_form", "xgcd", "identity_matrix"]
 
 Matrix = list[list[int]]
 
@@ -138,46 +138,3 @@ def smith_normal_form(
             for k in range(m):
                 left[i][k] = -left[i][k]
     return left, a, right
-
-
-def int_det(matrix: list[list[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    if any(len(row) != n for row in matrix):
-        raise ValueError("determinant needs a square matrix")
-    a = [list(map(int, row)) for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[i], a[k] = a[k], a[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0]) if inner else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        for k in range(inner):
-            v = ai[k]
-            if v:
-                bk = b[k]
-                oi = out[i]
-                for j in range(cols):
-                    oi[j] += v * bk[j]
-    return out

@@ -41,10 +41,6 @@ class Splitting:
     ``edges_a[i]`` in A is identified with ``edges_b[i]`` in B; for an HNN
     extension both lists are words over A and the stable letter conjugates
     ``edges_a[i]`` to ``edges_b[i]``.
-
-    ``nontrivial`` records the caller's assertion that A != C != B; it is
-    not verified (deciding it is a word problem) but downstream inference
-    refuses amalgam reasoning without it.
     """
 
     kind: str
@@ -53,7 +49,6 @@ class Splitting:
     edges_a: tuple[Word, ...] = ()
     edges_b: tuple[Word, ...] = ()
     stable_letter: str | None = None
-    nontrivial: bool = True
 
     def __post_init__(self):
         if self.kind not in (AMALGAM, HNN):

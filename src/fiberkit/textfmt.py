@@ -1,4 +1,4 @@
-"""Line-oriented plain-text formats for groups and splittings.
+"""Line-oriented plain-text formats for groups, splittings and premises.
 
 Group file::
 
@@ -19,8 +19,15 @@ and ``1`` for the empty word.  Splitting files name their factor files::
     edge inC=x^2 inD=x^2
     phi x=1 t=0
 
+Premise files feed the finite-generation inference::
+
+    kind amalgam
+    nontrivial yes
+    premise n_fg yes
+
 Blank lines and ``#`` comments are ignored; unknown keywords are parse
-errors.
+errors.  Every file is read here, and a file that cannot be read or is not
+UTF-8 is a parse error too.
 """
 
 from __future__ import annotations
@@ -30,6 +37,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ParseError
+from .inference import FLAG_NAMES, FgPremises
+from .links import KnotGroupData
 from .presentations import Presentation, ZMap
 from .splittings import AMALGAM, HNN, Splitting
 from .words import Word, reduce_word
@@ -37,11 +46,11 @@ from .words import Word, reduce_word
 __all__ = [
     "GroupFile",
     "parse_word",
-    "format_word",
     "parse_group_text",
     "parse_group_file",
     "format_group",
     "parse_splitting_file",
+    "parse_premise_file",
 ]
 
 _TOKEN = re.compile(r"^([A-Za-z_][A-Za-z0-9_']*)(?:\^(-?\d+))?$")
@@ -69,10 +78,6 @@ def parse_word(text: str, generators=None) -> Word:
     return reduce_word(syllables)
 
 
-def format_word(word: Word) -> str:
-    return str(word)
-
-
 @dataclass(frozen=True)
 class GroupFile:
     """Parsed contents of a group file."""
@@ -82,6 +87,25 @@ class GroupFile:
     phi: ZMap | None = None
     meridian: Word | None = None
     longitude: Word | None = None
+
+    @classmethod
+    def from_knot(cls, knot: KnotGroupData) -> "GroupFile":
+        return cls(knot.name, knot.presentation, knot.phi, knot.meridian, knot.longitude)
+
+
+def _read(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+
+
+def _lines(text: str, source: str):
+    """Yield ``(where, line)`` for every line that is not blank or a comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield f"{source}:{lineno}", line
 
 
 def _split_phi(args: str) -> dict[str, int]:
@@ -97,6 +121,20 @@ def _split_phi(args: str) -> dict[str, int]:
     if not values:
         raise ParseError("empty phi line")
     return values
+
+
+def _phi_map(values: dict[str, int] | None, generators, source: str) -> ZMap | None:
+    """The class of a phi line, which must name exactly the declared
+    generators; None when the file has no phi line."""
+    if values is None:
+        return None
+    for g in values:
+        if g not in generators:
+            raise ParseError(f"{source}: phi names undeclared generator {g!r}")
+    for g in generators:
+        if g not in values:
+            raise ParseError(f"{source}: phi misses generator {g!r}")
+    return ZMap(values)
 
 
 def _split_keyed_words(args: str, keys: tuple[str, str]) -> tuple[str, str]:
@@ -117,18 +155,14 @@ def _split_keyed_words(args: str, keys: tuple[str, str]) -> tuple[str, str]:
 def parse_group_text(text: str, source: str = "<string>") -> GroupFile:
     name = None
     generators: list[str] = []
-    relator_lines: list[tuple[int, str]] = []
+    relator_lines: list[tuple[str, str]] = []
     phi_values = None
     meridian_text = None
     longitude_text = None
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for where, line in _lines(text, source):
         keyword, _, args = line.partition(" ")
         args = args.strip()
-        where = f"{source}:{lineno}"
         if keyword == "group":
             if name is not None:
                 raise ParseError(f"{where}: repeated group line")
@@ -145,7 +179,7 @@ def parse_group_text(text: str, source: str = "<string>") -> GroupFile:
                     raise ParseError(f"{where}: duplicate generator {g!r}")
                 generators.append(g)
         elif keyword == "rel":
-            relator_lines.append((lineno, args))
+            relator_lines.append((where, args))
         elif keyword == "phi":
             if phi_values is not None:
                 raise ParseError(f"{where}: repeated phi line")
@@ -162,22 +196,13 @@ def parse_group_text(text: str, source: str = "<string>") -> GroupFile:
     if not generators:
         raise ParseError(f"{source}: no generators declared")
     relators = []
-    for lineno, args in relator_lines:
+    for where, args in relator_lines:
         try:
             relators.append(parse_word(args, generators))
         except ParseError as exc:
-            raise ParseError(f"{source}:{lineno}: {exc}") from None
+            raise ParseError(f"{where}: {exc}") from None
     pres = Presentation(tuple(generators), tuple(relators))
-
-    phi = None
-    if phi_values is not None:
-        for g in phi_values:
-            if g not in generators:
-                raise ParseError(f"{source}: phi names undeclared generator {g!r}")
-        for g in generators:
-            if g not in phi_values:
-                raise ParseError(f"{source}: phi misses generator {g!r}")
-        phi = ZMap(phi_values)
+    phi = _phi_map(phi_values, generators, source)
 
     meridian = longitude = None
     if meridian_text is not None:
@@ -195,11 +220,7 @@ def parse_group_text(text: str, source: str = "<string>") -> GroupFile:
 
 def parse_group_file(path: str | Path) -> GroupFile:
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-    return parse_group_text(text, source=str(path))
+    return parse_group_text(_read(path), source=str(path))
 
 
 def format_group(group: GroupFile) -> str:
@@ -234,37 +255,27 @@ def _split_assignments(args: str, keys: tuple[str, ...], where: str) -> dict[str
 def parse_splitting_file(path: str | Path) -> tuple[Splitting, ZMap | None]:
     """Parse a splitting file; factor file paths resolve relative to it."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-
     kind = None
     factor_a = factor_b = None
     stable = None
     edges_a: list[str] = []
     edges_b: list[str] = []
-    edge_lines: list[int] = []
     phi_values = None
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for where, line in _lines(_read(path), str(path)):
         keyword, _, args = line.partition(" ")
         args = args.strip()
-        where = f"{path}:{lineno}"
         if keyword in (AMALGAM, HNN):
             if kind is not None:
                 raise ParseError(f"{where}: repeated splitting line")
             kind = keyword
             if keyword == AMALGAM:
                 parts = _split_assignments(args, ("A", "B"), where)
-                factor_a = parse_group_file(path.parent / parts["A"])
-                factor_b = parse_group_file(path.parent / parts["B"])
+                factor_a = parse_group_file(path.parent / parts["A"]).presentation
+                factor_b = parse_group_file(path.parent / parts["B"]).presentation
             else:
                 parts = _split_assignments(args, ("A", "stable"), where)
-                factor_a = parse_group_file(path.parent / parts["A"])
+                factor_a = parse_group_file(path.parent / parts["A"]).presentation
                 stable = parts["stable"]
         elif keyword == "edge":
             keys = ("inA", "inB") if kind == AMALGAM else ("inC", "inD")
@@ -273,7 +284,6 @@ def parse_splitting_file(path: str | Path) -> tuple[Splitting, ZMap | None]:
             wa, wb = _split_keyed_words(args, keys)
             edges_a.append(wa)
             edges_b.append(wb)
-            edge_lines.append(lineno)
         elif keyword == "phi":
             if phi_values is not None:
                 raise ParseError(f"{where}: repeated phi line")
@@ -284,45 +294,49 @@ def parse_splitting_file(path: str | Path) -> tuple[Splitting, ZMap | None]:
     if kind is None:
         raise ParseError(f"{path}: no amalgam or hnn line")
 
-    gens_a = factor_a.presentation.generators
-    if kind == AMALGAM:
-        gens_b = factor_b.presentation.generators
-        try:
-            words_a = tuple(parse_word(w, gens_a) for w in edges_a)
-            words_b = tuple(parse_word(w, gens_b) for w in edges_b)
-            split = Splitting(
-                AMALGAM,
-                factor_a.presentation,
-                factor_b.presentation,
-                words_a,
-                words_b,
-            )
-        except (ParseError, ValueError) as exc:
-            raise ParseError(f"{path}: {exc}") from None
-        all_gens = gens_a + gens_b
-    else:
-        try:
-            words_a = tuple(parse_word(w, gens_a) for w in edges_a)
-            words_b = tuple(parse_word(w, gens_a) for w in edges_b)
-            split = Splitting(
-                HNN,
-                factor_a.presentation,
-                None,
-                words_a,
-                words_b,
-                stable_letter=stable,
-            )
-        except (ParseError, ValueError) as exc:
-            raise ParseError(f"{path}: {exc}") from None
-        all_gens = gens_a + (stable,)
+    gens_a = factor_a.generators
+    gens_b = factor_b.generators if kind == AMALGAM else gens_a
+    all_gens = gens_a + (gens_b if kind == AMALGAM else (stable,))
+    try:
+        split = Splitting(
+            kind,
+            factor_a,
+            factor_b,
+            tuple(parse_word(w, gens_a) for w in edges_a),
+            tuple(parse_word(w, gens_b) for w in edges_b),
+            stable_letter=stable,
+        )
+    except (ParseError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    return split, _phi_map(phi_values, all_gens, str(path))
 
-    phi = None
-    if phi_values is not None:
-        for g in phi_values:
-            if g not in all_gens:
-                raise ParseError(f"{path}: phi names unknown generator {g!r}")
-        for g in all_gens:
-            if g not in phi_values:
-                raise ParseError(f"{path}: phi misses generator {g!r}")
-        phi = ZMap(phi_values)
-    return split, phi
+
+def _yes_no(value: str, what: str) -> bool:
+    if value not in ("yes", "no"):
+        raise ParseError(f"{what} must be yes or no")
+    return value == "yes"
+
+
+def parse_premise_file(path: str | Path) -> tuple[str, FgPremises, bool]:
+    """Parse a premise file into ``(kind, premises, nontrivial)``; the
+    nontriviality assertion A != C != B defaults to yes."""
+    path = Path(path)
+    kind = None
+    nontrivial = True
+    assignments = {}
+    for where, line in _lines(_read(path), str(path)):
+        parts = line.split()
+        if parts[0] == "kind" and len(parts) == 2:
+            kind = parts[1]
+        elif parts[0] == "nontrivial" and len(parts) == 2:
+            nontrivial = _yes_no(parts[1], f"{where}: nontrivial")
+        elif parts[0] == "premise" and len(parts) == 3:
+            flag, value = parts[1], parts[2]
+            if flag not in FLAG_NAMES:
+                raise ParseError(f"{where}: unknown flag {flag!r}")
+            assignments[flag] = _yes_no(value, f"{where}: flag value")
+        else:
+            raise ParseError(f"{where}: unknown line {line!r}")
+    if kind not in (AMALGAM, HNN):
+        raise ParseError(f"{path}: needs a line 'kind amalgam' or 'kind hnn'")
+    return kind, FgPremises(**assignments), nontrivial

@@ -33,7 +33,7 @@ from fiberkit.links import (
 )
 from fiberkit.one_relator import fiber_rank, rank_transfer
 from fiberkit.presentations import Presentation, ZMap, abelianize, canonical_zmap
-from fiberkit.snf import int_det, mat_mul, smith_normal_form
+from fiberkit.snf import smith_normal_form
 from fiberkit.splittings import (
     AMALGAM,
     HNN,
@@ -44,6 +44,8 @@ from fiberkit.splittings import (
 )
 from fiberkit.words import Word
 from tests_support import (
+    int_det,
+    mat_mul,
     random_realizable_splitting,
     t_power_minus_one,
     torus_alexander_closed_form,

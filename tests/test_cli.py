@@ -1,6 +1,10 @@
+import hashlib
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fiberkit.cli import main
+from fiberkit.inference import FLAG_NAMES
 from fiberkit.textfmt import parse_group_file
 
 TREFOIL = """\
@@ -157,6 +161,34 @@ class TestExitCodes:
         code, _, err = run(capsys, "abelianize", workdir / "nope.grp")
         assert code == 1
 
+    @pytest.mark.parametrize("verb", ["abelianize", "graph", "infer"])
+    def test_non_utf8_file(self, workdir, capsys, verb):
+        (workdir / "latin1.txt").write_bytes("group caf\xe9\ngen x\n".encode("latin-1"))
+        code, out, err = run(capsys, verb, workdir / "latin1.txt")
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot read {workdir / 'latin1.txt'}: 'utf-8' codec")
+
+    @pytest.mark.parametrize("verb", ["cable", "splice"])
+    def test_class_not_killing_relator(self, workdir, capsys, verb):
+        (workdir / "bad.grp").write_text(
+            "gen y\nrel y^3\nphi y=2\nperipheral meridian=y longitude=1\n",
+            encoding="utf-8",
+        )
+        extra = ["-p", "1", "-q", "2"] if verb == "cable" else [workdir / "unknot.grp"]
+        code, out, err = run(capsys, verb, workdir / "bad.grp", *extra)
+        assert code == 2
+        assert out == ""
+        assert err == "error: the class does not kill every relator\n"
+
+    def test_nontrivial_needs_yes_or_no(self, workdir, capsys):
+        path = workdir / "p.inf"
+        path.write_text("kind amalgam\nnontrivial maybe\n", encoding="utf-8")
+        code, out, err = run(capsys, "infer", path)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {path}:2: nontrivial must be yes or no\n"
+
 
 class TestConstructionVerbs:
     def test_cable_round_trips(self, workdir, capsys):
@@ -235,3 +267,147 @@ class TestCorpusVerb:
         for path in sorted(target.glob("*.grp")):
             group = parse_group_file(path)
             assert group.presentation.generators
+
+    def test_pinned_bytes_and_order(self, workdir, capsys):
+        target = workdir / "corpus"
+        code, out, _ = run(capsys, "corpus", "--dir", target)
+        assert code == 0
+        assert out == "".join(f"wrote {target / name}\n" for name in CORPUS_DIGESTS)
+        written = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in target.iterdir()
+        }
+        assert written == CORPUS_DIGESTS
+
+
+# SHA-256 of each corpus file, in the order the corpus verb writes them; the
+# digests are those frozen in bench/golden/corpus_cli.json
+CORPUS_DIGESTS = {
+    "unknot.grp": "a97e3e37d185bc2e0542b7f138c8e9fec75cbd66866a533465fd486afc4e233d",
+    "trefoil.grp": "c49cf3326f30f5c977bfcb1897dccab7df6c8b69aea6b6eded979415602c8de8",
+    "torus_2_3.grp": "48fe22840db17e33a004ae892c1a9d6fdc21aa06b27c225fbb28488cc95acd4a",
+    "torus_2_5.grp": "ddab052e89d69f69e65caff84e241db8ca75ae9dd816594520f61581143cb932",
+    "torus_2_7.grp": "ec87f8a6c6c001ff2851e5cd38bc9b10c20cf2944360e29104c7c358f3f41271",
+    "torus_3_4.grp": "a587cbd9cd507781188b2ca2e3d5387bf14ad48c00a2703257e17d77366b1341",
+    "torus_3_5.grp": "1c6c62fe6a8ed3e519896c0014f474ba4f3568cdd18da339555d5150fd12b0f9",
+    "torus_3_7.grp": "372a9d77632315f31cb75b7e57fd04b48fdc98a1864164dceb4112b2970b7ba8",
+    "torus_4_5.grp": "61d5e8085f0b743759aadbded2492522b256076a360706c144f656c9bc3a4d53",
+    "torus_4_7.grp": "b9f96c33bf834ae17b9bb4715c5098d3896d9ba88ff6bd3f5688f95e242cf6a0",
+    "torus_5_6.grp": "6cfe1e1dd7b8161180bdd6f4a81d4d1fe2777a24b3cbfab4774c6391d00cf9ba",
+    "torus_5_7.grp": "fd32c7c1a37ae1c797ce8edde596d1bd958da375fa3df5fd933a2ffe8f8ed734",
+    "torus_6_7.grp": "da2589d31ff19126bde41c26dfb4a7717196018ab3d97e3da3a9f04ec6627d7e",
+    "showcase.grp": "a52e34996e27f89ab97646803f911267cc3cf4c145095d11bf9ed72ff47c5c54",
+    "showcase_descended.grp": "a071d8005b1fd2330bf11b846524a0655cdd1aee5df38bd7de40be6edabde933",
+    "showcase.rank.txt": "8c90d54e4db54036c7b4c9e473402173b633cc015ffd8d9d9fb1ad74cef7ba5b",
+    "trefoil.alexander.txt": "804032eea20eb6f5510c0a18cc3c0a9bc86531affcf859aebc0599de356a379d",
+    "trefoil.report.txt": "f84d1b82d82fa45e51c3e8bd3a6a35d29cdf349e3e28a7787782dc8ad485b68f",
+    "showcase.report.txt": "243086304aa106dffa02bb19675766cf44d87d7f270fdb7042884c4c3c2db506",
+    "splice_trefoil_trefoil.grp": "909b0ef04897952cc92dd114cf912fac0d25ec05c0d3ad4dab7ca70d2b82d533",
+    "splice_trefoil_trefoil.homology.txt": "9ed9e50534cc556246b6dbdd0182715d7689258dbd7cc84d5535eb7ebad3de84",
+    "splice_without_incompressibility.txt": "54c807c7585de3002e3c368ecef9e2edb4c070763bf50cd3a8f3820d35d7e1b8",
+}
+
+
+# ---------------------------------------------------------------------------
+# every verb on random files: an exit code, never an escaping exception
+
+NAMES = st.sampled_from(["x", "y", "t", "u"])
+EXPONENTS = st.integers(-3, 3).filter(bool)
+NOISE = st.sampled_from(["# note", "", "frob x", "gen x^2", "rel x^0", "phi x", "edge inA=x"])
+
+
+def _word(gens):
+    return st.lists(st.tuples(st.sampled_from(gens), EXPONENTS), max_size=4).map(
+        lambda sylls: " ".join(f"{g}^{e}" for g, e in sylls) or "1"
+    )
+
+
+def _phi(gens):
+    return st.lists(st.integers(-3, 3), min_size=len(gens), max_size=len(gens)).map(
+        lambda values: "phi " + " ".join(f"{g}={v}" for g, v in zip(gens, values))
+    )
+
+
+@st.composite
+def _file(draw, lines):
+    """The given lines, some left out, plus noise, in a random order."""
+    kept = [line for line in lines if draw(st.integers(0, 5))]
+    kept += draw(st.lists(NOISE, max_size=1))
+    return "\n".join(draw(st.permutations(kept))) + "\n"
+
+
+@st.composite
+def group_files(draw):
+    gens = draw(st.lists(NAMES, min_size=1, max_size=3, unique=True))
+    word = _word(gens)
+    lines = ["group g", "gen " + " ".join(gens), draw(_phi(gens))]
+    lines += [f"rel {w}" for w in draw(st.lists(word, max_size=2))]
+    lines.append(f"peripheral meridian={draw(word)} longitude={draw(word)}")
+    return draw(_file(lines))
+
+
+@st.composite
+def splitting_files(draw):
+    """Splittings over the factors ``<x>`` (a.grp) and ``<y>`` (b.grp)."""
+    if draw(st.booleans()):
+        lines, keys, phi_gens = ["amalgam A=a.grp B=b.grp"], ("inA", "inB"), ["x", "y"]
+        sides = (_word(["x"]), _word(["y"]))
+    else:
+        lines, keys, phi_gens = ["hnn A=a.grp stable=t"], ("inC", "inD"), ["x", "t"]
+        sides = (_word(["x"]), _word(["x"]))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.append(f"edge {keys[0]}={draw(sides[0])} {keys[1]}={draw(sides[1])}")
+    lines.append(draw(_phi(phi_gens)))
+    return draw(_file(lines))
+
+
+@st.composite
+def premise_files(draw):
+    value = st.sampled_from(["yes", "no", "maybe"])
+    lines = [draw(st.sampled_from(["kind amalgam", "kind hnn", "kind other"]))]
+    lines.append(f"nontrivial {draw(value)}")
+    for flag in draw(st.lists(st.sampled_from(FLAG_NAMES + ("bogus",)), max_size=4)):
+        lines.append(f"premise {flag} {draw(value)}")
+    return draw(_file(lines))
+
+
+def _every_verb(directory, capsys, p, q):
+    """Run each verb on the files in ``directory``; each must exit 0-3."""
+    group = directory / "g.grp"
+    argvs = [
+        [verb, group] for verb in ("abelianize", "phi", "analyze", "fiber-rank", "alexander", "report")
+    ] + [
+        ["fiber-rank", group, "--nielsen", "u->u y"],
+        ["cable", group, "-p", p, "-q", q],
+        ["splice", group, group],
+        ["graph", directory / "s.spl"],
+        ["rank", directory / "s.spl", "--rank-a", 1, "--rank-b", 1],
+        ["infer", directory / "p.inf"],
+    ]
+    for argv in argvs:
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1, 2, 3)
+        assert code == 0 or err.startswith("error: ")
+
+
+FUZZ = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+class TestNoTraceback:
+    @FUZZ
+    @given(group_files(), splitting_files(), premise_files(), EXPONENTS, EXPONENTS)
+    def test_structured_files(self, tmp_path, capsys, group, splitting, premises, p, q):
+        (tmp_path / "g.grp").write_text(group, encoding="utf-8")
+        (tmp_path / "a.grp").write_text("group A\ngen x\n", encoding="utf-8")
+        (tmp_path / "b.grp").write_text("group B\ngen y\n", encoding="utf-8")
+        (tmp_path / "s.spl").write_text(splitting, encoding="utf-8")
+        (tmp_path / "p.inf").write_text(premises, encoding="utf-8")
+        _every_verb(tmp_path, capsys, p, q)
+
+    @FUZZ
+    @given(st.binary(max_size=64))
+    def test_raw_bytes(self, tmp_path, capsys, data):
+        for name in ("g.grp", "a.grp", "b.grp", "s.spl", "p.inf"):
+            (tmp_path / name).write_bytes(data)
+        _every_verb(tmp_path, capsys, 1, 2)

@@ -12,7 +12,6 @@ from fiberkit.fox import (
     alexander_matrix,
     alexander_poly,
     fox_derivative,
-    laurent_gcd,
     monic_degree_check,
 )
 from fiberkit.links import cable_group
@@ -108,31 +107,6 @@ class TestLaurentPoly:
         assert str(lp({0: -1, 2: 3})) == "-1 + 3t^2"
         assert str(LaurentPoly()) == "0"
         assert str(lp({1: 1})) == "t"
-
-    def test_gcd_keeps_content(self):
-        a = lp({0: 2, 1: 2})
-        b = lp({0: 4})
-        assert laurent_gcd(a, b) == lp({0: 2})
-
-    def test_gcd_of_cyclotomic_products(self):
-        a = t_power_minus_one(6)
-        b = t_power_minus_one(4)
-        assert laurent_gcd(a, b) == t_power_minus_one(2)
-
-    @given(
-        st.lists(st.tuples(st.integers(-3, 3), st.integers(-4, 4)), max_size=5),
-        st.lists(st.tuples(st.integers(-3, 3), st.integers(-4, 4)), max_size=5),
-    )
-    def test_gcd_divides_both(self, a_terms, b_terms):
-        a = lp({e: c for e, c in a_terms})
-        b = lp({e: c for e, c in b_terms})
-        g = laurent_gcd(a, b)
-        if g.is_zero:
-            assert a.is_zero and b.is_zero
-            return
-        for poly in (a, b):
-            if not poly.is_zero:
-                poly.exact_div(g)
 
 
 class TestFoxDerivative:

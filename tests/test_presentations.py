@@ -12,8 +12,8 @@ from fiberkit.presentations import (
     torsion_number,
     zmap_validate,
 )
-from fiberkit.snf import mat_mul
 from fiberkit.words import Word, reduce_word
+from tests_support import mat_mul
 
 
 def two_gen(relator_sylls):

@@ -1,9 +1,12 @@
 import random
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
+from sympy.matrices.normalforms import invariant_factors
 
-from fiberkit.snf import identity_matrix, int_det, mat_mul, smith_normal_form, xgcd
+from fiberkit.snf import identity_matrix, smith_normal_form, xgcd
+from tests_support import int_det, mat_mul
 
 
 def check_invariants(matrix, ncols=None):
@@ -79,6 +82,19 @@ class TestSmithNormalForm:
     )
     def test_property(self, matrix):
         check_invariants(matrix)
+
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda cols: st.lists(
+                st.lists(st.integers(-20, 20), min_size=cols, max_size=cols),
+                min_size=1,
+                max_size=5,
+            )
+        )
+    )
+    def test_matches_sympy_invariant_factors(self, matrix):
+        expected = invariant_factors(sympy.Matrix(matrix), domain=sympy.ZZ)
+        assert check_invariants(matrix) == [int(d) for d in expected]
 
 
 class TestIntDet:

@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from fiberkit.errors import ParseError
-from fiberkit.presentations import Presentation
+from fiberkit.presentations import Presentation, ZMap
 from fiberkit.textfmt import (
     GroupFile,
     format_group,
@@ -10,7 +11,7 @@ from fiberkit.textfmt import (
     parse_splitting_file,
     parse_word,
 )
-from fiberkit.words import Word
+from fiberkit.words import Word, reduce_word
 
 TREFOIL_TEXT = """\
 group trefoil
@@ -95,6 +96,37 @@ class TestGroupFiles:
             longitude=Word(),
         )
         assert parse_group_text(format_group(group)) == group
+
+
+@st.composite
+def group_files(draw):
+    """Any GroupFile the format can express: generator names per the word
+    grammar, reduced relators, an optional class on every generator, and
+    either both peripheral words or neither."""
+    gens = draw(
+        st.lists(st.from_regex(r"[A-Za-z_][A-Za-z0-9_']{0,3}", fullmatch=True),
+                 min_size=1, max_size=4, unique=True)
+    )
+    words = st.lists(
+        st.tuples(st.sampled_from(gens), st.integers(-5, 5).filter(bool)), max_size=6
+    ).map(reduce_word)
+    phi = draw(st.none() | st.lists(st.integers(-9, 9), min_size=len(gens), max_size=len(gens))
+               .map(lambda values: ZMap(dict(zip(gens, values)))))
+    peripheral = draw(st.none() | st.tuples(words, words))
+    meridian, longitude = peripheral or (None, None)
+    return GroupFile(
+        name=draw(st.from_regex(r"[A-Za-z0-9_+()-][A-Za-z0-9_+(), -]{0,10}[A-Za-z0-9_+()-]",
+                                fullmatch=True)),
+        presentation=Presentation(tuple(gens), tuple(draw(st.lists(words, max_size=3)))),
+        phi=phi,
+        meridian=meridian,
+        longitude=longitude,
+    )
+
+
+@given(group_files())
+def test_format_then_parse_is_identity(group):
+    assert parse_group_text(format_group(group)) == group
 
 
 class TestSplittingFiles:

@@ -13,6 +13,50 @@ from fiberkit.splittings import AMALGAM, Splitting
 from fiberkit.words import Word
 
 
+def int_det(matrix):
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    n = len(matrix)
+    if n == 0:
+        return 1
+    if any(len(row) != n for row in matrix):
+        raise ValueError("determinant needs a square matrix")
+    a = [list(map(int, row)) for row in matrix]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[i], a[k] = a[k], a[i]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def mat_mul(a, b):
+    """Integer matrix product."""
+    rows = len(a)
+    inner = len(b)
+    cols = len(b[0]) if inner else 0
+    out = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        ai = a[i]
+        for k in range(inner):
+            v = ai[k]
+            if v:
+                bk = b[k]
+                oi = out[i]
+                for j in range(cols):
+                    oi[j] += v * bk[j]
+    return out
+
+
 def torus_splitting_with_phi(p, q):
     """``<x> *_{x^p = y^q} <y>`` plus the class killing the edge relation."""
     split = Splitting(
