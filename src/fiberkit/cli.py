@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import corpus
 from .errors import ContradictionError, FiberkitError, HypothesisError, ParseError
@@ -19,7 +18,7 @@ from .inference import FLAG_NAMES, fg_inference
 from .links import KnotGroupData, cable_group, splice, stallings_report
 from .one_relator import analyze, fiber_rank
 from .presentations import ZMap, abelianize, canonical_zmap, torsion_number
-from .splittings import Splitting, coset_graph, free_kernel_rank, kernel_indices
+from .splittings import Splitting, coset_graph, free_kernel_rank
 from .textfmt import (
     GroupFile,
     format_group,
@@ -27,6 +26,7 @@ from .textfmt import (
     parse_premise_file,
     parse_splitting_file,
     parse_word,
+    writing,
 )
 from .words import Word, cyclic_reduce
 
@@ -62,7 +62,8 @@ def _knot_data(group: GroupFile) -> KnotGroupData:
 
 def _emit(text: str, output: str | None):
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        with writing(output) as path:
+            path.write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -137,13 +138,12 @@ def _cmd_graph(args) -> int:
 
 def _cmd_rank(args) -> int:
     split, phi = _splitting_with_phi(args.file)
-    a_idx, b_idx, c_idx = kernel_indices(split, phi)
     graph = coset_graph(split, phi)
     rank = free_kernel_rank(
         split.kind,
-        a_idx,
-        b_idx,
-        c_idx,
+        graph.a_idx,
+        graph.b_idx,
+        graph.c_idx,
         args.rank_a,
         args.rank_b if split.kind == "amalgam" else None,
         graph=graph,
@@ -198,11 +198,12 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    target = Path(args.dir)
-    target.mkdir(parents=True, exist_ok=True)
+    with writing(args.dir) as target:
+        target.mkdir(parents=True, exist_ok=True)
     for filename, content in corpus.corpus_files():
-        (target / filename).write_text(content, encoding="utf-8")
-        print(f"wrote {target / filename}")
+        with writing(target / filename) as path:
+            path.write_text(content, encoding="utf-8")
+        print(f"wrote {path}")
     return 0
 
 

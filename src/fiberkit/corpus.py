@@ -31,7 +31,6 @@ __all__ = [
     "showcase_descended",
     "showcase_hint",
     "torus_knot_splitting",
-    "corpus_presentations",
     "corpus_files",
 ]
 
@@ -109,32 +108,6 @@ def torus_knot_splitting(p: int, q: int) -> tuple[Splitting, ZMap]:
         (Word.gen("y", q),),
     )
     return split, ZMap({"x": q, "y": p})
-
-
-def corpus_presentations() -> list[tuple[str, Presentation, ZMap]]:
-    """Named presentations with valid classes, for corpus-wide property
-    sweeps."""
-    out: list[tuple[str, Presentation, ZMap]] = []
-    unknot = unknot_data()
-    out.append(("unknot", unknot.presentation, unknot.phi))
-    for p, q in ((2, 3), (2, 5), (3, 4), (3, 5), (5, 7)):
-        data = torus_knot_data(p, q)
-        out.append((data.name, data.presentation, data.phi))
-    showcase = showcase_presentation()
-    out.append(("showcase", showcase, canonical_zmap(showcase)))
-    descended = showcase_descended()
-    out.append(("showcase-H", descended, canonical_zmap(descended)))
-    straightened = Presentation(("u", "y"), (Word.of(("u", 2), ("y", 3)),))
-    out.append(("u2y3", straightened, canonical_zmap(straightened)))
-    cyclic = Presentation(("v", "y"), (Word.of(("v", 1), ("y", 3)),))
-    out.append(("vy3", cyclic, canonical_zmap(cyclic)))
-    torsion = Presentation(("x", "y"), (Word.of(("x", 2), ("y", -4)),))
-    out.append(("torsion-2", torsion, canonical_zmap(torsion)))
-    commutator = Presentation(
-        ("x", "y"), (Word.of(("x", 1), ("y", 1), ("x", -1), ("y", -1)),)
-    )
-    out.append(("free-abelian", commutator, ZMap({"x": 1, "y": 0})))
-    return out
 
 
 def corpus_files() -> list[tuple[str, str]]:

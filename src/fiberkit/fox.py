@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from math import gcd
 
 from .errors import HypothesisError
 from .presentations import Presentation, ZMap, zmap_validate
@@ -42,19 +41,9 @@ class LaurentPoly:
     def const(cls, c: int) -> "LaurentPoly":
         return cls.from_dict({0: c})
 
-    @classmethod
-    def t_power(cls, e: int, c: int = 1) -> "LaurentPoly":
-        return cls.from_dict({e: c})
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coeff(self, e: int) -> int:
-        for exp, c in self.terms:
-            if exp == e:
-                return c
-        return 0
 
     @property
     def min_exp(self) -> int:
@@ -93,20 +82,11 @@ class LaurentPoly:
                 out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly.from_dict(out)
 
-    def scale(self, c: int) -> "LaurentPoly":
-        return LaurentPoly.from_dict({e: c * k for e, k in self.terms})
-
     def shift(self, by: int) -> "LaurentPoly":
         return LaurentPoly(tuple((e + by, c) for e, c in self.terms))
 
     def evaluate_at_one(self) -> int:
         return sum(c for _, c in self.terms)
-
-    def content(self) -> int:
-        g = 0
-        for _, c in self.terms:
-            g = gcd(g, c)
-        return g
 
     def normalize(self) -> "LaurentPoly":
         """Multiply by a unit so the lowest exponent is 0 and the top
@@ -193,10 +173,6 @@ class GroupRingElement:
         items = [(w, c) for w, c in coeffs.items() if c]
         items.sort(key=lambda item: (len(item[0]), str(item[0])))
         return cls(tuple(items))
-
-    @classmethod
-    def of_word(cls, w: Word, c: int = 1) -> "GroupRingElement":
-        return cls.from_dict({w: c})
 
     @property
     def is_zero(self) -> bool:

@@ -7,6 +7,10 @@ a fixed list of implications; it never speculates beyond them.  Adding
 premises never removes conclusions, and running the closure twice changes
 nothing.
 
+The rules are one table, expanded over the factor sides: A and B for an
+amalgam, A alone for an HNN extension.  The closure keeps the flags on two
+ints, a yes-mask and a no-mask, with bit ``i`` for ``FLAG_NAMES[i]``.
+
 When a rule's conclusion is refuted but more than one of its antecedents
 is still open, the contrapositive cannot pick a culprit; the engine then
 records a disjunction clause ("at least one of these literals holds")
@@ -51,7 +55,7 @@ FLAG_NAMES = tuple(attr for attr, _ in _FLAGS)
 _INDEX = {attr: i for i, (attr, _) in enumerate(_FLAGS)}
 DISPLAY = {attr: name for attr, name in _FLAGS}
 
-_N_FLAGS = len(_FLAGS)
+_BITS = tuple(1 << i for i in range(len(_FLAGS)))
 
 TriBool = Optional[bool]
 
@@ -115,243 +119,90 @@ class FgConclusions:
         )
 
 
-def _idx(attr: str) -> int:
-    return _INDEX[attr]
-
-
-def _lit(attr: str, value: bool) -> tuple[int, bool]:
-    return _INDEX[attr], value
-
-
-# Implication rules: (name, antecedent literals, consequent literal).
-# The B-side variants exist only for amalgams.  Rule names are stable and
-# appear in contradiction errors.
-def _rules(kind: str):
-    both_sides = kind == AMALGAM
-    rules: list[tuple[str, tuple[tuple[int, bool], ...], tuple[int, bool]]] = []
-
-    def rule(name, ants, cons):
-        rules.append((name, tuple(ants), cons))
-
-    rule(
-        "fg-off-edge-forces-finite-index",
-        [_lit("n_fg", True), _lit("n_in_c", False)],
-        _lit("nc_finite_index", True),
-    )
-    rule(
-        "fg-off-edge-with-fg-edge-kernel-forces-A-part-fg",
-        [_lit("n_fg", True), _lit("n_in_c", False), _lit("n_and_c_fg", True)],
-        _lit("n_and_a_fg", True),
-    )
-    if both_sides:
-        rule(
-            "fg-off-edge-with-fg-edge-kernel-forces-B-part-fg",
-            [_lit("n_fg", True), _lit("n_in_c", False), _lit("n_and_c_fg", True)],
-            _lit("n_and_b_fg", True),
-        )
-    rule(
-        "finite-index-forces-off-edge",
-        [_lit("nc_finite_index", True)],
-        _lit("n_in_c", False),
-    )
-    converse_ants = [_lit("nc_finite_index", True), _lit("n_and_a_fg", True)]
-    if both_sides:
-        converse_ants.append(_lit("n_and_b_fg", True))
-    rule("finite-index-with-fg-parts-forces-fg", converse_ants, _lit("n_fg", True))
-
+# One row per rule: (name, antecedents, alternatives).  A literal is a flag
+# name, negated by a "not " prefix.  "{s}" in a flag stands for a factor
+# side, "{S}" in a name for its capital.  A row whose alternative names a
+# side is repeated once per side, A then B, in place; an antecedent that
+# names a side is required on every side.  A row with one alternative is an
+# implication, also applied contrapositively; the dichotomy comes last and
+# is applied forward only.  Names and order show in contradiction errors.
+_TABLE = (
+    ("fg-off-edge-forces-finite-index", "n_fg, not n_in_c", "nc_finite_index"),
+    ("fg-off-edge-with-fg-edge-kernel-forces-{S}-part-fg",
+     "n_fg, not n_in_c, n_and_c_fg", "n_and_{s}_fg"),
+    ("finite-index-forces-off-edge", "nc_finite_index", "not n_in_c"),
+    ("finite-index-with-fg-parts-forces-fg", "nc_finite_index, n_and_{s}_fg", "n_fg"),
     # finite quotient transfer: with NC of finite index, G/N finite <=> C/N^C finite
-    rule(
-        "finite-quotient-transfer-up",
-        [_lit("nc_finite_index", True), _lit("c_over_n_finite", True)],
-        _lit("g_over_n_finite", True),
-    )
-    rule(
-        "finite-quotient-transfer-down",
-        [_lit("nc_finite_index", True), _lit("g_over_n_finite", True)],
-        _lit("c_over_n_finite", True),
-    )
-    rule(
-        "infinite-quotient-transfer-up",
-        [_lit("nc_finite_index", True), _lit("c_over_n_finite", False)],
-        _lit("g_over_n_finite", False),
-    )
-    rule(
-        "infinite-quotient-transfer-down",
-        [_lit("nc_finite_index", True), _lit("g_over_n_finite", False)],
-        _lit("c_over_n_finite", False),
-    )
-
+    ("finite-quotient-transfer-up",
+     "nc_finite_index, c_over_n_finite", "g_over_n_finite"),
+    ("finite-quotient-transfer-down",
+     "nc_finite_index, g_over_n_finite", "c_over_n_finite"),
+    ("infinite-quotient-transfer-up",
+     "nc_finite_index, not c_over_n_finite", "not g_over_n_finite"),
+    ("infinite-quotient-transfer-down",
+     "nc_finite_index, not g_over_n_finite", "not c_over_n_finite"),
     # trivial edge intersection: freeness and finite generation pass between
     # N and its factor parts
-    base = [_lit("n_nontrivial", True), _lit("n_and_c_trivial", True)]
-    free_parts = base + [_lit("n_and_a_free", True)]
-    if both_sides:
-        free_parts.append(_lit("n_and_b_free", True))
-    rule("trivial-edge-free-parts-force-free", free_parts, _lit("n_free", True))
-    rule(
-        "trivial-edge-free-forces-A-part-free",
-        base + [_lit("n_free", True)],
-        _lit("n_and_a_free", True),
-    )
-    if both_sides:
-        rule(
-            "trivial-edge-free-forces-B-part-free",
-            base + [_lit("n_free", True)],
-            _lit("n_and_b_free", True),
-        )
-    fg_parts = base + [_lit("nc_finite_index", True), _lit("n_and_a_fg", True)]
-    if both_sides:
-        fg_parts.append(_lit("n_and_b_fg", True))
-    rule("trivial-edge-fg-parts-force-fg", fg_parts, _lit("n_fg", True))
-    rule(
-        "trivial-edge-fg-forces-finite-index",
-        base + [_lit("n_fg", True)],
-        _lit("nc_finite_index", True),
-    )
-    rule(
-        "trivial-edge-fg-forces-A-part-fg",
-        base + [_lit("n_fg", True)],
-        _lit("n_and_a_fg", True),
-    )
-    if both_sides:
-        rule(
-            "trivial-edge-fg-forces-B-part-fg",
-            base + [_lit("n_fg", True)],
-            _lit("n_and_b_fg", True),
-        )
-    return tuple(rules)
-
-
-_RULES = {AMALGAM: _rules(AMALGAM), HNN: _rules(HNN)}
-
-# free abelian edge group + tame factors + fg off-edge N forces the
-# unresolved alternative: finite quotient or free kernel
-_DISJUNCTION_RULE = (
-    "abelian-edge-tame-factors-dichotomy",
-    (
-        _lit("c_free_abelian", True),
-        _lit("factors_have_no_fg_normal", True),
-        _lit("n_fg", True),
-        _lit("n_in_c", False),
-    ),
-    (_lit("g_over_n_finite", True), _lit("n_free", True)),
+    ("trivial-edge-free-parts-force-free",
+     "n_nontrivial, n_and_c_trivial, n_and_{s}_free", "n_free"),
+    ("trivial-edge-free-forces-{S}-part-free",
+     "n_nontrivial, n_and_c_trivial, n_free", "n_and_{s}_free"),
+    ("trivial-edge-fg-parts-force-fg",
+     "n_nontrivial, n_and_c_trivial, nc_finite_index, n_and_{s}_fg", "n_fg"),
+    ("trivial-edge-fg-forces-finite-index",
+     "n_nontrivial, n_and_c_trivial, n_fg", "nc_finite_index"),
+    ("trivial-edge-fg-forces-{S}-part-fg",
+     "n_nontrivial, n_and_c_trivial, n_fg", "n_and_{s}_fg"),
+    # free abelian edge group + tame factors + fg off-edge N forces the
+    # unresolved alternative: finite quotient or free kernel
+    ("abelian-edge-tame-factors-dichotomy",
+     "c_free_abelian, factors_have_no_fg_normal, n_fg, not n_in_c",
+     "g_over_n_finite, n_free"),
 )
 
 
-def _closure(state: list, kind: str):
-    """Fixed-point of the rule set over a mutable flag list.
+def _masks(literals: str) -> tuple[int, int]:
+    """Yes-mask and no-mask of a comma-separated list of literals."""
+    yes = no = 0
+    for literal in literals.split(", "):
+        flag = literal.removeprefix("not ")
+        if flag == literal:
+            yes |= 1 << _INDEX[flag]
+        else:
+            no |= 1 << _INDEX[flag]
+    return yes, no
 
-    Returns the set of unresolved disjunction clauses.  Raises
-    ContradictionError when a derivation clashes with a known flag.
-    """
-    rules = _RULES[kind]
-    clauses: set[frozenset[tuple[int, bool]]] = set()
 
-    def assign(idx: int, value: bool, rule_name: str) -> bool:
-        cur = state[idx]
-        if cur is None:
-            state[idx] = value
-            return True
-        if cur != value:
-            raise ContradictionError(
-                f"rule {rule_name!r} derives "
-                f"{DISPLAY[_FLAGS[idx][0]]} = {'yes' if value else 'no'} "
-                f"against the established opposite",
-                rule=rule_name,
-            )
-        return False
+def _compile(kind: str) -> tuple[tuple[str, int, int, int, int], ...]:
+    """The table expanded over the kind's sides, each rule as
+    ``(name, need_yes, need_no, alt_yes, alt_no)``."""
+    all_sides = ("a", "b") if kind == AMALGAM else ("a",)
+    rules = []
+    for name, ants, alts in _TABLE:
+        mirrored = "{s}" in alts
+        for side in all_sides if mirrored else ("",):
+            sides = (side,) if mirrored else all_sides
+            need = _masks(", ".join(ants.format(s=s) for s in sides))
+            alt = _masks(alts.format(s=side))
+            rules.append((name.format(S=side.upper()), *need, *alt))
+    return tuple(rules)
 
-    changed = True
-    while changed:
-        changed = False
-        for name, ants, (ci, cv) in rules:
-            refuted = None
-            unknown = []
-            satisfied = True
-            for ai, av in ants:
-                cur = state[ai]
-                if cur is None:
-                    unknown.append((ai, av))
-                    satisfied = False
-                elif cur != av:
-                    refuted = (ai, av)
-                    satisfied = False
-                    break
-            if refuted is not None:
-                continue
-            if satisfied:
-                if assign(ci, cv, name):
-                    changed = True
-                continue
-            if state[ci] == (not cv):
-                # contrapositive: some open antecedent must fail
-                if len(unknown) == 1:
-                    ai, av = unknown[0]
-                    if assign(ai, not av, name + " (contrapositive)"):
-                        changed = True
-                else:
-                    clause = frozenset((ai, not av) for ai, av in unknown)
-                    if clause not in clauses:
-                        clauses.add(clause)
-                        changed = True
 
-        name, ants, alts = _DISJUNCTION_RULE
-        if all(state[ai] == av for ai, av in ants):
-            open_alts = []
-            settled = False
-            for di, dv in alts:
-                cur = state[di]
-                if cur == dv:
-                    settled = True
-                    break
-                if cur is None:
-                    open_alts.append((di, dv))
-            if not settled:
-                if not open_alts:
-                    raise ContradictionError(
-                        f"rule {name!r} has both alternatives refuted",
-                        rule=name,
-                    )
-                if len(open_alts) == 1:
-                    if assign(*open_alts[0], name):
-                        changed = True
-                else:
-                    clause = frozenset(open_alts)
-                    if clause not in clauses:
-                        clauses.add(clause)
-                        changed = True
+_RULES = {AMALGAM: _compile(AMALGAM), HNN: _compile(HNN)}
 
-        # unit-propagate recorded clauses
-        for clause in list(clauses):
-            undecided = []
-            satisfied = False
-            for li, lv in clause:
-                cur = state[li]
-                if cur == lv:
-                    satisfied = True
-                    break
-                if cur is None:
-                    undecided.append((li, lv))
-            if satisfied:
-                clauses.discard(clause)
-                changed = True
-            elif not undecided:
-                raise ContradictionError(
-                    "a recorded disjunction lost all of its alternatives",
-                    rule="clause-propagation",
-                )
-            elif len(undecided) == 1:
-                clauses.discard(clause)
-                if assign(*undecided[0], "clause-propagation"):
-                    changed = True
 
-    # drop clauses subsumed by smaller ones
-    minimal = {
-        c
-        for c in clauses
-        if not any(o is not c and o <= c for o in clauses)
-    }
-    return minimal
+def _one_literal(lit_yes: int, lit_no: int) -> bool:
+    lits = lit_yes | lit_no
+    return lits & (lits - 1) == 0
+
+
+def _literals(lit_yes: int, lit_no: int) -> frozenset[tuple[str, bool]]:
+    """A clause's ``(flag, value)`` literals."""
+    return frozenset(
+        (attr, bool(lit_yes & bit))
+        for bit, attr in zip(_BITS, FLAG_NAMES)
+        if (lit_yes | lit_no) & bit
+    )
 
 
 def fg_inference(
@@ -365,7 +216,8 @@ def fg_inference(
     ``kind`` is ``"amalgam"`` or ``"hnn"``.  The amalgam rules are only
     sound for a nontrivial decomposition (A != C != B), which the caller
     must assert; passing ``nontrivial_decomposition=False`` for an amalgam
-    is an error rather than a silently weaker closure.
+    is an error rather than a silently weaker closure.  Raises
+    ContradictionError when a derivation clashes with a known flag.
     """
     if kind not in (AMALGAM, HNN):
         raise ValueError(f"unknown splitting kind {kind!r}")
@@ -373,9 +225,81 @@ def fg_inference(
         raise HypothesisError(
             "amalgam inference requires the nontriviality assertion A != C != B"
         )
-    state = [getattr(premises, attr) for attr, _ in _FLAGS]
-    clauses = _closure(state, kind)
-    named = frozenset(
-        frozenset((_FLAGS[i][0], v) for i, v in clause) for clause in clauses
-    )
-    return FgConclusions(flags=tuple(state), disjunctions=named)
+    yes = no = 0
+    for bit, attr in zip(_BITS, FLAG_NAMES):
+        value = getattr(premises, attr)
+        if value:
+            yes |= bit
+        elif value is not None:
+            no |= bit
+    # unresolved clauses, each a (yes, no) pair of literal masks of which at
+    # least one holds; a dict is a set that keeps insertion order
+    clauses: dict[tuple[int, int], None] = {}
+    changed = True
+
+    def assign(lit_yes: int, lit_no: int, rule: str) -> None:
+        """Set one literal unless its opposite is established."""
+        nonlocal yes, no, changed
+        if lit_yes & no or lit_no & yes:
+            flag = FLAG_NAMES[(lit_yes | lit_no).bit_length() - 1]
+            raise ContradictionError(
+                f"rule {rule!r} derives "
+                f"{DISPLAY[flag]} = {'yes' if lit_yes else 'no'} "
+                f"against the established opposite",
+                rule=rule,
+            )
+        if lit_yes & ~yes or lit_no & ~no:
+            yes |= lit_yes
+            no |= lit_no
+            changed = True
+
+    def record(lit_yes: int, lit_no: int, rule: str) -> None:
+        """One of these open literals holds: assign a lone one, else keep
+        the clause."""
+        nonlocal changed
+        if _one_literal(lit_yes, lit_no):
+            assign(lit_yes, lit_no, rule)
+        elif (lit_yes, lit_no) not in clauses:
+            clauses[lit_yes, lit_no] = None
+            changed = True
+
+    while changed:
+        changed = False
+        for name, need_yes, need_no, alt_yes, alt_no in _RULES[kind]:
+            if need_yes & no or need_no & yes:
+                continue  # an antecedent fails
+            open_yes, open_no = need_yes & ~yes, need_no & ~no
+            if open_yes or open_no:
+                if (alt_yes & no or alt_no & yes) and _one_literal(alt_yes, alt_no):
+                    # contrapositive: some open antecedent must fail
+                    record(open_no, open_yes, name + " (contrapositive)")
+            elif _one_literal(alt_yes, alt_no):
+                assign(alt_yes, alt_no, name)
+            elif not (alt_yes & yes or alt_no & no):
+                free_yes, free_no = alt_yes & ~no, alt_no & ~yes
+                if not (free_yes or free_no):
+                    raise ContradictionError(
+                        f"rule {name!r} has both alternatives refuted",
+                        rule=name,
+                    )
+                record(free_yes, free_no, name)
+
+        for lit_yes, lit_no in list(clauses):
+            open_yes, open_no = lit_yes & ~no, lit_no & ~yes
+            if lit_yes & yes or lit_no & no:
+                del clauses[lit_yes, lit_no]
+                changed = True
+            elif not (open_yes or open_no):
+                raise ContradictionError(
+                    "a recorded disjunction lost all of its alternatives",
+                    rule="clause-propagation",
+                )
+            elif _one_literal(open_yes, open_no):
+                del clauses[lit_yes, lit_no]
+                assign(open_yes, open_no, "clause-propagation")
+
+    flags = tuple([True if yes & bit else False if no & bit else None for bit in _BITS])
+    named = [_literals(*clause) for clause in clauses]
+    # drop clauses subsumed by smaller ones
+    minimal = frozenset(c for c in named if not any(o < c for o in named))
+    return FgConclusions(flags=flags, disjunctions=minimal)

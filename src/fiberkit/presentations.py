@@ -144,9 +144,6 @@ class ZMap:
             return self, 1
         return ZMap({g: v // d for g, v in self.values.items()}), d
 
-    def restrict(self, gens) -> "ZMap":
-        return ZMap({g: self.values[g] for g in gens})
-
     def __str__(self) -> str:
         return " ".join(f"{g}={v}" for g, v in self.values.items())
 
@@ -158,14 +155,21 @@ def zmap_validate(phi: ZMap, pres: Presentation) -> bool:
     return all(phi(r) == 0 for r in pres.relators)
 
 
-def _two_generator_one_relator(pres: Presentation) -> tuple[str, str, Word]:
+def _exponent_sums(pres: Presentation) -> tuple[str, str, int, int, int]:
+    """Generators ``x, y``, the relator's exponent sums ``p, q`` and
+    ``m = gcd(p, q) > 0`` of a two-generator one-relator presentation."""
     if len(pres.generators) != 2 or len(pres.relators) != 1:
         raise HypothesisError(
             "needs a two-generator one-relator presentation, got "
             f"{len(pres.generators)} generators and {len(pres.relators)} relators"
         )
     x, y = pres.generators
-    return x, y, pres.relators[0]
+    p = exponent_sum(pres.relators[0], x)
+    q = exponent_sum(pres.relators[0], y)
+    m = gcd(p, q)
+    if m == 0:
+        raise HypothesisError("m = 0, no torsion number")
+    return x, y, p, q, m
 
 
 def torsion_number(pres: Presentation) -> int:
@@ -175,12 +179,7 @@ def torsion_number(pres: Presentation) -> int:
     Raises when both exponent sums vanish (relator in the commutator
     subgroup): ``m = 0``, so there is no torsion number.
     """
-    x, y, r = _two_generator_one_relator(pres)
-    p = exponent_sum(r, x)
-    q = exponent_sum(r, y)
-    m = gcd(p, q)
-    if m == 0:
-        raise HypothesisError("m = 0, no torsion number")
+    *_, m = _exponent_sums(pres)
     return m
 
 
@@ -192,11 +191,6 @@ def canonical_zmap(pres: Presentation) -> ZMap:
     ``-b`` and the second to ``a``; the relator is killed by construction
     and ``gcd(a, b) = 1`` makes the map onto.
     """
-    x, y, r = _two_generator_one_relator(pres)
-    p = exponent_sum(r, x)
-    q = exponent_sum(r, y)
-    m = gcd(p, q)
-    if m == 0:
-        raise HypothesisError("m = 0, no torsion number")
+    x, y, p, q, m = _exponent_sums(pres)
     a, b = p // m, q // m
     return ZMap({x: -b, y: a})

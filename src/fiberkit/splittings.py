@@ -112,7 +112,8 @@ def _subgroup_index(phi: ZMap, words: list[Word]) -> int | float:
     return d if d else INFINITE
 
 
-def _validated_normalized(split: Splitting, phi: ZMap) -> ZMap:
+def _normalized_indices(split: Splitting, phi: ZMap):
+    """phi validated and rescaled to be onto, then the three indices."""
     pres = split.assembled()
     if not zmap_validate(phi, pres):
         raise HypothesisError(
@@ -120,8 +121,17 @@ def _validated_normalized(split: Splitting, phi: ZMap) -> ZMap:
         )
     if phi.image_gcd() == 0:
         raise HypothesisError("N = G, indices undefined")
-    normalized, _ = phi.normalized()
-    return normalized
+    phi, _ = phi.normalized()
+    a_idx = _subgroup_index(
+        phi, [Word.gen(g) for g in split.factor_a.generators]
+    )
+    c_idx = _subgroup_index(phi, list(split.edges_a))
+    b_idx = None
+    if split.kind == AMALGAM:
+        b_idx = _subgroup_index(
+            phi, [Word.gen(g) for g in split.factor_b.generators]
+        )
+    return phi, a_idx, b_idx, c_idx
 
 
 def kernel_indices(
@@ -134,17 +144,7 @@ def kernel_indices(
     when the image collapses to 0; the middle entry is None for an HNN
     splitting.
     """
-    phi = _validated_normalized(split, phi)
-    a_idx = _subgroup_index(
-        phi, [Word.gen(g) for g in split.factor_a.generators]
-    )
-    c_idx = _subgroup_index(phi, list(split.edges_a))
-    if split.kind == AMALGAM:
-        b_idx = _subgroup_index(
-            phi, [Word.gen(g) for g in split.factor_b.generators]
-        )
-        return a_idx, b_idx, c_idx
-    return a_idx, None, c_idx
+    return _normalized_indices(split, phi)[1:]
 
 
 @dataclass(frozen=True)
@@ -200,13 +200,12 @@ class CosetGraph:
 
 def coset_graph(split: Splitting, phi: ZMap) -> CosetGraph:
     """Build the coset graph of ``ker(phi)``; all indices must be finite."""
-    a_idx, b_idx, c_idx = kernel_indices(split, phi)
+    phi, a_idx, b_idx, c_idx = _normalized_indices(split, phi)
     if INFINITE in (a_idx, b_idx, c_idx):
         raise HypothesisError(
             "graph is infinite; the kernel is not finitely generated "
             "unless it lies in a factor"
         )
-    phi = _validated_normalized(split, phi)
     a_idx, c_idx = int(a_idx), int(c_idx)
     if split.kind == AMALGAM:
         b_idx = int(b_idx)

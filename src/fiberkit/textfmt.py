@@ -26,13 +26,15 @@ Premise files feed the finite-generation inference::
     premise n_fg yes
 
 Blank lines and ``#`` comments are ignored; unknown keywords are parse
-errors.  Every file is read here, and a file that cannot be read or is not
-UTF-8 is a parse error too.
+errors.  Every file is read and written here, and a file that cannot be
+read or is not UTF-8, or a path that cannot be written, is a parse error
+too.
 """
 
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,6 +53,7 @@ __all__ = [
     "format_group",
     "parse_splitting_file",
     "parse_premise_file",
+    "writing",
 ]
 
 _TOKEN = re.compile(r"^([A-Za-z_][A-Za-z0-9_']*)(?:\^(-?\d+))?$")
@@ -98,6 +101,16 @@ def _read(path: Path) -> str:
         return path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+
+
+@contextmanager
+def writing(path: str | Path):
+    """Yield ``path`` as a Path for creating or writing it; an ``OSError``
+    on the way is a parse error, the mirror of reading."""
+    try:
+        yield Path(path)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from None
 
 
 def _lines(text: str, source: str):

@@ -11,7 +11,6 @@ from itertools import product
 from math import gcd
 
 from fiberkit.corpus import (
-    corpus_presentations,
     showcase_descended,
     showcase_hint,
     showcase_presentation,
@@ -44,6 +43,7 @@ from fiberkit.splittings import (
 )
 from fiberkit.words import Word
 from tests_support import (
+    corpus_presentations,
     int_det,
     mat_mul,
     random_realizable_splitting,

@@ -169,6 +169,24 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(f"error: cannot read {workdir / 'latin1.txt'}: 'utf-8' codec")
 
+    def test_output_into_missing_directory(self, workdir, capsys):
+        target = workdir / "nodir" / "x.grp"
+        code, out, err = run(
+            capsys, "cable", workdir / "unknot.grp", "-p", "2", "-q", "3", "-o", target
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: [Errno 2]")
+        assert not target.parent.exists()
+
+    def test_corpus_dir_names_a_file(self, workdir, capsys):
+        target = workdir / "A.grp"
+        code, out, err = run(capsys, "corpus", "--dir", target)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: [Errno 17]")
+        assert target.read_text(encoding="utf-8") == "group A\ngen x\n"
+
     @pytest.mark.parametrize("verb", ["cable", "splice"])
     def test_class_not_killing_relator(self, workdir, capsys, verb):
         (workdir / "bad.grp").write_text(

@@ -4,7 +4,7 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from fiberkit.corpus import corpus_presentations, torus_knot_data, trefoil_data
+from fiberkit.corpus import torus_knot_data, trefoil_data
 from fiberkit.errors import HypothesisError
 from fiberkit.fox import (
     GroupRingElement,
@@ -17,7 +17,11 @@ from fiberkit.fox import (
 from fiberkit.links import cable_group
 from fiberkit.presentations import Presentation, ZMap, canonical_zmap
 from fiberkit.words import Word, concat, reduce_word
-from tests_support import t_power_minus_one, torus_alexander_closed_form
+from tests_support import (
+    corpus_presentations,
+    t_power_minus_one,
+    torus_alexander_closed_form,
+)
 
 
 def w(*sylls):

@@ -1,5 +1,9 @@
+import hashlib
+import random
+
 import pytest
 
+from fiberkit import inference
 from fiberkit.errors import ContradictionError, HypothesisError
 from fiberkit.inference import FLAG_NAMES, FgPremises, fg_inference
 
@@ -210,3 +214,77 @@ class TestClosureShape:
             "n_and_b_free",
             "factors_have_no_fg_normal",
         )
+
+
+AMALGAM_RULES = (
+    "fg-off-edge-forces-finite-index",
+    "fg-off-edge-with-fg-edge-kernel-forces-A-part-fg",
+    "fg-off-edge-with-fg-edge-kernel-forces-B-part-fg",
+    "finite-index-forces-off-edge",
+    "finite-index-with-fg-parts-forces-fg",
+    "finite-quotient-transfer-up",
+    "finite-quotient-transfer-down",
+    "infinite-quotient-transfer-up",
+    "infinite-quotient-transfer-down",
+    "trivial-edge-free-parts-force-free",
+    "trivial-edge-free-forces-A-part-free",
+    "trivial-edge-free-forces-B-part-free",
+    "trivial-edge-fg-parts-force-fg",
+    "trivial-edge-fg-forces-finite-index",
+    "trivial-edge-fg-forces-A-part-fg",
+    "trivial-edge-fg-forces-B-part-fg",
+    "abelian-edge-tame-factors-dichotomy",
+)
+
+
+def _entry(kind, premises):
+    """One truth-table entry in the benchmark sweep's form (yes/no masks
+    and sorted clauses, or the clashing rule), plus the error message."""
+    try:
+        conclusions = fg_inference(kind, premises)
+    except ContradictionError as exc:
+        return f"contradiction {exc.rule} {exc}"
+    yes = no = 0
+    for i, value in enumerate(conclusions.flags):
+        if value is True:
+            yes |= 1 << i
+        elif value is False:
+            no |= 1 << i
+    clauses = sorted(sorted(clause) for clause in conclusions.disjunctions)
+    return f"{yes} {no} {clauses}"
+
+
+class TestPinnedEngine:
+    """Pins the closure's observable behaviour, rule order included: the
+    expanded order decides which rule a contradiction names."""
+
+    @pytest.mark.parametrize("kind, count", [("amalgam", 17), ("hnn", 14)])
+    def test_expanded_rule_names_in_order(self, kind, count):
+        wanted = [
+            name for name in AMALGAM_RULES
+            if kind == "amalgam" or "-B-" not in name
+        ]
+        assert len(wanted) == count
+        assert [rule[0] for rule in inference._RULES[kind]] == wanted
+
+    # frozen before the rules became one table, as an independent reference
+    DIGESTS = {
+        "amalgam": "df242bd05408192b9d93f847d02986fa0917288cabe6398b6129833943442b39",
+        "hnn": "bd64167738de819af143f1fbbd33b9ea7aaeffa6aeed652b0fce37269f9c4c26",
+    }
+
+    @pytest.mark.parametrize("kind", ["amalgam", "hnn"])
+    def test_random_states_digest(self, kind):
+        """20,000 seeded random states over all 15 flags, each flag
+        unknown, yes or no with equal odds."""
+        rng = random.Random(910_0267)
+        hasher = hashlib.sha256()
+        for _ in range(20_000):
+            code = rng.randrange(3 ** len(FLAG_NAMES))
+            values = []
+            for _ in FLAG_NAMES:
+                code, digit = divmod(code, 3)
+                values.append((None, True, False)[digit])
+            premises = FgPremises(**dict(zip(FLAG_NAMES, values)))
+            hasher.update(_entry(kind, premises).encode() + b"\n")
+        assert hasher.hexdigest() == self.DIGESTS[kind]

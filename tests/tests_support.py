@@ -7,8 +7,14 @@ and the rational-function reference below never touches the Fox machinery.
 
 import sympy
 
+from fiberkit.corpus import (
+    showcase_descended,
+    showcase_presentation,
+    torus_knot_data,
+    unknot_data,
+)
 from fiberkit.fox import LaurentPoly
-from fiberkit.presentations import Presentation, ZMap
+from fiberkit.presentations import Presentation, ZMap, canonical_zmap
 from fiberkit.splittings import AMALGAM, Splitting
 from fiberkit.words import Word
 
@@ -119,3 +125,29 @@ def random_realizable_splitting(rng):
         stable_letter="t",
     )
     return split, ZMap({"x": x_val, "t": t_val})
+
+
+def corpus_presentations() -> list[tuple[str, Presentation, ZMap]]:
+    """Named presentations with valid classes, for corpus-wide property
+    sweeps."""
+    out: list[tuple[str, Presentation, ZMap]] = []
+    unknot = unknot_data()
+    out.append(("unknot", unknot.presentation, unknot.phi))
+    for p, q in ((2, 3), (2, 5), (3, 4), (3, 5), (5, 7)):
+        data = torus_knot_data(p, q)
+        out.append((data.name, data.presentation, data.phi))
+    showcase = showcase_presentation()
+    out.append(("showcase", showcase, canonical_zmap(showcase)))
+    descended = showcase_descended()
+    out.append(("showcase-H", descended, canonical_zmap(descended)))
+    straightened = Presentation(("u", "y"), (Word.of(("u", 2), ("y", 3)),))
+    out.append(("u2y3", straightened, canonical_zmap(straightened)))
+    cyclic = Presentation(("v", "y"), (Word.of(("v", 1), ("y", 3)),))
+    out.append(("vy3", cyclic, canonical_zmap(cyclic)))
+    torsion = Presentation(("x", "y"), (Word.of(("x", 2), ("y", -4)),))
+    out.append(("torsion-2", torsion, canonical_zmap(torsion)))
+    commutator = Presentation(
+        ("x", "y"), (Word.of(("x", 1), ("y", 1), ("x", -1), ("y", -1)),)
+    )
+    out.append(("free-abelian", commutator, ZMap({"x": 1, "y": 0})))
+    return out
