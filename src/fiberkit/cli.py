@@ -16,7 +16,7 @@ from .errors import ContradictionError, FiberkitError, HypothesisError, ParseErr
 from .fox import alexander_poly
 from .inference import FLAG_NAMES, fg_inference
 from .links import KnotGroupData, cable_group, splice, stallings_report
-from .one_relator import analyze, fiber_rank
+from .one_relator import _exponent_data, fiber_rank
 from .presentations import ZMap, abelianize, canonical_zmap, torsion_number
 from .splittings import Splitting, coset_graph, free_kernel_rank
 from .textfmt import (
@@ -92,7 +92,7 @@ def _cmd_analyze(args) -> int:
         raise HypothesisError("analyze needs two generators and one relator")
     x, y = pres.generators
     relator = cyclic_reduce(pres.relators[0], order=(x, y))
-    data = analyze(relator, x, y)
+    data = _exponent_data(relator, x, y)
     print(f"relator = {relator}")
     for name in ("p", "q", "m", "a", "b", "e"):
         print(f"{name} = {getattr(data, name)}")

@@ -147,8 +147,6 @@ _TABLE = (
      "n_nontrivial, n_and_c_trivial, n_and_{s}_free", "n_free"),
     ("trivial-edge-free-forces-{S}-part-free",
      "n_nontrivial, n_and_c_trivial, n_free", "n_and_{s}_free"),
-    ("trivial-edge-fg-parts-force-fg",
-     "n_nontrivial, n_and_c_trivial, nc_finite_index, n_and_{s}_fg", "n_fg"),
     ("trivial-edge-fg-forces-finite-index",
      "n_nontrivial, n_and_c_trivial, n_fg", "nc_finite_index"),
     ("trivial-edge-fg-forces-{S}-part-fg",

@@ -62,6 +62,11 @@ def analyze(relator: Word, x: str, y: str) -> RelatorAnalysis:
     """
     if cyclic_reduce(relator, order=(x, y)) != relator:
         raise HypothesisError(f"relator {relator} is not cyclically reduced")
+    return _exponent_data(relator, x, y)
+
+
+def _exponent_data(relator: Word, x: str, y: str) -> RelatorAnalysis:
+    """``analyze`` for a relator its caller has just cyclically reduced."""
     extra = relator.generators() - {x, y}
     if extra:
         raise HypothesisError(f"relator uses unexpected generators {sorted(extra)}")
@@ -309,12 +314,11 @@ def fiber_rank(
             if gcd(alpha, beta) == 1:
                 return _two_syllable_rank(alpha, beta)
 
-        data = analyze(relator, x, y)
+        data = _exponent_data(relator, x, y)
         if data.e > 1:
             new_x = _fresh_name({x, y})
-            descended = cyclic_reduce(
-                descend(relator, data.e, x, y, new_x), order=(new_x, y)
-            )
+            # the recursive call cyclically reduces the descended relator
+            descended = descend(relator, data.e, x, y, new_x)
             sub = fiber_rank(Presentation((new_x, y), (descended,)), pending)
             if sub is None:
                 return None

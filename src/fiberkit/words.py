@@ -142,22 +142,44 @@ def exponent_sum(word: Word, gen: str) -> int:
 def substitute(word: Word, images: Mapping[str, Word]) -> Word:
     """Apply a generator assignment and freely reduce the image.
 
-    Every generator occurring in ``word`` must have an image.
+    Every generator occurring in ``word`` must have an image.  A syllable
+    ``g^e`` contributes ``images[g] ** e``, built once per distinct
+    syllable, so a huge exponent costs no more than the power it produces.
     """
+    powers: dict[Syllable, tuple[Syllable, ...]] = {}
     pieces: list[Syllable] = []
-    for g, e in word.syllables:
-        if g not in images:
-            raise ValueError(f"no image given for generator {g!r}")
-        img = images[g] if e > 0 else images[g].inverse()
-        for _ in range(abs(e)):
-            pieces.extend(img.syllables)
+    for syllable in word.syllables:
+        piece = powers.get(syllable)
+        if piece is None:
+            g, e = syllable
+            if g not in images:
+                raise ValueError(f"no image given for generator {g!r}")
+            piece = powers[syllable] = (images[g] ** e).syllables
+        pieces.extend(piece)
     return reduce_word(pieces)
 
 
-def _rotation_key(letters: Sequence[tuple[str, int]], order: Sequence[str]):
-    rank = {g: i for i, g in enumerate(order)}
-    # positive letters sort before negative ones on the same generator
-    return [(rank[g], 0 if s > 0 else 1) for g, s in letters]
+def _least_rotation(keys: Sequence) -> int:
+    """Start of the lexicographically least rotation of ``keys`` (Booth)."""
+    n = len(keys)
+    s = list(keys) * 2
+    fail = [-1] * (2 * n)
+    k = 0
+    for j in range(1, 2 * n):
+        sj = s[j]
+        i = fail[j - k - 1]
+        while i != -1 and sj != s[k + i + 1]:
+            if sj < s[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if sj != s[k + i + 1]:
+            # here i == -1, so s[k + i + 1] is s[k]
+            if sj < s[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
 
 
 def cyclic_reduce(word: Word, order: Sequence[str] | None = None) -> Word:
@@ -168,29 +190,43 @@ def cyclic_reduce(word: Word, order: Sequence[str] | None = None) -> Word:
     rotation (generator precedence given by ``order``, alphabetical when
     omitted; positive letters precede negative ones).
 
+    With two or more syllables left, the least letter rotation starts at a
+    syllable boundary, so it is found in time linear in the number of
+    syllables, whatever the exponents.  Syllable ``(g, e)`` has letter type
+    ``t = (rank of g, 0 if e > 0 else 1)``; when the type of the cyclically
+    next syllable is below ``t`` its key is ``(t, 0, |e|)``, else
+    ``(t, 1, -|e|)``.  Comparing key sequences orders syllable rotations
+    exactly as comparing their letter expansions does, and Booth's algorithm
+    (K. S. Booth, "Lexicographically least circular substrings", 1980)
+    finds the least rotation of the key sequence.
+
     >>> str(cyclic_reduce(Word.of(("u", 1), ("y", 3), ("u", 1))))
     'u^2 y^3'
     >>> str(cyclic_reduce(Word.of(("x", 1), ("y", 1), ("x", -1))))
     'y'
     """
-    sylls = list(word.syllables)
-    while len(sylls) >= 2 and sylls[0][0] == sylls[-1][0]:
-        gen = sylls[0][0]
-        exp = sylls[0][1] + sylls[-1][1]
-        middle = sylls[1:-1]
-        sylls = ([(gen, exp)] if exp else []) + middle
-        # the middle was reduced, so only the new ends can interact further
-    reduced = reduce_word(sylls)
-    if len(reduced.syllables) <= 1:
-        return reduced
+    s = word.syllables
+    i, j = 0, len(s) - 1
+    while i < j and s[i][0] == s[j][0]:
+        exp = s[i][1] + s[j][1]
+        if exp:
+            # the middle is reduced, so neither of its ends is on this generator
+            s = ((s[i][0], exp),) + s[i + 1 : j]
+            break
+        i, j = i + 1, j - 1
+    else:
+        s = s[i : j + 1]
+    if len(s) <= 1:
+        return Word(s)
 
-    letters = reduced.letters()
     if order is None:
-        order = sorted(reduced.generators())
-    n = len(letters)
-    best = min(
-        range(n),
-        key=lambda i: _rotation_key(letters[i:] + letters[:i], order),
-    )
-    rotated = letters[best:] + letters[:best]
-    return reduce_word(rotated)
+        order = sorted({g for g, _ in s})
+    # letter type (rank, sign) packed as 2 * rank + sign
+    rank = {g: 2 * r for r, g in enumerate(order)}
+    types = [rank[g] + (e < 0) for g, e in s]
+    keys = [
+        (t, 0, abs(e)) if nxt < t else (t, 1, -abs(e))
+        for t, nxt, (_, e) in zip(types, types[1:] + types[:1], s)
+    ]
+    start = _least_rotation(keys)
+    return Word(s[start:] + s[:start])

@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from fiberkit.cli import main
 from fiberkit.inference import FLAG_NAMES
 from fiberkit.textfmt import parse_group_file
+from tests_support import scrambled_torus_relator
 
 TREFOIL = """\
 group trefoil
@@ -76,6 +78,16 @@ class TestBasicVerbs:
         assert code == 0
         assert out == "rank = 4\n"
 
+    def test_fiber_rank_huge_exponent_with_hint(self, workdir, capsys):
+        (workdir / "big.grp").write_text(
+            "group big\ngen x y\nrel x^1000000 y x y^2\n", encoding="utf-8"
+        )
+        code, out, _ = run(
+            capsys, "fiber-rank", workdir / "big.grp", "--nielsen", "x->x^-1"
+        )
+        assert code == 0
+        assert out == "rank = unknown\n"
+
     def test_fiber_rank_unknown(self, workdir, capsys):
         (workdir / "stuck.grp").write_text(
             "group stuck\ngen x y\nrel x y x^-1 y\n", encoding="utf-8"
@@ -113,6 +125,42 @@ class TestBasicVerbs:
         assert code == 0
         assert "verdict = consistent with fibered" in out
         assert "degree = 4" in out
+
+
+@pytest.fixture(scope="module")
+def scrambled(tmp_path_factory):
+    """A seeded Nielsen-scrambled torus-knot relator of about 10^5 letters,
+    its undoing hints, and the unscrambled group it came from."""
+    alpha, beta, relator, hints = scrambled_torus_relator(random.Random(1), 10 ** 5)
+    directory = tmp_path_factory.mktemp("scrambled")
+    (directory / "big.grp").write_text(
+        f"group big\ngen x y\nrel {relator}\n", encoding="utf-8"
+    )
+    (directory / "base.grp").write_text(
+        f"group base\ngen x y\nrel x^{alpha} y^{beta}\n", encoding="utf-8"
+    )
+    nielsen = [arg for hint in hints for arg in ("--nielsen", hint)]
+    return directory, nielsen, (abs(alpha) - 1) * (abs(beta) - 1)
+
+
+class TestAdversarialSizes:
+    """Relators of about 10^5 letters run through the rank recursion in
+    bounded time; no timing bound is asserted."""
+
+    def test_fiber_rank(self, scrambled, capsys):
+        directory, nielsen, rank = scrambled
+        code, out, _ = run(capsys, "fiber-rank", directory / "big.grp", *nielsen)
+        assert code == 0
+        assert out == f"rank = {rank}\n"
+
+    def test_report_matches_the_unscrambled_group(self, scrambled, capsys):
+        directory, nielsen, rank = scrambled
+        code, out, _ = run(capsys, "report", directory / "big.grp", *nielsen)
+        assert code == 0
+        _, base, _ = run(capsys, "report", directory / "base.grp")
+        assert out == base
+        assert f"fiber-rank = {rank}\n" in out
+        assert out.endswith("verdict = consistent with fibered\n")
 
 
 class TestInferVerb:

@@ -2,7 +2,7 @@ from math import gcd
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fiberkit.corpus import torus_knot_data, trefoil_data
 from fiberkit.errors import HypothesisError
@@ -15,10 +15,11 @@ from fiberkit.fox import (
     monic_degree_check,
 )
 from fiberkit.links import cable_group
-from fiberkit.presentations import Presentation, ZMap, canonical_zmap
+from fiberkit.presentations import Presentation, ZMap, canonical_zmap, zmap_validate
 from fiberkit.words import Word, concat, reduce_word
 from tests_support import (
     corpus_presentations,
+    sympy_alexander_polys,
     t_power_minus_one,
     torus_alexander_closed_form,
 )
@@ -260,6 +261,49 @@ class TestMonicDegreeCheck:
 
     def test_zero(self):
         assert not monic_degree_check(LaurentPoly(), 0)
+
+
+@st.composite
+def presentations_with_killing_phi(draw):
+    """2-3 generators, 1-3 relators (mostly one fewer than generators) with
+    exponents in +-3, and a primitive class in the kernel of the
+    exponent-sum matrix (any class when there is none)."""
+    gens = ("x", "y", "z")[: draw(st.integers(2, 3))]
+    syllables = st.tuples(st.sampled_from(gens), st.integers(-3, 3).filter(bool))
+    count = draw(st.just(len(gens) - 1) | st.integers(1, 3))
+    relators = [
+        draw(st.lists(syllables, max_size=6).map(reduce_word)) for _ in range(count)
+    ]
+    pres = Presentation(gens, tuple(relators))
+    values = [draw(st.integers(-3, 3)) for _ in gens]
+    kernel = sympy.Matrix(pres.exponent_matrix()).nullspace()
+    if kernel:
+        combo = sum(
+            (draw(st.integers(-2, 2)) * v for v in kernel[1:]), kernel[0]
+        )
+        scale = sympy.ilcm(*(sympy.fraction(c)[1] for c in combo))
+        values = [int(c * scale) for c in combo]
+    d = gcd(*values)
+    return pres, ZMap({g: v // d if d else 0 for g, v in zip(gens, values)})
+
+
+class TestAlexanderPolySympyOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(presentations_with_killing_phi())
+    def test_matches_sympy_minor_determinants(self, pres_phi):
+        pres, phi = pres_phi
+        n, k = len(pres.generators), len(pres.relators)
+        if k >= n or phi.image_gcd() == 0 or not zmap_validate(phi, pres):
+            with pytest.raises(HypothesisError):
+                alexander_poly(pres, phi)
+            return
+        delta = alexander_poly(pres, phi)
+        if k < n - 1:
+            assert delta.is_zero
+            return
+        expected = sympy_alexander_polys(pres, phi)
+        assert expected
+        assert all(dict(delta.terms) == poly for poly in expected)
 
 
 class TestAlexanderMatrix:

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fiberkit.words import (
     Word,
@@ -9,6 +9,8 @@ from fiberkit.words import (
     reduce_word,
     substitute,
 )
+
+from tests_support import quadratic_cyclic_reduce
 
 GENS = ("x", "y", "z")
 
@@ -149,6 +151,34 @@ class TestCyclicReduce:
         for i in range(len(letters)):
             rotation = reduce_word(letters[i:] + letters[:i])
             assert len(rotation) >= len(reduced)
+
+
+@st.composite
+def words_with_orders(draw):
+    """A power ``w**k`` (k = 1..4) of a word on one to three generators,
+    conjugated by a short word, with a random generator order or none."""
+    gens = GENS[: draw(st.integers(1, 3))]
+    sylls = st.tuples(st.sampled_from(gens), st.integers(-4, 4).filter(bool))
+    word = reduce_word(draw(st.lists(sylls, max_size=10)))
+    word = word ** draw(st.integers(1, 4))
+    conjugator = reduce_word(draw(st.lists(sylls, max_size=3)))
+    word = conjugator * word * conjugator.inverse()
+    order = draw(st.none() | st.permutations(gens))
+    return word, order
+
+
+class TestCyclicReduceOracle:
+    @settings(max_examples=300)
+    @given(words_with_orders())
+    def test_matches_least_letter_rotation(self, case):
+        word, order = case
+        assert cyclic_reduce(word, order) == quadratic_cyclic_reduce(word, order)
+
+    def test_huge_exponent_is_one_syllable_step(self):
+        word = w(("y", 1), ("x", 10 ** 9), ("y", 2), ("x", -1))
+        assert cyclic_reduce(word, order=("x", "y")) == w(
+            ("x", 10 ** 9), ("y", 2), ("x", -1), ("y", 1)
+        )
 
 
 class TestFormatting:

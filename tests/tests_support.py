@@ -2,8 +2,13 @@
 
 The oracles here deliberately avoid the code paths they check: the torus
 closed form is divided out by sympy, never by ``LaurentPoly.exact_div``,
-and the rational-function reference below never touches the Fox machinery.
+the rational-function reference below never touches the Fox machinery,
+the rotation reference compares every letter rotation in full, and the
+Alexander reference takes sympy determinants of Fox derivatives read off
+the letters.
 """
+
+import math
 
 import sympy
 
@@ -16,7 +21,7 @@ from fiberkit.corpus import (
 from fiberkit.fox import LaurentPoly
 from fiberkit.presentations import Presentation, ZMap, canonical_zmap
 from fiberkit.splittings import AMALGAM, Splitting
-from fiberkit.words import Word
+from fiberkit.words import Word, cyclic_reduce, exponent_sum, reduce_word, substitute
 
 
 def int_det(matrix):
@@ -63,6 +68,126 @@ def mat_mul(a, b):
     return out
 
 
+def quadratic_cyclic_reduce(word, order=None):
+    """Reference for ``words.cyclic_reduce``: cancel across the ends, then
+    take the ``min`` over every letter rotation, each expanded in full."""
+    sylls = list(word.syllables)
+    while len(sylls) >= 2 and sylls[0][0] == sylls[-1][0]:
+        gen = sylls[0][0]
+        exp = sylls[0][1] + sylls[-1][1]
+        sylls = ([(gen, exp)] if exp else []) + sylls[1:-1]
+    reduced = reduce_word(sylls)
+    if len(reduced.syllables) <= 1:
+        return reduced
+    letters = reduced.letters()
+    if order is None:
+        order = sorted(reduced.generators())
+    rank = {g: i for i, g in enumerate(order)}
+
+    def key(start):
+        rotation = letters[start:] + letters[:start]
+        # positive letters sort before negative ones on the same generator
+        return [(rank[g], 0 if s > 0 else 1) for g, s in rotation]
+
+    best = min(range(len(letters)), key=key)
+    return reduce_word(letters[best:] + letters[:best])
+
+
+def _elementary_nielsen_moves():
+    """``(generator, image, undoing image)`` for each elementary move on
+    ``(x, y)``: ``a -> a b^s`` and ``a -> b^s a``."""
+    moves = []
+    for a, b in (("x", "y"), ("y", "x")):
+        for s in (1, -1):
+            moves.append((a, Word.of((a, 1), (b, s)), Word.of((a, 1), (b, -s))))
+            moves.append((a, Word.of((b, s), (a, 1)), Word.of((b, -s), (a, 1))))
+    return moves
+
+
+def _rank_recursion_stops(relator):
+    """True when ``fiber_rank`` would hit its base case or descend on the
+    cyclically reduced ``relator`` before consuming a hint."""
+    if len(relator.syllables) <= 2 or exponent_sum(relator, "y") == 0:
+        return True
+    divisor = 0
+    for g, e in relator.syllables:
+        if g == "x":
+            divisor = math.gcd(divisor, e)
+    return divisor != 1
+
+
+def scrambled_torus_relator(rng, target):
+    """``x^alpha y^beta`` lengthened by random elementary Nielsen moves to at
+    least ``target`` letters.
+
+    Returns ``(alpha, beta, relator, hints)``: ``hints`` are the undoing
+    moves as ``--nielsen`` strings, in the order the rank recursion consumes
+    them, and the kernel rank is ``(|alpha| - 1)(|beta| - 1)``.
+    """
+    alpha, beta = rng.choice(((2, 3), (2, 5), (3, 4), (3, 5), (4, 5)))
+    alpha *= rng.choice((1, -1))
+    beta *= rng.choice((1, -1))
+    relator = Word.of(("x", alpha), ("y", beta))
+    moves = _elementary_nielsen_moves()
+    hints = []
+    while len(relator) < target:
+        rng.shuffle(moves)
+        for a, image, undo in moves:
+            full = {"x": Word.gen("x"), "y": Word.gen("y"), a: image}
+            moved = cyclic_reduce(substitute(relator, full), order=("x", "y"))
+            if 4 * len(moved) >= 5 * len(relator) and not _rank_recursion_stops(moved):
+                break
+        else:
+            raise AssertionError("no elementary move lengthens the relator")
+        relator = moved
+        hints.append(f"{a}->{undo}")
+    return alpha, beta, relator, hints[::-1]
+
+
+def sympy_alexander_polys(pres, phi):
+    """Order polynomial through each column that phi does not kill, as a
+    normalized ``{exponent: coefficient}`` dict, for ``n`` generators and
+    ``n - 1`` relators.
+
+    Fox derivatives are read off the letters with sympy powers of ``t``
+    (never through ``fiberkit.fox``); the minor deleting column ``g`` has
+    its determinant taken by sympy, times ``(t - 1) / (t^phi(g) - 1)``.
+    """
+    t = sympy.Symbol("t")
+    gens = pres.generators
+    rows = []
+    for relator in pres.relators:
+        row = dict.fromkeys(gens, sympy.Integer(0))
+        h = 0
+        for g, sign in relator.letters():
+            if sign > 0:
+                row[g] += t ** h
+                h += phi.values[g]
+            else:
+                h -= phi.values[g]
+                row[g] -= t ** h
+        rows.append(row)
+    polys = []
+    for deleted in gens:
+        weight = phi.values[deleted]
+        if weight == 0:
+            continue
+        minor = sympy.Matrix([[row[g] for g in gens if g != deleted] for row in rows])
+        quotient = sympy.cancel(minor.det() * (t - 1) / (t ** weight - 1))
+        if quotient == 0:
+            polys.append({})
+            continue
+        num, den = (sympy.Poly(part, t) for part in sympy.fraction(quotient))
+        assert len(den.terms()) == 1, "the quotient is not a Laurent polynomial"
+        ((shift,), scale) = den.terms()[0]
+        coeffs = {e - shift: c / scale for (e,), c in num.terms()}
+        assert all(c.is_integer for c in coeffs.values())
+        low = min(coeffs)
+        sign = 1 if coeffs[max(coeffs)] > 0 else -1
+        polys.append({e - low: sign * int(c) for e, c in coeffs.items()})
+    return polys
+
+
 def torus_splitting_with_phi(p, q):
     """``<x> *_{x^p = y^q} <y>`` plus the class killing the edge relation."""
     split = Splitting(
@@ -96,8 +221,6 @@ def torus_alexander_closed_form(p, q):
 def random_realizable_splitting(rng):
     """A random splitting plus a valid class, built class-first so every
     index triple is realizable."""
-    import math
-
     from fiberkit.splittings import HNN
 
     if rng.random() < 0.5:
