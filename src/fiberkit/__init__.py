@@ -59,6 +59,7 @@ from .splittings import (
 )
 from .words import (
     Word,
+    cancel_ends,
     concat,
     cyclic_reduce,
     exponent_sum,

@@ -16,6 +16,7 @@ __all__ = [
     "concat",
     "exponent_sum",
     "substitute",
+    "cancel_ends",
     "cyclic_reduce",
 ]
 
@@ -72,7 +73,7 @@ class Word:
         return reduce_word(s[:k] + core + s[len(s) - k :])
 
     def inverse(self) -> "Word":
-        return Word(tuple((g, -e) for g, e in reversed(self.syllables)))
+        return _word(tuple((g, -e) for g, e in reversed(self.syllables)))
 
     def __len__(self) -> int:
         """Letter length, i.e. the sum of absolute exponents."""
@@ -105,6 +106,13 @@ class Word:
         return f"Word({str(self)!r})"
 
 
+def _word(syllables: tuple[Syllable, ...]) -> Word:
+    """A ``Word`` on syllables its caller built freely reduced, unchecked."""
+    word = object.__new__(Word)
+    object.__setattr__(word, "syllables", syllables)
+    return word
+
+
 def reduce_word(syllables: Iterable[Syllable]) -> Word:
     """Freely reduce a raw syllable sequence.
 
@@ -124,7 +132,7 @@ def reduce_word(syllables: Iterable[Syllable]) -> Word:
                 stack.pop()
         else:
             stack.append([gen, exp])
-    return Word(tuple((g, e) for g, e in stack))
+    return _word(tuple((g, e) for g, e in stack))
 
 
 def concat(*words: Word) -> Word:
@@ -182,13 +190,36 @@ def _least_rotation(keys: Sequence) -> int:
     return k
 
 
+def cancel_ends(word: Word) -> Word:
+    """A cyclically reduced conjugate of ``word``, in no canonical rotation.
+
+    Cancels across the ends until the first and last syllables live on
+    different generators, in time linear in the number of syllables.  A
+    syllable merged across the ends comes first.
+
+    >>> str(cancel_ends(Word.of(("y", 3), ("x", 1), ("y", -1))))
+    'y^2 x'
+    >>> str(cancel_ends(Word.of(("x", 1), ("y", 1), ("x", -1))))
+    'y'
+    """
+    s = word.syllables
+    i, j = 0, len(s) - 1
+    while i < j and s[i][0] == s[j][0]:
+        exp = s[i][1] + s[j][1]
+        if exp:
+            # the middle is reduced, so neither of its ends is on this generator
+            return _word(((s[i][0], exp),) + s[i + 1 : j])
+        i, j = i + 1, j - 1
+    return _word(s[i : j + 1]) if i else word
+
+
 def cyclic_reduce(word: Word, order: Sequence[str] | None = None) -> Word:
     """Shortest cyclic conjugate of ``word`` in a canonical rotation.
 
-    First cancels across the ends until the first and last syllables live on
-    different generators, then picks the lexicographically least letter
-    rotation (generator precedence given by ``order``, alphabetical when
-    omitted; positive letters precede negative ones).
+    First cancels across the ends (``cancel_ends``), then picks the
+    lexicographically least letter rotation (generator precedence given by
+    ``order``, alphabetical when omitted; positive letters precede negative
+    ones).
 
     With two or more syllables left, the least letter rotation starts at a
     syllable boundary, so it is found in time linear in the number of
@@ -205,19 +236,10 @@ def cyclic_reduce(word: Word, order: Sequence[str] | None = None) -> Word:
     >>> str(cyclic_reduce(Word.of(("x", 1), ("y", 1), ("x", -1))))
     'y'
     """
+    word = cancel_ends(word)
     s = word.syllables
-    i, j = 0, len(s) - 1
-    while i < j and s[i][0] == s[j][0]:
-        exp = s[i][1] + s[j][1]
-        if exp:
-            # the middle is reduced, so neither of its ends is on this generator
-            s = ((s[i][0], exp),) + s[i + 1 : j]
-            break
-        i, j = i + 1, j - 1
-    else:
-        s = s[i : j + 1]
     if len(s) <= 1:
-        return Word(s)
+        return word
 
     if order is None:
         order = sorted({g for g, _ in s})
@@ -229,4 +251,4 @@ def cyclic_reduce(word: Word, order: Sequence[str] | None = None) -> Word:
         for t, nxt, (_, e) in zip(types, types[1:] + types[:1], s)
     ]
     start = _least_rotation(keys)
-    return Word(s[start:] + s[:start])
+    return _word(s[start:] + s[:start]) if start else word

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from time import perf_counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -96,6 +97,20 @@ class TestBasicVerbs:
         assert code == 0
         assert out == "rank = unknown\n"
 
+    def test_fiber_rank_huge_exponent_hint_is_linear(self, workdir, capsys):
+        # the hint undoes y^1000000; checking it takes time linear in its
+        # syllables, not in its exponents
+        (workdir / "big.grp").write_text(
+            "group big\ngen x y\nrel x y^1000000 x y^1000003\n", encoding="utf-8"
+        )
+        start = perf_counter()
+        code, out, _ = run(
+            capsys, "fiber-rank", workdir / "big.grp", "--nielsen", "x->x y^-1000000"
+        )
+        assert perf_counter() - start < 1.0
+        assert code == 0
+        assert out == "rank = 2\n"
+
     def test_phi(self, workdir, capsys):
         code, out, _ = run(capsys, "phi", workdir / "showcase.grp")
         assert code == 0
@@ -125,6 +140,37 @@ class TestBasicVerbs:
         assert code == 0
         assert "verdict = consistent with fibered" in out
         assert "degree = 4" in out
+
+
+BAD_HINTS = [
+    ("y->y x y x^-1 y^-1", "images do not form a basis"),
+    ("x->x^2", "abelianized determinant 2"),
+]
+
+
+class TestBadHints:
+    """A hint that is not an automorphism of the free group: ``fiber-rank``
+    exits 2 with the reason, and ``report`` names it in a note."""
+
+    @pytest.fixture
+    def stuck(self, workdir):
+        path = workdir / "stuck.grp"
+        path.write_text("group stuck\ngen x y\nrel x y x^-1 y\n", encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("hint, reason", BAD_HINTS)
+    def test_fiber_rank(self, stuck, capsys, hint, reason):
+        code, out, err = run(capsys, "fiber-rank", stuck, "--nielsen", hint)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: hint is not an automorphism: {reason}\n"
+
+    @pytest.mark.parametrize("hint, reason", BAD_HINTS)
+    def test_report(self, stuck, capsys, hint, reason):
+        code, out, _ = run(capsys, "report", stuck, "--nielsen", hint)
+        assert code == 0
+        note = f"note: rank recursion unavailable: hint is not an automorphism: {reason}\n"
+        assert note in out
 
 
 @pytest.fixture(scope="module")

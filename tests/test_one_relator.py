@@ -126,30 +126,89 @@ class TestRankTransfer:
         assert rank_transfer(ell, a, b, e) >= 0
 
 
+ELEMENTARY_MOVES = [
+    {"x": w(("x", 1), ("y", 1)), "y": Word.gen("y")},
+    {"x": w(("y", -1), ("x", 1)), "y": Word.gen("y")},
+    {"x": Word.gen("x"), "y": w(("y", 1), ("x", -1))},
+    {"x": Word.gen("x"), "y": w(("x", 1), ("y", 1))},
+    {"x": Word.gen("y"), "y": Word.gen("x")},
+    {"x": Word.gen("x", -1), "y": Word.gen("y")},
+]
+
+
+def composite(moves):
+    """Images of ``(x, y)`` under the composite of elementary moves."""
+    images = {"x": Word.gen("x"), "y": Word.gen("y")}
+    for move in moves:
+        images = {g: substitute(move[g], images) for g in ("x", "y")}
+    return images
+
+
+def hint_verdict(images):
+    """What ``validate_automorphism`` returns, or the message it raises."""
+    try:
+        return validate_automorphism(images, "x", "y")
+    except HypothesisError as exc:
+        return str(exc)
+
+
+def oracle_verdict(images):
+    """The same verdict, with the basis question settled by the heap search
+    of ``invert_automorphism``."""
+    u, v = images["x"], images["y"]
+    det = exponent_sum(u, "x") * exponent_sum(v, "y") - exponent_sum(
+        u, "y"
+    ) * exponent_sum(v, "x")
+    if det not in (1, -1):
+        return f"hint is not an automorphism: abelianized determinant {det}"
+    if invert_automorphism(images, "x", "y") is None:
+        return "hint is not an automorphism: images do not form a basis"
+    return images
+
+
+def reduced_words_by_length(n):
+    """Every freely reduced word on ``x, y`` of each letter length up to
+    ``n``."""
+    letters = [("x", 1), ("x", -1), ("y", 1), ("y", -1)]
+    layers = [[()]]
+    for _ in range(n):
+        layers.append([
+            word + (letter,)
+            for word in layers[-1]
+            for letter in letters
+            if not word or word[-1] != (letter[0], -letter[1])
+        ])
+    return [[Word.of(*word) for word in layer] for layer in layers]
+
+
 class TestAutomorphisms:
     def test_straightening_hint_inverts(self):
-        inverse = validate_automorphism(HINT, "u", "y")
+        images = validate_automorphism(HINT, "u", "y")
+        assert images == {"u": w(("u", 1), ("y", 1)), "y": Word.gen("y")}
+        inverse = invert_automorphism(images, "u", "y")
         assert inverse["u"] == w(("u", 1), ("y", -1))
         assert inverse["y"] == Word.gen("y")
 
     def test_round_trip_both_ways(self):
         images = {"x": w(("x", 1), ("y", 1)), "y": w(("y", 1), ("x", 1), ("y", 1))}
-        inverse = validate_automorphism(images, "x", "y")
-        full = {g: images.get(g, Word.gen(g)) for g in ("x", "y")}
+        assert validate_automorphism(images, "x", "y") == images
+        inverse = invert_automorphism(images, "x", "y")
         for g in ("x", "y"):
-            assert substitute(substitute(Word.gen(g), full), inverse) == Word.gen(g)
-            assert substitute(substitute(Word.gen(g), inverse), full) == Word.gen(g)
+            assert substitute(substitute(Word.gen(g), images), inverse) == Word.gen(g)
+            assert substitute(substitute(Word.gen(g), inverse), images) == Word.gen(g)
 
     def test_det_minus_one_non_basis_rejected(self):
         # (x y^2, y x) has abelianized determinant -1 but generates a
-        # proper subgroup; the commutator criterion agrees (see below)
+        # proper subgroup
         images = {"x": w(("x", 1), ("y", 2)), "y": w(("y", 1), ("x", 1))}
         with pytest.raises(HypothesisError, match="basis"):
             validate_automorphism(images, "x", "y")
+        assert invert_automorphism(images, "x", "y") is None
 
     def test_swap_and_inversion(self):
         images = {"x": Word.gen("y", -1), "y": Word.gen("x")}
-        inverse = validate_automorphism(images, "x", "y")
+        assert validate_automorphism(images, "x", "y") == images
+        inverse = invert_automorphism(images, "x", "y")
         assert substitute(substitute(Word.gen("x"), images), inverse) == Word.gen("x")
 
     def test_determinant_gate(self):
@@ -171,38 +230,21 @@ class TestAutomorphisms:
             "x": w(("y", 1), ("x", 1), ("y", -1)),
             "y": Word.gen("y"),
         }
-        inverse = validate_automorphism(images, "x", "y")
+        assert validate_automorphism(images, "x", "y") == images
+        inverse = invert_automorphism(images, "x", "y")
         assert substitute(substitute(Word.gen("x"), images), inverse) == Word.gen("x")
 
     def test_commutator_criterion_agreement(self):
-        # independent oracle: an endomorphism of the free group on (x, y)
-        # is an automorphism iff it sends the commutator to a conjugate of
-        # the commutator or its inverse
-        commutator = w(("x", 1), ("y", 1), ("x", -1), ("y", -1))
-
-        def criterion(full_images):
-            image = substitute(commutator, full_images)
-            canon = cyclic_reduce(image, order=("x", "y"))
-            return canon in (
-                cyclic_reduce(commutator, order=("x", "y")),
-                cyclic_reduce(commutator.inverse(), order=("x", "y")),
-            )
-
-        elementary = [
-            {"x": w(("x", 1), ("y", 1)), "y": Word.gen("y")},
-            {"x": w(("y", -1), ("x", 1)), "y": Word.gen("y")},
-            {"x": Word.gen("x"), "y": w(("y", 1), ("x", -1))},
-            {"x": Word.gen("y"), "y": Word.gen("x")},
-            {"x": Word.gen("x", -1), "y": Word.gen("y")},
-        ]
+        # every composite of elementary moves is a basis; the heap search
+        # of invert_automorphism is the reference, and its inverse must
+        # round-trip
         rng = random.Random(5)
         for _ in range(30):
-            images = {"x": Word.gen("x"), "y": Word.gen("y")}
-            for _ in range(rng.randint(1, 5)):
-                move = rng.choice(elementary)
-                images = {g: substitute(move[g], images) for g in ("x", "y")}
-            assert criterion(images)
-            inverse = validate_automorphism(images, "x", "y")
+            images = composite(
+                rng.choice(ELEMENTARY_MOVES) for _ in range(rng.randint(1, 5))
+            )
+            assert validate_automorphism(images, "x", "y") == images
+            inverse = invert_automorphism(images, "x", "y")
             for g in ("x", "y"):
                 assert (
                     substitute(substitute(Word.gen(g), images), inverse)
@@ -213,8 +255,43 @@ class TestAutomorphisms:
             "x": Word.gen("x"),
             "y": w(("y", 1), ("x", 1), ("y", 1), ("x", -1), ("y", -1)),
         }
-        assert not criterion(bad)
-        assert invert_automorphism(bad, "x", "y") is None
+        assert hint_verdict(bad) == oracle_verdict(bad)
+        assert "basis" in hint_verdict(bad)
+
+    def test_every_short_pair_matches_the_heap_search(self):
+        # all 11,665 pairs of reduced words (the empty word included) with
+        # |u| + |v| <= 6, of which 904 are bases
+        by_length = reduced_words_by_length(6)
+        pairs = bases = 0
+        for a in range(7):
+            for b in range(7 - a):
+                for u in by_length[a]:
+                    for v in by_length[b]:
+                        images = {"x": u, "y": v}
+                        verdict = hint_verdict(images)
+                        assert verdict == oracle_verdict(images), (u, v)
+                        pairs += 1
+                        bases += verdict == images
+        assert (pairs, bases) == (11665, 904)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from(ELEMENTARY_MOVES), max_size=8),
+        st.sampled_from(("x", "y")),
+        st.integers(0, 100),
+        st.sampled_from((0, 1, -1)),
+    )
+    def test_moves_and_perturbations_match_the_heap_search(
+        self, moves, side, index, delta
+    ):
+        # a composite of elementary moves, with one syllable's exponent
+        # shifted by delta (0 keeps the basis)
+        images = composite(moves)
+        sylls = list(images[side].syllables)
+        i = index % len(sylls)
+        sylls[i] = (sylls[i][0], sylls[i][1] + delta)
+        images[side] = Word.of(*sylls)
+        assert hint_verdict(images) == oracle_verdict(images)
 
 
 class TestFiberRank:
@@ -279,6 +356,46 @@ class TestFiberRank:
         moved = substitute(pres.relators[0], {"u": w(("u", 1), ("y", 1)), "y": Word.gen("y")})
         moved_pres = Presentation(("u", "y"), (cyclic_reduce(moved, order=("u", "y")),))
         assert fiber_rank(moved_pres, [{"u": w(("u", 1), ("y", -1))}]) == fiber_rank(pres)
+
+    def test_scrambled_torus_relators_match_the_reference(self):
+        from tests_support import (
+            parse_hint,
+            reference_fiber_rank,
+            scrambled_torus_relator,
+        )
+
+        rng = random.Random(7)
+        for target in (250, 400, 550, 700):
+            alpha, beta, relator, hints = scrambled_torus_relator(rng, target)
+            pres = Presentation(("x", "y"), (relator,))
+            hints = [parse_hint(h) for h in hints]
+            rank = fiber_rank(pres, hints)
+            assert rank == reference_fiber_rank(pres, hints)
+            assert rank == (abs(alpha) - 1) * (abs(beta) - 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from("xy"), st.integers(-4, 4).filter(bool)),
+            min_size=1,
+            max_size=8,
+        ),
+        st.lists(st.sampled_from(ELEMENTARY_MOVES), max_size=3),
+    )
+    def test_random_relators_match_the_reference(self, sylls, hints):
+        # no rotation, descent included: both recursions stop at the same
+        # place with the same answer, or both refuse the relator
+        from tests_support import reference_fiber_rank
+
+        pres = Presentation(("x", "y"), (w(*sylls),))
+
+        def outcome(rank_fn):
+            try:
+                return rank_fn(pres, hints)
+            except HypothesisError:
+                return "refused"
+
+        assert outcome(fiber_rank) == outcome(reference_fiber_rank)
 
     def test_needs_two_generator_one_relator(self):
         with pytest.raises(HypothesisError):

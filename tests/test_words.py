@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from fiberkit.words import (
     Word,
+    cancel_ends,
     concat,
     cyclic_reduce,
     exponent_sum,
@@ -151,6 +152,39 @@ class TestCyclicReduce:
         for i in range(len(letters)):
             rotation = reduce_word(letters[i:] + letters[:i])
             assert len(rotation) >= len(reduced)
+
+
+class TestCancelEnds:
+    @given(words, words)
+    def test_cyclically_reduced_conjugate(self, word, conjugator):
+        conjugated = conjugator * word * conjugator.inverse()
+        out = cancel_ends(conjugated)
+        sylls = out.syllables
+        assert len(sylls) <= 1 or sylls[0][0] != sylls[-1][0]
+        assert cyclic_reduce(out) == cyclic_reduce(conjugated) == cyclic_reduce(word)
+        assert len(out) == len(cyclic_reduce(word))
+
+
+class TestUncheckedConstruction:
+    """Words built without the public constructor's check still pass it."""
+
+    @given(raw_syllables, words, words, st.integers(-4, 4),
+           st.lists(st.tuples(st.sampled_from(GENS), words), max_size=3).map(dict))
+    def test_every_result_passes_the_public_check(self, raw, u, v, n, images):
+        images = {g: images.get(g, Word.gen(g)) for g in GENS}
+        conjugated = v * u * v.inverse()
+        for result in (
+            reduce_word(raw),
+            concat(u, v),
+            u * v,
+            substitute(u, images),
+            u ** n,
+            u.inverse(),
+            cyclic_reduce(conjugated),
+            cyclic_reduce(conjugated, order=("z", "y", "x")),
+            cancel_ends(conjugated),
+        ):
+            assert Word(result.syllables) == result
 
 
 @st.composite

@@ -3,9 +3,10 @@
 The oracles here deliberately avoid the code paths they check: the torus
 closed form is divided out by sympy, never by ``LaurentPoly.exact_div``,
 the rational-function reference below never touches the Fox machinery,
-the rotation reference compares every letter rotation in full, and the
-Alexander reference takes sympy determinants of Fox derivatives read off
-the letters.
+the rotation reference compares every letter rotation in full, the rank
+recursion reference rotates to canonical form at every stage and checks
+hints by heap search, and the Alexander reference takes sympy determinants
+of Fox derivatives read off the letters.
 """
 
 import math
@@ -18,9 +19,12 @@ from fiberkit.corpus import (
     torus_knot_data,
     unknot_data,
 )
+from fiberkit.errors import HypothesisError
 from fiberkit.fox import LaurentPoly
+from fiberkit.one_relator import analyze, descend, invert_automorphism, rank_transfer
 from fiberkit.presentations import Presentation, ZMap, canonical_zmap
 from fiberkit.splittings import AMALGAM, Splitting
+from fiberkit.textfmt import parse_word
 from fiberkit.words import Word, cyclic_reduce, exponent_sum, reduce_word, substitute
 
 
@@ -142,6 +146,47 @@ def scrambled_torus_relator(rng, target):
         relator = moved
         hints.append(f"{a}->{undo}")
     return alpha, beta, relator, hints[::-1]
+
+
+def parse_hint(text):
+    """A ``--nielsen`` string ``gen->word`` as a one-generator image map."""
+    gen, _, image = text.partition("->")
+    return {gen.strip(): parse_word(image, None)}
+
+
+def reference_fiber_rank(pres, hints=()):
+    """Reference for ``one_relator.fiber_rank``: the same recursion with the
+    relator rotated to canonical form by ``cyclic_reduce`` at every stage,
+    checked by ``analyze``, and each hint validated by the heap search of
+    ``invert_automorphism`` plus a substitution round trip."""
+    x, y = pres.generators
+    relator = cyclic_reduce(pres.relators[0], order=(x, y))
+    pending = list(hints)
+    while True:
+        sylls = relator.syllables
+        if len(sylls) == 2 and {g for g, _ in sylls} == {x, y}:
+            alpha, beta = exponent_sum(relator, x), exponent_sum(relator, y)
+            if math.gcd(alpha, beta) == 1:
+                return (abs(alpha) - 1) * (abs(beta) - 1)
+        data = analyze(relator, x, y)
+        if data.e > 1:
+            new_x = next(name for name in ("u", "v", "w") if name not in (x, y))
+            down = Presentation((new_x, y), (descend(relator, data.e, x, y, new_x),))
+            sub = reference_fiber_rank(down, pending)
+            return None if sub is None else rank_transfer(sub, data.a, data.b, data.e)
+        if not pending:
+            return None
+        hint = pending.pop(0)
+        if set(hint) - {x, y}:
+            raise HypothesisError("hint moves other generators")
+        full = {x: hint.get(x, Word.gen(x)), y: hint.get(y, Word.gen(y))}
+        inverse = invert_automorphism(full, x, y)
+        if inverse is None or any(
+            substitute(substitute(Word.gen(g), full), inverse) != Word.gen(g)
+            for g in (x, y)
+        ):
+            raise HypothesisError("hint is not an automorphism")
+        relator = cyclic_reduce(substitute(relator, full), order=(x, y))
 
 
 def sympy_alexander_polys(pres, phi):
