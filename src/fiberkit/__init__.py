@@ -7,7 +7,13 @@ independent order-polynomial oracle, and group-level splice and cable
 constructions with fiberedness bookkeeping.
 """
 
-from .errors import ContradictionError, FiberkitError, HypothesisError, ParseError
+from .errors import (
+    ContradictionError,
+    FiberkitError,
+    HintError,
+    HypothesisError,
+    ParseError,
+)
 from .fox import (
     GroupRingElement,
     LaurentPoly,

@@ -1,9 +1,13 @@
 """Command line front end.
 
 Each verb is a short handler: it reads its files through ``textfmt``, calls
-the library, and prints a deterministic key=value style report.  ``main``
-maps the toolkit's errors onto exit codes: 0 on success, 1 on parse errors,
-2 on hypothesis violations, 3 on inference contradictions.
+the library, and prints a deterministic key=value style report.  The verbs
+are declared once, in ``_VERBS``.  ``main`` builds only the subparser of
+the verb named first on the command line; any other first word (none,
+``-h``, a typo, ``--``) gets the full tree, and so do leftover arguments,
+whose error shows every verb on its usage line.  ``main`` maps the
+toolkit's errors onto exit codes: 0 on success, 1 on parse errors, 2 on
+hypothesis violations, 3 on inference contradictions.
 """
 
 from __future__ import annotations
@@ -209,48 +213,68 @@ def _cmd_corpus(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **spec):
+    return flags, spec
+
+
+_FILE = _arg("file")
+_NIELSEN = _arg("--nielsen", action="append", default=[], metavar="GEN->WORD")
+_OUTPUT = _arg("-o", "--output")
+
+# name: (handler, summary, arguments), in help order
+_VERBS = {
+    "abelianize": (_cmd_abelianize, "abelianization of a group file", (_FILE,)),
+    "phi": (_cmd_phi, "canonical class to Z of a two-generator one-relator group",
+            (_FILE,)),
+    "analyze": (_cmd_analyze, "exponent analysis of the relator", (_FILE,)),
+    "fiber-rank": (_cmd_fiber_rank, "rank of the free kernel, if derivable",
+                   (_FILE, _NIELSEN)),
+    "alexander": (_cmd_alexander, "order polynomial of the twisted kernel", (_FILE,)),
+    "graph": (_cmd_graph, "coset graph of the kernel over a splitting", (_FILE,)),
+    "infer": (_cmd_infer, "close finite-generation premises under the rules", (_FILE,)),
+    "rank": (_cmd_rank, "free kernel rank over a splitting", (
+        _FILE,
+        _arg("--rank-a", type=int, default=0),
+        _arg("--rank-b", type=int, default=0),
+    )),
+    "splice": (_cmd_splice, "splice two knot group files",
+               (_arg("file_a"), _arg("file_b"), _OUTPUT)),
+    "cable": (_cmd_cable, "cable a knot group file", (
+        _FILE,
+        _arg("-p", type=int, required=True),
+        _arg("-q", type=int, required=True),
+        _OUTPUT,
+    )),
+    "report": (_cmd_report, "fibering consistency report", (_FILE, _NIELSEN)),
+    "corpus": (_cmd_corpus, "write the bundled example corpus",
+               (_arg("--dir", default="corpus"),)),
+}
+
+
+def _build_parser(names=_VERBS) -> argparse.ArgumentParser:
+    """The parser with a subparser for each verb in ``names``."""
     parser = argparse.ArgumentParser(
         prog="fiberkit",
         description="Exact computations with kernels of maps to Z for "
         "amalgams, HNN extensions, and knot-flavored groups.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def verb(name, handler, summary, *files):
+    for name in names:
+        handler, summary, arguments = _VERBS[name]
         p = sub.add_parser(name, help=summary)
-        for file in files:
-            p.add_argument(file)
+        for flags, spec in arguments:
+            p.add_argument(*flags, **spec)
         p.set_defaults(func=handler)
-        return p
-
-    verb("abelianize", _cmd_abelianize, "abelianization of a group file", "file")
-    verb("phi", _cmd_phi,
-         "canonical class to Z of a two-generator one-relator group", "file")
-    verb("analyze", _cmd_analyze, "exponent analysis of the relator", "file")
-    p = verb("fiber-rank", _cmd_fiber_rank, "rank of the free kernel, if derivable", "file")
-    p.add_argument("--nielsen", action="append", default=[], metavar="GEN->WORD")
-    verb("alexander", _cmd_alexander, "order polynomial of the twisted kernel", "file")
-    verb("graph", _cmd_graph, "coset graph of the kernel over a splitting", "file")
-    verb("infer", _cmd_infer, "close finite-generation premises under the rules", "file")
-    p = verb("rank", _cmd_rank, "free kernel rank over a splitting", "file")
-    p.add_argument("--rank-a", type=int, default=0)
-    p.add_argument("--rank-b", type=int, default=0)
-    p = verb("splice", _cmd_splice, "splice two knot group files", "file_a", "file_b")
-    p.add_argument("-o", "--output")
-    p = verb("cable", _cmd_cable, "cable a knot group file", "file")
-    p.add_argument("-p", type=int, required=True)
-    p.add_argument("-q", type=int, required=True)
-    p.add_argument("-o", "--output")
-    p = verb("report", _cmd_report, "fibering consistency report", "file")
-    p.add_argument("--nielsen", action="append", default=[], metavar="GEN->WORD")
-    p = verb("corpus", _cmd_corpus, "write the bundled example corpus")
-    p.add_argument("--dir", default="corpus")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    named = argv[:1] if argv and argv[0] in _VERBS else _VERBS
+    args, extras = _build_parser(named).parse_known_args(argv)
+    if extras:
+        # the full tree reports leftovers, with every verb on its usage line
+        args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except FiberkitError as exc:

@@ -22,6 +22,11 @@ class HypothesisError(FiberkitError):
     """
 
 
+class HintError(HypothesisError):
+    """A user-supplied Nielsen hint is not an automorphism of the free
+    group on the relator's generators."""
+
+
 class ContradictionError(FiberkitError):
     """The inference engine derived a flag value clashing with a known one."""
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import HypothesisError
+from .errors import HintError, HypothesisError
 from .fox import LaurentPoly, alexander_poly, monic_degree_check
 from .one_relator import fiber_rank
 from .presentations import (
@@ -346,7 +346,9 @@ def stallings_report(
     Verdicts: "consistent with fibered" when the order polynomial is monic
     (and matches the kernel rank when one is computable), "not fibered"
     when it is not monic (a fibering would force a unit leading
-    coefficient), "inconclusive" otherwise.
+    coefficient), "inconclusive" otherwise.  A rank recursion that cannot
+    run is a diagnostic; a hint that is not an automorphism raises
+    ``HintError``, as it does in ``fiber_rank``.
     """
     if not zmap_validate(phi, pres):
         raise HypothesisError("map to Z does not kill every relator")
@@ -388,6 +390,8 @@ def stallings_report(
     if two_gen_one_rel and not m_zero:
         try:
             rank = fiber_rank(pres, hints)
+        except HintError:
+            raise
         except HypothesisError as exc:
             diagnostics.append(f"rank recursion unavailable: {exc}")
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Mapping, Sequence
 
-from .errors import HypothesisError
+from .errors import HintError, HypothesisError
 from .presentations import Presentation
 from .splittings import AMALGAM, free_kernel_rank
 from .words import (
@@ -238,12 +238,12 @@ def validate_automorphism(
     }
     bad = (images[x].generators() | images[y].generators()) - {x, y}
     if bad:
-        raise HypothesisError(
+        raise HintError(
             f"hint uses generators {sorted(bad)} outside {x!r}, {y!r}"
         )
     det = _abelianized_determinant(images, x, y)
     if det not in (1, -1):
-        raise HypothesisError(
+        raise HintError(
             f"hint is not an automorphism: abelianized determinant {det}"
         )
     u, v = images[x], images[y]
@@ -253,7 +253,7 @@ def validate_automorphism(
         ((x, 1), (y, 1), (x, -1), (y, -1)),
         ((x, 1), (y, -1), (x, -1), (y, 1)),
     ):
-        raise HypothesisError(
+        raise HintError(
             "hint is not an automorphism: images do not form a basis"
         )
     return images
@@ -345,7 +345,7 @@ def fiber_rank(
         hint = pending.pop(0)
         unknown = set(hint) - {x, y}
         if unknown:
-            raise HypothesisError(
+            raise HintError(
                 f"hint moves generators {sorted(unknown)}, expected {x!r}, {y!r}"
             )
         full = validate_automorphism(hint, x, y)

@@ -49,9 +49,16 @@ class Presentation:
                 )
 
     def exponent_matrix(self) -> list[list[int]]:
-        return [
-            [exponent_sum(r, g) for g in self.generators] for r in self.relators
-        ]
+        """Row ``i`` holds the exponent sums of relator ``i``, one pass over
+        its syllables."""
+        column = {g: j for j, g in enumerate(self.generators)}
+        matrix = []
+        for r in self.relators:
+            row = [0] * len(column)
+            for g, e in r.syllables:
+                row[column[g]] += e
+            matrix.append(row)
+        return matrix
 
     def __str__(self) -> str:
         rels = ", ".join(str(r) for r in self.relators)

@@ -66,18 +66,23 @@ def parse_word(text: str, generators=None) -> Word:
     if not text or text == "1":
         return Word()
     declared = None if generators is None else set(generators)
+    # each distinct token is matched and checked once
+    parsed: dict[str, tuple[str, int]] = {}
     syllables = []
     for token in text.split():
-        match = _TOKEN.match(token)
-        if not match:
-            raise ParseError(f"bad word token {token!r}")
-        gen, exp_text = match.groups()
-        exp = int(exp_text) if exp_text is not None else 1
-        if exp == 0:
-            raise ParseError(f"zero exponent in token {token!r}")
-        if declared is not None and gen not in declared:
-            raise ParseError(f"undeclared generator {gen!r}")
-        syllables.append((gen, exp))
+        syllable = parsed.get(token)
+        if syllable is None:
+            match = _TOKEN.match(token)
+            if not match:
+                raise ParseError(f"bad word token {token!r}")
+            gen, exp_text = match.groups()
+            exp = int(exp_text) if exp_text is not None else 1
+            if exp == 0:
+                raise ParseError(f"zero exponent in token {token!r}")
+            if declared is not None and gen not in declared:
+                raise ParseError(f"undeclared generator {gen!r}")
+            syllable = parsed[token] = (gen, exp)
+        syllables.append(syllable)
     return reduce_word(syllables)
 
 

@@ -1,10 +1,16 @@
 import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from time import perf_counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from fiberkit import cli
 from fiberkit.cli import main
 from fiberkit.inference import FLAG_NAMES
 from fiberkit.textfmt import parse_group_file
@@ -150,7 +156,7 @@ BAD_HINTS = [
 
 class TestBadHints:
     """A hint that is not an automorphism of the free group: ``fiber-rank``
-    exits 2 with the reason, and ``report`` names it in a note."""
+    and ``report`` both exit 2 with the reason."""
 
     @pytest.fixture
     def stuck(self, workdir):
@@ -167,10 +173,30 @@ class TestBadHints:
 
     @pytest.mark.parametrize("hint, reason", BAD_HINTS)
     def test_report(self, stuck, capsys, hint, reason):
-        code, out, _ = run(capsys, "report", stuck, "--nielsen", hint)
+        code, out, err = run(capsys, "report", stuck, "--nielsen", hint)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: hint is not an automorphism: {reason}\n"
+
+    @pytest.mark.parametrize("verb", ["fiber-rank", "report"])
+    def test_hint_on_an_undeclared_generator(self, stuck, capsys, verb):
+        code, out, err = run(capsys, verb, stuck, "--nielsen", "z->x y")
+        assert code == 2
+        assert out == ""
+        assert err == "error: hint moves generators ['z'], expected 'x', 'y'\n"
+
+    def test_report_notes_a_recursion_that_cannot_start(self, workdir, capsys):
+        # the second exponent sum is zero: no hint is at fault, so report
+        # keeps its verdict and says why there is no rank
+        path = workdir / "q0.grp"
+        path.write_text("group q0\ngen x y\nrel x^2\nphi x=0 y=1\n", encoding="utf-8")
+        code, out, _ = run(capsys, "report", path)
         assert code == 0
-        note = f"note: rank recursion unavailable: hint is not an automorphism: {reason}\n"
-        assert note in out
+        assert (
+            "note: rank recursion unavailable: exponent sum in the second "
+            "generator is zero; the descent hypothesis fails\n"
+        ) in out
+        assert out.endswith("verdict = not fibered\n")
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +233,115 @@ class TestAdversarialSizes:
         assert out == base
         assert f"fiber-rank = {rank}\n" in out
         assert out.endswith("verdict = consistent with fibered\n")
+
+
+def outcome(capsys, argv):
+    """``(exit code, stdout, stderr)`` of one ``main`` call, including the
+    argparse exits for help and usage errors."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# --help of the top-level parser ("") and of each verb, as CPython 3.11's
+# argparse lays them out at 80 columns
+HELP = json.loads((Path(__file__).parent / "cli_help.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse lays out help differently in other versions")
+@pytest.mark.parametrize("verb", list(HELP), ids=lambda verb: verb or "top")
+def test_help_is_pinned(capsys, monkeypatch, verb):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert outcome(capsys, verb.split() + ["--help"]) == (0, HELP[verb], "")
+
+
+def test_help_names_every_verb():
+    assert list(HELP) == [""] + list(cli._VERBS)
+
+
+# "@name" is a file in the workdir fixture, or one the test writes there
+ARGVS = [
+    ["abelianize", "@trefoil.grp"],
+    ["phi", "@showcase.grp"],
+    ["analyze", "@showcase.grp"],
+    ["fiber-rank", "@showcase.grp", "--nielsen", "u->u y"],
+    ["alexander", "@trefoil.grp"],
+    ["graph", "@trefoil.spl"],
+    ["infer", "@p.inf"],
+    ["rank", "@trefoil.spl", "--rank-a", "1", "--rank-b", "0"],
+    ["splice", "@zero.grp", "@zero.grp", "-o", "@spliced.grp"],
+    ["splice", "@trefoil.grp", "@trefoil.grp"],
+    ["cable", "@unknot.grp", "-p", "2", "-q", "3"],
+    ["cable", "@unknot.grp", "-p", "2", "-q", "3", "--output", "@cable.grp"],
+    ["report", "@showcase.grp", "--nielsen", "u->u y"],
+    ["corpus", "--dir", "@corpus"],
+    ["report"],
+    ["splice", "@trefoil.grp"],
+    ["cable", "@unknot.grp"],
+    ["abelianize", "@trefoil.grp", "extra", "more"],
+    ["corpus", "stray"],
+    ["report", "@showcase.grp", "--", "y"],
+    ["report", "@showcase.grp", "--bogus"],
+    ["cable", "@unknot.grp", "-p", "two", "-q", "3"],
+    ["rank", "@trefoil.spl", "--rank-a", "x"],
+    ["report", "@showcase.grp", "--niel", "u->u y"],
+    ["fiber-rank", "@showcase.grp", "--nielsen", "x->x^2"],
+    ["report", "-h"],
+    ["cable", "--help"],
+    ["report", "--he"],
+    ["rep"],
+    ["rep", "@showcase.grp"],
+    ["bogus"],
+    ["--"],
+    ["--", "report", "@showcase.grp"],
+    ["--nielsen", "x", "report"],
+    ["-h"],
+    ["--help", "report"],
+    [],
+]
+
+
+class TestArgvDifferential:
+    """``main`` builds one verb's parser; every call must end exactly as it
+    does through the full tree of all verbs."""
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_matches_the_full_parser(self, workdir, capsys, monkeypatch, argv):
+        (workdir / "p.inf").write_text("kind amalgam\npremise n_fg yes\n", encoding="utf-8")
+        (workdir / "zero.grp").write_text(
+            TREFOIL.replace("phi x=3 y=2", "phi x=0 y=0"), encoding="utf-8"
+        )
+        argv = [str(workdir / a[1:]) if a.startswith("@") else a for a in argv]
+        monkeypatch.setenv("COLUMNS", "80")
+        got = outcome(capsys, argv)
+        full = cli._build_parser
+
+        def reference(names=None):
+            # every verb, through parse_args, which refuses leftovers itself
+            parser, strict = full(), full()
+            parser.parse_known_args = lambda argv: (strict.parse_args(argv), [])
+            return parser
+
+        monkeypatch.setattr(cli, "_build_parser", reference)
+        assert got == outcome(capsys, argv)
+
+
+def test_entry_point_reads_sys_argv(workdir, capsys, monkeypatch):
+    """``python -m fiberkit.cli`` parses ``sys.argv[1:]`` as ``main(argv)``
+    does; the usage line shows in ``rep``'s error."""
+    run(capsys, "corpus", "--dir", workdir / "corpus")
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    for argv in (["--help"], ["report", str(workdir / "corpus" / "showcase.grp")], ["rep", "x"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fiberkit.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == outcome(capsys, argv)
 
 
 class TestInferVerb:

@@ -12,7 +12,7 @@ from fiberkit.presentations import (
     torsion_number,
     zmap_validate,
 )
-from fiberkit.words import Word, reduce_word
+from fiberkit.words import Word, exponent_sum, reduce_word
 from tests_support import mat_mul
 
 
@@ -37,6 +37,16 @@ class TestPresentation:
     def test_exponent_matrix(self):
         assert SHOWCASE.exponent_matrix() == [[4, 1]]
         assert TREFOIL.exponent_matrix() == [[2, -3]]
+
+    @given(st.lists(st.lists(st.tuples(st.sampled_from(("a", "b", "c")),
+                                       st.integers(-5, 5).filter(bool)), max_size=8),
+                    max_size=4))
+    def test_exponent_matrix_matches_exponent_sum(self, relators):
+        gens = ("a", "b", "c")
+        pres = Presentation(gens, tuple(reduce_word(r) for r in relators))
+        assert pres.exponent_matrix() == [
+            [exponent_sum(r, g) for g in gens] for r in pres.relators
+        ]
 
 
 class TestAbelianize:

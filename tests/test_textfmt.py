@@ -12,6 +12,7 @@ from fiberkit.textfmt import (
     parse_word,
 )
 from fiberkit.words import Word, reduce_word
+from tests_support import reference_parse_word
 
 TREFOIL_TEXT = """\
 group trefoil
@@ -47,6 +48,32 @@ class TestWordGrammar:
 
     def test_unchecked_mode(self):
         assert parse_word("q^5", None) == Word.of(("q", 5))
+
+
+# a small alphabet, so texts repeat tokens: well-formed tokens, zero and
+# zero-padded exponents, a generator outside x and y, and malformed tokens
+TOKENS = st.sampled_from([
+    "x", "y", "x^2", "x^-1", "y^-3", "y^1", "x^0", "x^-0", "x^00", "x^007",
+    "y^-01", "z", "z^2", "x'", "1", "x^", "^2", "2x", "x^^2", "x^+1", "x^1.5",
+])
+
+
+def _parse_outcome(parse, text, generators):
+    try:
+        return parse(text, generators)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+@given(
+    st.lists(TOKENS, max_size=12).map(" ".join) | st.sampled_from(["", " 1 ", "1 1"]),
+    st.sampled_from([None, ("x", "y"), ("x", "y", "z")]),
+)
+def test_parse_word_matches_the_per_token_reference(text, generators):
+    # the same Word, or a ParseError with the same message
+    assert _parse_outcome(parse_word, text, generators) == _parse_outcome(
+        reference_parse_word, text, generators
+    )
 
 
 class TestGroupFiles:

@@ -5,11 +5,13 @@ closed form is divided out by sympy, never by ``LaurentPoly.exact_div``,
 the rational-function reference below never touches the Fox machinery,
 the rotation reference compares every letter rotation in full, the rank
 recursion reference rotates to canonical form at every stage and checks
-hints by heap search, and the Alexander reference takes sympy determinants
-of Fox derivatives read off the letters.
+hints by heap search, the Alexander reference takes sympy determinants
+of Fox derivatives read off the letters, and the word parser reference
+matches and checks every token, repeated or not.
 """
 
 import math
+import re
 
 import sympy
 
@@ -19,7 +21,7 @@ from fiberkit.corpus import (
     torus_knot_data,
     unknot_data,
 )
-from fiberkit.errors import HypothesisError
+from fiberkit.errors import HypothesisError, ParseError
 from fiberkit.fox import LaurentPoly
 from fiberkit.one_relator import analyze, descend, invert_automorphism, rank_transfer
 from fiberkit.presentations import Presentation, ZMap, canonical_zmap
@@ -146,6 +148,31 @@ def scrambled_torus_relator(rng, target):
         relator = moved
         hints.append(f"{a}->{undo}")
     return alpha, beta, relator, hints[::-1]
+
+
+_REFERENCE_TOKEN = re.compile(r"^([A-Za-z_][A-Za-z0-9_']*)(?:\^(-?\d+))?$")
+
+
+def reference_parse_word(text, generators=None):
+    """Reference for ``textfmt.parse_word``: one regex match and the same
+    checks, in the same order, for every token."""
+    text = text.strip()
+    if not text or text == "1":
+        return Word()
+    declared = None if generators is None else set(generators)
+    syllables = []
+    for token in text.split():
+        match = _REFERENCE_TOKEN.match(token)
+        if not match:
+            raise ParseError(f"bad word token {token!r}")
+        gen, exp_text = match.groups()
+        exp = int(exp_text) if exp_text is not None else 1
+        if exp == 0:
+            raise ParseError(f"zero exponent in token {token!r}")
+        if declared is not None and gen not in declared:
+            raise ParseError(f"undeclared generator {gen!r}")
+        syllables.append((gen, exp))
+    return reduce_word(syllables)
 
 
 def parse_hint(text):
