@@ -2,12 +2,13 @@
 
 Each verb is a short handler: it reads its files through ``textfmt``, calls
 the library, and prints a deterministic key=value style report.  The verbs
-are declared once, in ``_VERBS``.  ``main`` builds only the subparser of
-the verb named first on the command line; any other first word (none,
-``-h``, a typo, ``--``) gets the full tree, and so do leftover arguments,
-whose error shows every verb on its usage line.  ``main`` maps the
-toolkit's errors onto exit codes: 0 on success, 1 on parse errors, 2 on
-hypothesis violations, 3 on inference contradictions.
+are declared once, in ``_VERBS``.  A verb named first on the command line
+gets its own parser, ``fiberkit <verb>``, which reads the rest of the line
+exactly as that verb's subparser in the full tree would; any other first
+word (none, ``-h``, a typo, ``--``) gets the full tree, and so do leftover
+arguments, whose error shows every verb on its usage line.  ``main`` maps
+the toolkit's errors onto exit codes: 0 on success, 1 on parse errors, 2
+on hypothesis violations, 3 on inference contradictions.
 """
 
 from __future__ import annotations
@@ -251,27 +252,36 @@ _VERBS = {
 }
 
 
-def _build_parser(names=_VERBS) -> argparse.ArgumentParser:
-    """The parser with a subparser for each verb in ``names``."""
+def _add_verb(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give ``parser`` the arguments and the handler of verb ``name``."""
+    handler, _, arguments = _VERBS[name]
+    for flags, spec in arguments:
+        parser.add_argument(*flags, **spec)
+    parser.set_defaults(func=handler)
+    return parser
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The full tree: a subparser for each verb."""
     parser = argparse.ArgumentParser(
         prog="fiberkit",
         description="Exact computations with kernels of maps to Z for "
         "amalgams, HNN extensions, and knot-flavored groups.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for name in names:
-        handler, summary, arguments = _VERBS[name]
-        p = sub.add_parser(name, help=summary)
-        for flags, spec in arguments:
-            p.add_argument(*flags, **spec)
-        p.set_defaults(func=handler)
+    for name, (_, summary, _) in _VERBS.items():
+        _add_verb(sub.add_parser(name, help=summary), name)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    named = argv[:1] if argv and argv[0] in _VERBS else _VERBS
-    args, extras = _build_parser(named).parse_known_args(argv)
+    extras = True
+    if argv and argv[0] in _VERBS:
+        # the full tree would name this subparser "fiberkit <verb>" and hand
+        # it every later string, "--" included
+        verb = argparse.ArgumentParser(prog=f"fiberkit {argv[0]}")
+        args, extras = _add_verb(verb, argv[0]).parse_known_args(argv[1:])
     if extras:
         # the full tree reports leftovers, with every verb on its usage line
         args = _build_parser().parse_args(argv)

@@ -75,21 +75,22 @@ def analyze(relator: Word, x: str, y: str) -> RelatorAnalysis:
 
 def _exponent_data(relator: Word, x: str, y: str) -> RelatorAnalysis:
     """``analyze`` for a relator its caller has just cyclically reduced."""
-    extra = relator.generators() - {x, y}
-    if extra:
-        raise HypothesisError(f"relator uses unexpected generators {sorted(extra)}")
-    p = exponent_sum(relator, x)
-    q = exponent_sum(relator, y)
+    p = q = e = 0
+    for g, exp in relator.syllables:
+        if g == x:
+            p += exp
+            e = gcd(e, exp)
+        elif g == y:
+            q += exp
+        else:
+            extra = sorted(relator.generators() - {x, y})
+            raise HypothesisError(f"relator uses unexpected generators {extra}")
     if q == 0:
         raise HypothesisError(
             "exponent sum in the second generator is zero; "
             "the descent hypothesis fails"
         )
     m = gcd(p, q)
-    e = 0
-    for g, exp in relator.syllables:
-        if g == x:
-            e = gcd(e, exp)
     return RelatorAnalysis(p=p, q=q, m=m, a=p // m, b=q // m, e=abs(e) or 1)
 
 
@@ -311,6 +312,12 @@ def fiber_rank(
     exponent data, the descent and a hint's image all depend on it only up
     to conjugacy.
 
+    Hints are checked against the generators of the stage that meets them:
+    each distinct hint once per stage, when the recursion first consumes
+    it, and every hint still pending when the recursion reaches its base
+    case, so a hint that is not an automorphism is refused whether or not
+    it is needed.
+
     None means the recursion ran out of rules and hints, not that the
     kernel is infinitely generated.
     """
@@ -321,6 +328,7 @@ def fiber_rank(
     x, y = pres.generators
     relator = cancel_ends(pres.relators[0])
     pending = list(hints)
+    checked: dict[frozenset, dict[str, Word]] = {}
 
     while True:
         sylls = relator.syllables
@@ -328,6 +336,8 @@ def fiber_rank(
             alpha = exponent_sum(relator, x)
             beta = exponent_sum(relator, y)
             if gcd(alpha, beta) == 1:
+                for hint in pending:
+                    _checked_hint(hint, x, y, checked)
                 return _two_syllable_rank(alpha, beta)
 
         data = _exponent_data(relator, x, y)
@@ -342,11 +352,22 @@ def fiber_rank(
 
         if not pending:
             return None
-        hint = pending.pop(0)
+        full = _checked_hint(pending.pop(0), x, y, checked)
+        relator = cancel_ends(substitute(relator, full))
+
+
+def _checked_hint(
+    hint: Mapping[str, Word], x: str, y: str, checked: dict
+) -> dict[str, Word]:
+    """The image map of ``hint`` on ``(x, y)``, validated the first time this
+    stage meets the hint and looked up in ``checked`` after that."""
+    key = frozenset(hint.items())
+    full = checked.get(key)
+    if full is None:
         unknown = set(hint) - {x, y}
         if unknown:
             raise HintError(
                 f"hint moves generators {sorted(unknown)}, expected {x!r}, {y!r}"
             )
-        full = validate_automorphism(hint, x, y)
-        relator = cancel_ends(substitute(relator, full))
+        full = checked[key] = validate_automorphism(hint, x, y)
+    return full

@@ -122,17 +122,22 @@ def reduce_word(syllables: Iterable[Syllable]) -> Word:
     >>> str(reduce_word([("x", 1), ("x", 1), ("y", -1), ("y", 1)]))
     'x^2'
     """
-    stack: list[list] = []
+    stack: list[Syllable] = []
+    # the last syllable kept is held as (top, acc) until another generator
+    # arrives, so a merge adds integers and builds no tuple
+    top, acc = None, 0
     for gen, exp in syllables:
-        if exp == 0:
-            continue
-        if stack and stack[-1][0] == gen:
-            stack[-1][1] += exp
-            if stack[-1][1] == 0:
-                stack.pop()
-        else:
-            stack.append([gen, exp])
-    return _word(tuple((g, e) for g, e in stack))
+        if gen == top:
+            acc += exp
+            if not acc:
+                top, acc = stack.pop() if stack else (None, 0)
+        elif exp:
+            if top is not None:
+                stack.append((top, acc))
+            top, acc = gen, exp
+    if top is not None:
+        stack.append((top, acc))
+    return _word(tuple(stack))
 
 
 def concat(*words: Word) -> Word:

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fiberkit import cli
 from fiberkit.cli import main
+from fiberkit.errors import ContradictionError, FiberkitError, ParseError
 from fiberkit.inference import FLAG_NAMES
 from fiberkit.textfmt import parse_group_file
 from tests_support import scrambled_torus_relator
@@ -178,6 +179,16 @@ class TestBadHints:
         assert out == ""
         assert err == f"error: hint is not an automorphism: {reason}\n"
 
+    @pytest.mark.parametrize("hint, reason", BAD_HINTS)
+    @pytest.mark.parametrize("verb", ["fiber-rank", "report"])
+    def test_a_hint_the_recursion_never_needs(self, workdir, capsys, verb, hint, reason):
+        # the base case x^2 y^-3 is reached before any hint is consumed
+        path = workdir / "base.grp"
+        path.write_text("group base\ngen x y\nrel x^2 y^-3\n", encoding="utf-8")
+        code, out, err = run(capsys, verb, path, "--nielsen", "x->x y", "--nielsen", hint)
+        assert (code, out) == (2, "")
+        assert err == f"error: hint is not an automorphism: {reason}\n"
+
     @pytest.mark.parametrize("verb", ["fiber-rank", "report"])
     def test_hint_on_an_undeclared_generator(self, stuck, capsys, verb):
         code, out, err = run(capsys, verb, stuck, "--nielsen", "z->x y")
@@ -235,15 +246,29 @@ class TestAdversarialSizes:
         assert out.endswith("verdict = consistent with fibered\n")
 
 
-def outcome(capsys, argv):
-    """``(exit code, stdout, stderr)`` of one ``main`` call, including the
-    argparse exits for help and usage errors."""
+def outcome(capsys, argv, run=main):
+    """``(exit code, stdout, stderr)`` of one ``run`` call, ``main`` by
+    default, including the argparse exits for help and usage errors."""
     try:
-        code = main(argv)
+        code = run(argv)
     except SystemExit as exc:
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def reference_main(argv):
+    """``main`` through the full tree alone: ``parse_args`` on every verb,
+    which refuses leftovers itself, then the handler, with the same exit
+    codes."""
+    args = cli._build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except FiberkitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, ParseError):
+            return 1
+        return 3 if isinstance(exc, ContradictionError) else 2
 
 
 # --help of the top-level parser ("") and of each verb, as CPython 3.11's
@@ -263,7 +288,15 @@ def test_help_names_every_verb():
     assert list(HELP) == [""] + list(cli._VERBS)
 
 
-# "@name" is a file in the workdir fixture, or one the test writes there
+# a relator-rank-shaped input: 10 hints, 4 of them distinct
+_, _, SCRAMBLED, SCRAMBLED_HINTS = scrambled_torus_relator(random.Random(2), 250)
+TEN_HINTS = ["fiber-rank", "@scrambled.grp"] + [
+    arg for hint in SCRAMBLED_HINTS for arg in ("--nielsen", hint)
+]
+
+# "@name" is a file in the workdir fixture, or one the test writes there;
+# the first WELL_FORMED calls name a verb and leave no argument over
+WELL_FORMED = 21
 ARGVS = [
     ["abelianize", "@trefoil.grp"],
     ["phi", "@showcase.grp"],
@@ -279,6 +312,14 @@ ARGVS = [
     ["cable", "@unknot.grp", "-p", "2", "-q", "3", "--output", "@cable.grp"],
     ["report", "@showcase.grp", "--nielsen", "u->u y"],
     ["corpus", "--dir", "@corpus"],
+    TEN_HINTS,
+    ["report", "--nielsen", "u->u y", "@showcase.grp"],
+    ["fiber-rank", "@stuck.grp", "--nielsen=x->x y"],
+    ["fiber-rank", "--", "@showcase.grp"],
+    ["cable", "@unknot.grp", "-p", "2", "-q", "3", "-p", "5"],
+    ["report", "@showcase.grp", "-h"],
+    ["report", "@showcase.grp", "--h"],
+    TEN_HINTS[:2] + ["--nielsen"],
     ["report"],
     ["splice", "@trefoil.grp"],
     ["cable", "@unknot.grp"],
@@ -306,28 +347,39 @@ ARGVS = [
 
 
 class TestArgvDifferential:
-    """``main`` builds one verb's parser; every call must end exactly as it
-    does through the full tree of all verbs."""
+    """``main`` gives a named verb its own parser; every call must end
+    exactly as it does through the full tree of all verbs."""
 
-    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
-    def test_matches_the_full_parser(self, workdir, capsys, monkeypatch, argv):
+    @pytest.fixture
+    def files(self, workdir):
         (workdir / "p.inf").write_text("kind amalgam\npremise n_fg yes\n", encoding="utf-8")
         (workdir / "zero.grp").write_text(
             TREFOIL.replace("phi x=3 y=2", "phi x=0 y=0"), encoding="utf-8"
         )
-        argv = [str(workdir / a[1:]) if a.startswith("@") else a for a in argv]
+        (workdir / "stuck.grp").write_text(
+            "group stuck\ngen x y\nrel x y x^-1 y\n", encoding="utf-8"
+        )
+        (workdir / "scrambled.grp").write_text(
+            f"group scrambled\ngen x y\nrel {SCRAMBLED}\n", encoding="utf-8"
+        )
+        return lambda argv: [
+            str(workdir / a[1:]) if a.startswith("@") else a for a in argv
+        ]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_matches_the_full_parser(self, files, capsys, monkeypatch, argv):
+        argv = files(argv)
         monkeypatch.setenv("COLUMNS", "80")
-        got = outcome(capsys, argv)
-        full = cli._build_parser
+        assert outcome(capsys, argv) == outcome(capsys, argv, reference_main)
 
-        def reference(names=None):
-            # every verb, through parse_args, which refuses leftovers itself
-            parser, strict = full(), full()
-            parser.parse_known_args = lambda argv: (strict.parse_args(argv), [])
-            return parser
+    @pytest.mark.parametrize("argv", ARGVS[:WELL_FORMED], ids=" ".join)
+    def test_a_named_verb_never_builds_the_full_tree(self, files, capsys, monkeypatch, argv):
+        def full_tree():
+            raise AssertionError("main built the full tree")
 
-        monkeypatch.setattr(cli, "_build_parser", reference)
-        assert got == outcome(capsys, argv)
+        monkeypatch.setattr(cli, "_build_parser", full_tree)
+        _, _, err = outcome(capsys, files(argv))
+        assert "usage:" not in err
 
 
 def test_entry_point_reads_sys_argv(workdir, capsys, monkeypatch):

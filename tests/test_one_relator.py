@@ -3,8 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fiberkit.errors import HypothesisError
+from fiberkit import one_relator
+from fiberkit.errors import HintError, HypothesisError
 from fiberkit.one_relator import (
+    _exponent_data,
     analyze,
     descend,
     fiber_rank,
@@ -14,7 +16,15 @@ from fiberkit.one_relator import (
 )
 from fiberkit.presentations import Presentation, ZMap
 from fiberkit.splittings import coset_graph
+from fiberkit.textfmt import parse_word
 from fiberkit.words import Word, cyclic_reduce, exponent_sum, substitute
+
+from tests_support import (
+    parse_hint,
+    reference_exponent_data,
+    reference_fiber_rank,
+    scrambled_torus_relator,
+)
 
 
 def w(*sylls):
@@ -50,6 +60,40 @@ class TestAnalyze:
     def test_not_cyclically_reduced_rejected(self):
         with pytest.raises(HypothesisError, match="cyclically reduced"):
             analyze(w(("x", 1), ("y", 2), ("x", -1)), "x", "y")
+
+
+def exponent_outcome(data_fn, relator):
+    try:
+        return data_fn(relator, "x", "y")
+    except HypothesisError as exc:
+        return str(exc)
+
+
+class TestExponentData:
+    """The one-pass ``_exponent_data`` against the reference that makes one
+    pass per quantity, messages included."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("z x^2 w", "relator uses unexpected generators ['w', 'z']"),
+        ("x^3", "exponent sum in the second generator is zero; "
+                "the descent hypothesis fails"),
+        ("x y z y^-1", "relator uses unexpected generators ['z']"),
+    ])
+    def test_refusals(self, text, message):
+        relator = parse_word(text, None)
+        assert exponent_outcome(_exponent_data, relator) == message
+        assert exponent_outcome(reference_exponent_data, relator) == message
+
+    @settings(max_examples=300)
+    @given(st.lists(
+        st.tuples(st.sampled_from("xxxyyyz"), st.integers(-6, 6).filter(bool)),
+        max_size=10,
+    ))
+    def test_matches_the_multi_pass_reference(self, sylls):
+        relator = w(*sylls)
+        assert exponent_outcome(_exponent_data, relator) == exponent_outcome(
+            reference_exponent_data, relator
+        )
 
 
 class TestDescend:
@@ -358,12 +402,6 @@ class TestFiberRank:
         assert fiber_rank(moved_pres, [{"u": w(("u", 1), ("y", -1))}]) == fiber_rank(pres)
 
     def test_scrambled_torus_relators_match_the_reference(self):
-        from tests_support import (
-            parse_hint,
-            reference_fiber_rank,
-            scrambled_torus_relator,
-        )
-
         rng = random.Random(7)
         for target in (250, 400, 550, 700):
             alpha, beta, relator, hints = scrambled_torus_relator(rng, target)
@@ -385,8 +423,6 @@ class TestFiberRank:
     def test_random_relators_match_the_reference(self, sylls, hints):
         # no rotation, descent included: both recursions stop at the same
         # place with the same answer, or both refuse the relator
-        from tests_support import reference_fiber_rank
-
         pres = Presentation(("x", "y"), (w(*sylls),))
 
         def outcome(rank_fn):
@@ -400,3 +436,104 @@ class TestFiberRank:
     def test_needs_two_generator_one_relator(self):
         with pytest.raises(HypothesisError):
             fiber_rank(Presentation(("x",)))
+
+
+def hints_of(*texts):
+    return [parse_hint(text) for text in texts]
+
+
+class TestHintChecks:
+    """``fiber_rank`` validates each distinct hint once per stage of the
+    recursion, when it first consumes it, and validates the hints still
+    pending where the recursion stops."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        """The ``(hint, x, y)`` of every ``validate_automorphism`` call."""
+        calls = []
+
+        def counted(images, x, y):
+            calls.append((images, x, y))
+            return validate_automorphism(images, x, y)
+
+        monkeypatch.setattr(one_relator, "validate_automorphism", counted)
+        return calls
+
+    @pytest.fixture(scope="class")
+    def scrambled(self):
+        # relator-rank-shaped: 10 hints, 4 of them distinct
+        alpha, beta, relator, hints = scrambled_torus_relator(random.Random(2), 250)
+        pres = Presentation(("x", "y"), (relator,))
+        return pres, hints_of(*hints), (abs(alpha) - 1) * (abs(beta) - 1)
+
+    def test_each_distinct_hint_once(self, scrambled, checks):
+        pres, hints, rank = scrambled
+        distinct = {frozenset(h.items()) for h in hints}
+        assert (len(hints), len(distinct)) == (10, 4)
+        assert fiber_rank(pres, hints) == rank
+        assert [frozenset(h.items()) for h, _, _ in checks] == list(
+            dict.fromkeys(frozenset(h.items()) for h in hints)
+        )
+
+    def test_repeated_hints_match_the_reference(self, scrambled):
+        pres, hints, rank = scrambled
+        # the copies past the end are left over at the base case
+        for more in (hints, hints + hints[:3], hints[:1] * 3 + hints):
+            try:
+                got = fiber_rank(pres, more)
+            except HypothesisError:
+                got = "refused"
+            assert got == reference_fiber_rank(pres, more)
+        assert fiber_rank(pres, hints + hints[:3]) == rank
+
+    def test_bad_hint_after_good_ones_fails_when_first_consumed(self, scrambled, checks):
+        pres, hints, _ = scrambled
+        bad = {"x": w(("x", 2))}
+        with pytest.raises(HintError, match="abelianized determinant 2"):
+            fiber_rank(pres, hints[:4] + [bad] + hints[4:] + [bad])
+        distinct_before = len({frozenset(h.items()) for h in hints[:4]})
+        assert len(checks) == distinct_before + 1
+        assert checks[-1] == (bad, "x", "y")
+
+    def test_a_hint_is_checked_again_in_each_stage(self, checks):
+        # y->y^-1 is consumed on (x, y), then again on (u, y) after the
+        # descent by 2; each stage validates it for its own generators
+        pres = Presentation(("x", "y"), (parse_word("x y^-1 x^2 y^-1 x y^3", None),))
+        hints = hints_of("y->y^-1", "x->x y^-1", "y->y^-1", "u->u y^-1")
+        assert fiber_rank(pres, hints) == reference_fiber_rank(pres, hints) == 8
+        assert [(str(h[g]), x, y) for h, x, y in checks for g in h] == [
+            ("y^-1", "x", "y"),
+            ("x y^-1", "x", "y"),
+            ("y^-1", "u", "y"),
+            ("u y^-1", "u", "y"),
+        ]
+
+    def test_a_hint_reused_after_a_descent_meets_new_generators(self):
+        # u->u y is consumed on (u, y); the stage below runs on (v, y), so
+        # the second copy is refused there rather than reused
+        pres = Presentation(("x", "y"), (parse_word("x^2 y^-1 x^4 y^-1 x^2 y^3", None),))
+        assert fiber_rank(pres, hints_of("u->u y")) is None
+        with pytest.raises(HintError, match=r"moves generators \['u'\], expected 'v', 'y'"):
+            fiber_rank(pres, hints_of("u->u y", "u->u y"))
+
+    @pytest.mark.parametrize("hint, message", [
+        ("x->x^2", "hint is not an automorphism: abelianized determinant 2"),
+        ("y->y x y x^-1 y^-1", "hint is not an automorphism: images do not form a basis"),
+        ("z->x", "hint moves generators ['z'], expected 'x', 'y'"),
+    ])
+    def test_leftover_hints_are_checked_at_the_base_case(self, hint, message):
+        pres = two_gen("x", "y", ("x", 2), ("y", -3))
+        assert fiber_rank(pres, hints_of("x->x y")) == 2
+        with pytest.raises(HintError) as info:
+            fiber_rank(pres, hints_of(hint))
+        assert str(info.value) == message
+        with pytest.raises(HypothesisError):
+            reference_fiber_rank(pres, hints_of(hint))
+
+    def test_leftover_hints_are_checked_on_the_last_stage(self):
+        # x^2 y^2 descends to the base case u y^2: a leftover hint on x
+        # names a generator that stage does not have
+        pres = two_gen("x", "y", ("x", 2), ("y", 2))
+        assert fiber_rank(pres, hints_of("u->u y")) == 1
+        with pytest.raises(HintError, match=r"moves generators \['x'\], expected 'u', 'y'"):
+            fiber_rank(pres, hints_of("x->x y"))

@@ -11,7 +11,7 @@ from fiberkit.words import (
     substitute,
 )
 
-from tests_support import quadratic_cyclic_reduce
+from tests_support import quadratic_cyclic_reduce, reference_reduce_word
 
 GENS = ("x", "y", "z")
 
@@ -46,6 +46,26 @@ class TestReduce:
     @given(words, words)
     def test_length_subadditive(self, u, v):
         assert len(u * v) <= len(u) + len(v)
+
+    def test_cascading_cancellation_of_list_pairs(self):
+        raw = [["x", 1], ("y", 2), ["z", 0], ["y", -2], ("x", -1), ("x", 0)]
+        assert reduce_word(raw) == Word()
+        assert reduce_word(raw[:3] + [("y", 1)]) == w(("x", 1), ("y", 3))
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_matches_the_list_stack_reference(self, data):
+        # zero exponents, a tail that cancels back through the head, and
+        # pairs given as lists as well as tuples
+        raw_syllable = st.tuples(st.sampled_from(GENS), st.integers(-3, 3))
+        head = data.draw(st.lists(raw_syllable, max_size=8))
+        middle = data.draw(st.lists(raw_syllable, max_size=3))
+        tail = [(g, -e) for g, e in reversed(head)] if data.draw(st.booleans()) else []
+        raw = [
+            list(pair) if data.draw(st.booleans()) else pair
+            for pair in head + middle + tail
+        ]
+        assert reduce_word(raw) == reference_reduce_word(raw)
 
     def test_unreduced_constructor_rejected(self):
         with pytest.raises(ValueError):

@@ -5,9 +5,11 @@ closed form is divided out by sympy, never by ``LaurentPoly.exact_div``,
 the rational-function reference below never touches the Fox machinery,
 the rotation reference compares every letter rotation in full, the rank
 recursion reference rotates to canonical form at every stage and checks
-hints by heap search, the Alexander reference takes sympy determinants
-of Fox derivatives read off the letters, and the word parser reference
-matches and checks every token, repeated or not.
+every hint by heap search, the Alexander reference takes sympy
+determinants of Fox derivatives read off the letters, the word parser
+reference matches and checks every token, repeated or not, the free
+reduction reference merges syllables in place on a stack of lists, and
+the exponent data reference makes one pass per quantity.
 """
 
 import math
@@ -23,7 +25,13 @@ from fiberkit.corpus import (
 )
 from fiberkit.errors import HypothesisError, ParseError
 from fiberkit.fox import LaurentPoly
-from fiberkit.one_relator import analyze, descend, invert_automorphism, rank_transfer
+from fiberkit.one_relator import (
+    RelatorAnalysis,
+    analyze,
+    descend,
+    invert_automorphism,
+    rank_transfer,
+)
 from fiberkit.presentations import Presentation, ZMap, canonical_zmap
 from fiberkit.splittings import AMALGAM, Splitting
 from fiberkit.textfmt import parse_word
@@ -72,6 +80,45 @@ def mat_mul(a, b):
                 for j in range(cols):
                     oi[j] += v * bk[j]
     return out
+
+
+def reference_reduce_word(syllables):
+    """Reference for ``words.reduce_word``: merge each syllable into the top
+    of a stack of mutable ``[gen, exp]`` pairs, then copy them out through
+    the checked constructor."""
+    stack = []
+    for gen, exp in syllables:
+        if exp == 0:
+            continue
+        if stack and stack[-1][0] == gen:
+            stack[-1][1] += exp
+            if stack[-1][1] == 0:
+                stack.pop()
+        else:
+            stack.append([gen, exp])
+    return Word(tuple((g, e) for g, e in stack))
+
+
+def reference_exponent_data(relator, x, y):
+    """Reference for ``one_relator._exponent_data``: one pass for the extra
+    generators, one per exponent sum and one for the ``x``-exponent gcd,
+    with the same checks, in the same order."""
+    extra = relator.generators() - {x, y}
+    if extra:
+        raise HypothesisError(f"relator uses unexpected generators {sorted(extra)}")
+    p = exponent_sum(relator, x)
+    q = exponent_sum(relator, y)
+    if q == 0:
+        raise HypothesisError(
+            "exponent sum in the second generator is zero; "
+            "the descent hypothesis fails"
+        )
+    m = math.gcd(p, q)
+    e = 0
+    for g, exp in relator.syllables:
+        if g == x:
+            e = math.gcd(e, exp)
+    return RelatorAnalysis(p=p, q=q, m=m, a=p // m, b=q // m, e=abs(e) or 1)
 
 
 def quadratic_cyclic_reduce(word, order=None):
@@ -184,26 +231,12 @@ def parse_hint(text):
 def reference_fiber_rank(pres, hints=()):
     """Reference for ``one_relator.fiber_rank``: the same recursion with the
     relator rotated to canonical form by ``cyclic_reduce`` at every stage,
-    checked by ``analyze``, and each hint validated by the heap search of
-    ``invert_automorphism`` plus a substitution round trip."""
+    checked by ``analyze``, and every hint, repeated or not, validated by
+    the heap search of ``invert_automorphism`` plus a substitution round
+    trip; the hints left over at the base case are validated too."""
     x, y = pres.generators
-    relator = cyclic_reduce(pres.relators[0], order=(x, y))
-    pending = list(hints)
-    while True:
-        sylls = relator.syllables
-        if len(sylls) == 2 and {g for g, _ in sylls} == {x, y}:
-            alpha, beta = exponent_sum(relator, x), exponent_sum(relator, y)
-            if math.gcd(alpha, beta) == 1:
-                return (abs(alpha) - 1) * (abs(beta) - 1)
-        data = analyze(relator, x, y)
-        if data.e > 1:
-            new_x = next(name for name in ("u", "v", "w") if name not in (x, y))
-            down = Presentation((new_x, y), (descend(relator, data.e, x, y, new_x),))
-            sub = reference_fiber_rank(down, pending)
-            return None if sub is None else rank_transfer(sub, data.a, data.b, data.e)
-        if not pending:
-            return None
-        hint = pending.pop(0)
+
+    def validated(hint):
         if set(hint) - {x, y}:
             raise HypothesisError("hint moves other generators")
         full = {x: hint.get(x, Word.gen(x)), y: hint.get(y, Word.gen(y))}
@@ -213,6 +246,27 @@ def reference_fiber_rank(pres, hints=()):
             for g in (x, y)
         ):
             raise HypothesisError("hint is not an automorphism")
+        return full
+
+    relator = cyclic_reduce(pres.relators[0], order=(x, y))
+    pending = list(hints)
+    while True:
+        sylls = relator.syllables
+        if len(sylls) == 2 and {g for g, _ in sylls} == {x, y}:
+            alpha, beta = exponent_sum(relator, x), exponent_sum(relator, y)
+            if math.gcd(alpha, beta) == 1:
+                for hint in pending:
+                    validated(hint)
+                return (abs(alpha) - 1) * (abs(beta) - 1)
+        data = analyze(relator, x, y)
+        if data.e > 1:
+            new_x = next(name for name in ("u", "v", "w") if name not in (x, y))
+            down = Presentation((new_x, y), (descend(relator, data.e, x, y, new_x),))
+            sub = reference_fiber_rank(down, pending)
+            return None if sub is None else rank_transfer(sub, data.a, data.b, data.e)
+        if not pending:
+            return None
+        full = validated(pending.pop(0))
         relator = cyclic_reduce(substitute(relator, full), order=(x, y))
 
 
