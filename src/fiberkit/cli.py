@@ -21,8 +21,9 @@ from .errors import ContradictionError, FiberkitError, HypothesisError, ParseErr
 from .fox import alexander_poly
 from .inference import FLAG_NAMES, fg_inference
 from .links import KnotGroupData, cable_group, splice, stallings_report
-from .one_relator import _exponent_data, fiber_rank
-from .presentations import ZMap, abelianize, canonical_zmap, torsion_number
+from .one_relator import analyze, fiber_rank
+from .presentations import (
+    ZMap, abelianize, canonical_zmap, torsion_number, two_generator_relator)
 from .splittings import Splitting, coset_graph, free_kernel_rank
 from .textfmt import (
     GroupFile,
@@ -92,12 +93,9 @@ def _cmd_phi(args) -> int:
 
 def _cmd_analyze(args) -> int:
     group = parse_group_file(args.file)
-    pres = group.presentation
-    if len(pres.generators) != 2 or len(pres.relators) != 1:
-        raise HypothesisError("analyze needs two generators and one relator")
-    x, y = pres.generators
-    relator = cyclic_reduce(pres.relators[0], order=(x, y))
-    data = _exponent_data(relator, x, y)
+    x, y, relator = two_generator_relator(group.presentation)
+    relator = cyclic_reduce(relator, order=(x, y))
+    data = analyze(relator, x, y)
     print(f"relator = {relator}")
     for name in ("p", "q", "m", "a", "b", "e"):
         print(f"{name} = {getattr(data, name)}")
@@ -151,7 +149,6 @@ def _cmd_rank(args) -> int:
         graph.c_idx,
         args.rank_a,
         args.rank_b if split.kind == "amalgam" else None,
-        graph=graph,
     )
     print(f"chi = {graph.euler_characteristic}")
     print(f"rank = {rank}")

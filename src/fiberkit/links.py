@@ -20,7 +20,6 @@ from .presentations import (
     Presentation,
     ZMap,
     abelianize,
-    torsion_number,
     zmap_validate,
 )
 from .snf import xgcd
@@ -357,18 +356,11 @@ def stallings_report(
     d = phi.image_gcd()
 
     rank: int | None = None
-    two_gen_one_rel = (
-        len(pres.generators) == 2 and len(pres.relators) == 1
-    )
-    m_zero = False
-    if two_gen_one_rel:
-        try:
-            torsion_number(pres)
-        except HypothesisError:
-            m_zero = True
-            diagnostics.append(
-                "m = 0: both exponent sums vanish, no torsion number"
-            )
+    two_gen_one_rel = len(pres.generators) == 2 and len(pres.relators) == 1
+    # <x, y ; r> abelianizes to Z^2 exactly when both exponent sums vanish
+    m_zero = two_gen_one_rel and ab.free_rank == 2
+    if m_zero:
+        diagnostics.append("m = 0: both exponent sums vanish, no torsion number")
 
     delta = None
     monic = None
@@ -387,13 +379,15 @@ def stallings_report(
             # a polynomial always has its own degree, so this is the unit test
             monic = monic_degree_check(delta, degree)
 
-    if two_gen_one_rel and not m_zero:
+    if two_gen_one_rel:
         try:
             rank = fiber_rank(pres, hints)
         except HintError:
             raise
         except HypothesisError as exc:
-            diagnostics.append(f"rank recursion unavailable: {exc}")
+            # with m = 0 the recursion always stops at q = 0, noted above
+            if not m_zero:
+                diagnostics.append(f"rank recursion unavailable: {exc}")
 
     if d == 0 or m_zero:
         verdict = "inconclusive"

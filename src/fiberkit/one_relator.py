@@ -3,16 +3,16 @@
 For ``G = <x, y ; r>`` with the exponent sum of ``r`` in ``y`` nonzero,
 the infinite cyclic quotient is unique and the rank of its kernel (when
 finitely generated, hence free) can be chased down a chain of subgroups:
-whenever every ``x``-exponent of ``r`` is divisible by ``e``, the group
-embeds the one-relator group on ``(x^e, y)`` and the two kernel ranks are
-tied by an exact transfer formula.  The base of the recursion is a relator
-with exactly two syllables, where the rank comes straight out of the coset
-graph of the obvious cyclic-edge amalgam.
+whenever every ``x``-exponent of ``r`` is divisible by ``e``, ``G`` is the
+amalgam ``<x^e, y ; r> *_{x^e} <x>`` and the kernel ranks of ``G`` and of
+the one-relator group on ``(x^e, y)`` are tied by an exact transfer
+formula.  The base is a relator with exactly two syllables, where the rank
+comes straight out of the coset graph of the obvious cyclic-edge amalgam.
 
-The recursion does not try to be clever: when neither the base case nor a
-descent applies, it consumes a caller-supplied basis change of the free
-group (a Nielsen move) and retries, and reports unknown once the hints run
-out.
+``fiber_rank`` runs this recursion as one loop.  When neither the base case
+nor a descent applies, it consumes a caller-supplied basis change of the
+free group (a Nielsen move) and retries, and reports unknown once the hints
+run out.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from math import gcd
 from typing import Mapping, Sequence
 
 from .errors import HintError, HypothesisError
-from .presentations import Presentation
+from .presentations import Presentation, two_generator_relator
 from .splittings import AMALGAM, free_kernel_rank
 from .words import (
     Word,
@@ -63,20 +63,19 @@ class RelatorAnalysis:
 
 
 def analyze(relator: Word, x: str, y: str) -> RelatorAnalysis:
-    """Exponent-sum analysis of a cyclically reduced two-letter relator.
+    """One-pass exponent-sum analysis of a cyclically reduced relator over
+    ``(x, y)``, in any rotation.
 
-    Raises when the exponent sum in ``y`` vanishes; nothing downstream is
-    valid in that case.
+    Raises when the relator is not cyclically reduced or uses another
+    generator, and when the exponent sum in ``y`` vanishes; nothing
+    downstream is valid in that case.
     """
-    if cyclic_reduce(relator, order=(x, y)) != relator:
+    sylls = relator.syllables
+    # a reduced word is cyclically reduced unless its ends share a generator
+    if len(sylls) > 1 and sylls[0][0] == sylls[-1][0]:
         raise HypothesisError(f"relator {relator} is not cyclically reduced")
-    return _exponent_data(relator, x, y)
-
-
-def _exponent_data(relator: Word, x: str, y: str) -> RelatorAnalysis:
-    """``analyze`` for a relator its caller has just cyclically reduced."""
     p = q = e = 0
-    for g, exp in relator.syllables:
+    for g, exp in sylls:
         if g == x:
             p += exp
             e = gcd(e, exp)
@@ -224,15 +223,22 @@ def invert_automorphism(
 def validate_automorphism(
     images: Mapping[str, Word], x: str, y: str
 ) -> dict[str, Word]:
-    """Check a hint really is an automorphism; return its images of both
-    generators, a generator the hint leaves out mapping to itself.
+    """Check a hint on ``(x, y)`` really is an automorphism; return its
+    images of both generators, a generator the hint leaves out mapping to
+    itself.
 
-    Two-stage check, linear in the length of the images: the abelianized
+    Once the hint is known to move and use only ``x`` and ``y``, a
+    two-stage check, linear in the length of the images: the abelianized
     2x2 matrix must have determinant +-1, then Nielsen's commutator
     criterion (J. Nielsen, Math. Ann. 78, 1917) decides whether the images
     ``(u, v)`` form a basis: they do exactly when ``u v u^-1 v^-1`` is
     conjugate to ``[x, y]`` or to its inverse ``[y, x]``.
     """
+    unknown = set(images) - {x, y}
+    if unknown:
+        raise HintError(
+            f"hint moves generators {sorted(unknown)}, expected {x!r}, {y!r}"
+        )
     images = {
         x: images.get(x, Word.gen(x)),
         y: images.get(y, Word.gen(y)),
@@ -266,21 +272,6 @@ def validate_automorphism(
 _DESCENT_NAMES = ("u", "v", "w")
 
 
-def _fresh_name(taken: set[str]) -> str:
-    """First unused name from u, v, w, u1, v1, w1, ...
-
-    Descending from generators ``(x, y)`` names the new generator ``u``;
-    descending again from ``(u, y)`` names it ``v``, and so on.
-    """
-    suffix = 0
-    while True:
-        for base in _DESCENT_NAMES:
-            candidate = base if suffix == 0 else f"{base}{suffix}"
-            if candidate not in taken:
-                return candidate
-        suffix += 1
-
-
 def _two_syllable_rank(alpha: int, beta: int) -> int:
     """Base case ``x^alpha y^beta`` with coprime exponents.
 
@@ -299,75 +290,62 @@ def fiber_rank(
 ) -> int | None:
     """Rank of the free kernel of the infinite cyclic quotient, or None.
 
-    Recursion, on the relator over generators ``(x, y)``:
+    One loop over stages, each read off one ``analyze`` of the relator
+    over the stage's generators ``(x, y)``:
 
     * two syllables ``x^alpha y^beta`` with coprime exponents: rank
-      ``(|alpha| - 1)(|beta| - 1)`` straight from the coset graph;
+      ``(|alpha| - 1)(|beta| - 1)`` straight from the coset graph, carried
+      back up through every descent by ``rank_transfer``;
     * every ``x``-exponent divisible by ``e > 1``: descend to the relator
-      in ``(x^e, y)``, recurse, and transfer the rank back up;
+      in ``(x^e, y)``, with ``x`` renamed to the first of ``u, v, w`` not
+      in use;
     * otherwise consume the next hint as a basis change and retry.
 
-    The relator is kept cyclically reduced but not rotated to canonical
-    form (``cancel_ends``, not ``cyclic_reduce``): the base case, the
-    exponent data, the descent and a hint's image all depend on it only up
-    to conjugacy.
-
-    Hints are checked against the generators of the stage that meets them:
-    each distinct hint once per stage, when the recursion first consumes
-    it, and every hint still pending when the recursion reaches its base
-    case, so a hint that is not an automorphism is refused whether or not
-    it is needed.
+    The relator is kept cyclically reduced (``cancel_ends``) but never
+    rotated: every step depends on it only up to conjugacy.  Each distinct
+    hint is checked once per stage, against that stage's generators, when
+    first consumed; the hints still pending are checked wherever the loop
+    stops, at the base case or on a stage ``analyze`` refuses.
 
     None means the recursion ran out of rules and hints, not that the
     kernel is infinitely generated.
     """
-    if len(pres.generators) != 2 or len(pres.relators) != 1:
-        raise HypothesisError(
-            "rank recursion needs a two-generator one-relator presentation"
-        )
-    x, y = pres.generators
-    relator = cancel_ends(pres.relators[0])
+    x, y, relator = two_generator_relator(pres)
+    relator = cancel_ends(relator)
     pending = list(hints)
+    descents: list[tuple[int, int, int]] = []
     checked: dict[frozenset, dict[str, Word]] = {}
 
+    def images(hint: Mapping[str, Word]) -> dict[str, Word]:
+        key = frozenset(hint.items())
+        if key not in checked:
+            checked[key] = validate_automorphism(hint, x, y)
+        return checked[key]
+
     while True:
-        sylls = relator.syllables
-        if len(sylls) == 2 and {sylls[0][0], sylls[1][0]} == {x, y}:
-            alpha = exponent_sum(relator, x)
-            beta = exponent_sum(relator, y)
-            if gcd(alpha, beta) == 1:
-                for hint in pending:
-                    _checked_hint(hint, x, y, checked)
-                return _two_syllable_rank(alpha, beta)
-
-        data = _exponent_data(relator, x, y)
+        try:
+            data = analyze(relator, x, y)
+        except HypothesisError:
+            for hint in pending:
+                images(hint)
+            raise
+        if len(relator.syllables) == 2 and data.m == 1:
+            for hint in pending:
+                images(hint)
+            break
         if data.e > 1:
-            new_x = _fresh_name({x, y})
-            # the recursive call cyclically reduces the descended relator
-            descended = descend(relator, data.e, x, y, new_x)
-            sub = fiber_rank(Presentation((new_x, y), (descended,)), pending)
-            if sub is None:
-                return None
-            return rank_transfer(sub, data.a, data.b, data.e)
-
-        if not pending:
+            descents.append((data.a, data.b, data.e))
+            new_x = next(name for name in _DESCENT_NAMES if name not in (x, y))
+            # descend keeps the syllable pattern, so no cancel_ends is needed
+            relator = descend(relator, data.e, x, y, new_x)
+            x = new_x
+            checked.clear()
+        elif pending:
+            relator = cancel_ends(substitute(relator, images(pending.pop(0))))
+        else:
             return None
-        full = _checked_hint(pending.pop(0), x, y, checked)
-        relator = cancel_ends(substitute(relator, full))
 
-
-def _checked_hint(
-    hint: Mapping[str, Word], x: str, y: str, checked: dict
-) -> dict[str, Word]:
-    """The image map of ``hint`` on ``(x, y)``, validated the first time this
-    stage meets the hint and looked up in ``checked`` after that."""
-    key = frozenset(hint.items())
-    full = checked.get(key)
-    if full is None:
-        unknown = set(hint) - {x, y}
-        if unknown:
-            raise HintError(
-                f"hint moves generators {sorted(unknown)}, expected {x!r}, {y!r}"
-            )
-        full = checked[key] = validate_automorphism(hint, x, y)
-    return full
+    rank = _two_syllable_rank(data.p, data.q)
+    for a, b, e in reversed(descents):
+        rank = rank_transfer(rank, a, b, e)
+    return rank

@@ -20,6 +20,7 @@ __all__ = [
     "AbelianizationResult",
     "ZMap",
     "abelianize",
+    "two_generator_relator",
     "torsion_number",
     "canonical_zmap",
     "zmap_validate",
@@ -162,17 +163,24 @@ def zmap_validate(phi: ZMap, pres: Presentation) -> bool:
     return all(phi(r) == 0 for r in pres.relators)
 
 
-def _exponent_sums(pres: Presentation) -> tuple[str, str, int, int, int]:
-    """Generators ``x, y``, the relator's exponent sums ``p, q`` and
-    ``m = gcd(p, q) > 0`` of a two-generator one-relator presentation."""
+def two_generator_relator(pres: Presentation) -> tuple[str, str, Word]:
+    """Generators ``x, y`` and the relator of a two-generator one-relator
+    presentation; raises on any other shape."""
     if len(pres.generators) != 2 or len(pres.relators) != 1:
         raise HypothesisError(
             "needs a two-generator one-relator presentation, got "
             f"{len(pres.generators)} generators and {len(pres.relators)} relators"
         )
     x, y = pres.generators
-    p = exponent_sum(pres.relators[0], x)
-    q = exponent_sum(pres.relators[0], y)
+    return x, y, pres.relators[0]
+
+
+def _exponent_sums(pres: Presentation) -> tuple[str, str, int, int, int]:
+    """Generators ``x, y``, the relator's exponent sums ``p, q`` and
+    ``m = gcd(p, q) > 0`` of a two-generator one-relator presentation."""
+    x, y, relator = two_generator_relator(pres)
+    p = exponent_sum(relator, x)
+    q = exponent_sum(relator, y)
     m = gcd(p, q)
     if m == 0:
         raise HypothesisError("m = 0, no torsion number")

@@ -235,16 +235,12 @@ def free_kernel_rank(
     c_idx: int,
     rank_a: int,
     rank_b: int | None = None,
-    graph: CosetGraph | None = None,
 ) -> int:
     """Rank of the kernel as a free product of vertex groups and a free
     group, assuming trivial edge groups and finite indices.
 
     Amalgam: ``a*rank_a + b*rank_b + 1 + c - a - b``.
     HNN: ``a*rank_a + 1 + c - a``.
-
-    When a coset graph is supplied, the free part is cross-checked against
-    ``1 - chi``.
     """
     for idx in (a_idx, b_idx, c_idx):
         if idx is not None and (idx == INFINITE or idx < 1):
@@ -252,17 +248,11 @@ def free_kernel_rank(
     if kind == AMALGAM:
         if b_idx is None or rank_b is None:
             raise HypothesisError("amalgam rank needs the B-side index and rank")
-        free_part = 1 + c_idx - a_idx - b_idx
-        rank = a_idx * rank_a + b_idx * rank_b + free_part
+        rank = a_idx * rank_a + b_idx * rank_b + 1 + c_idx - a_idx - b_idx
     elif kind == HNN:
-        free_part = 1 + c_idx - a_idx
-        rank = a_idx * rank_a + free_part
+        rank = a_idx * rank_a + 1 + c_idx - a_idx
     else:
         raise ValueError(f"unknown splitting kind {kind!r}")
-    if graph is not None and free_part != 1 - graph.euler_characteristic:
-        raise HypothesisError(
-            "free part disagrees with the coset graph Euler characteristic"
-        )
     if rank < 0:
         raise HypothesisError("premises inconsistent: negative rank")
     return rank

@@ -154,6 +154,18 @@ BAD_HINTS = [
     ("x->x^2", "abelianized determinant 2"),
 ]
 
+Q0_REASON = "exponent sum in the second generator is zero; the descent hypothesis fails"
+
+# relator with q = 0, and its report under phi x=0 y=1
+Q0_REPORTS = [
+    ("x^2", "image = 1Z\nabelianization = Z/2 + Z\nalexander = 2\nmonic = no\n"
+     f"degree = 0\nnote: rank recursion unavailable: {Q0_REASON}\n"
+     "verdict = not fibered\n"),
+    ("x y x^-1 y^-1", "image = 1Z\nabelianization = Z + Z\nalexander = -1 + t\n"
+     "monic = yes\ndegree = 1\nnote: m = 0: both exponent sums vanish, no "
+     "torsion number\nverdict = inconclusive\n"),
+]
+
 
 class TestBadHints:
     """A hint that is not an automorphism of the free group: ``fiber-rank``
@@ -195,6 +207,28 @@ class TestBadHints:
         assert code == 2
         assert out == ""
         assert err == "error: hint moves generators ['z'], expected 'x', 'y'\n"
+
+    @pytest.fixture(params=Q0_REPORTS, ids=["x^2", "commutator"])
+    def q0(self, workdir, request):
+        relator, report = request.param
+        path = workdir / "q0.grp"
+        path.write_text(
+            f"group q0\ngen x y\nrel {relator}\nphi x=0 y=1\n", encoding="utf-8"
+        )
+        return path, report
+
+    @pytest.mark.parametrize("verb", ["fiber-rank", "report"])
+    def test_a_recursion_that_cannot_start_checks_the_hints(self, q0, capsys, verb):
+        path, _ = q0
+        code, out, err = run(capsys, verb, path, "--nielsen", "x->x^2")
+        assert (code, out) == (2, "")
+        assert err == "error: hint is not an automorphism: abelianized determinant 2\n"
+
+    @pytest.mark.parametrize("hints", [[], ["--nielsen", "x->x y"]])
+    def test_a_recursion_that_cannot_start_keeps_its_output(self, q0, capsys, hints):
+        path, report = q0
+        assert run(capsys, "report", path, *hints) == (0, report, "")
+        assert run(capsys, "fiber-rank", path, *hints) == (2, "", f"error: {Q0_REASON}\n")
 
     def test_report_notes_a_recursion_that_cannot_start(self, workdir, capsys):
         # the second exponent sum is zero: no hint is at fault, so report
@@ -437,6 +471,15 @@ class TestExitCodes:
         code, _, err = run(capsys, "phi", workdir / "comm.grp")
         assert code == 2
         assert "m = 0" in err
+
+    @pytest.mark.parametrize("verb", ["phi", "analyze", "fiber-rank"])
+    def test_shape_violation(self, workdir, capsys, verb):
+        code, out, err = run(capsys, verb, workdir / "A.grp")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: needs a two-generator one-relator presentation, got 1 "
+            "generators and 0 relators\n"
+        )
 
     def test_missing_file(self, workdir, capsys):
         code, _, err = run(capsys, "abelianize", workdir / "nope.grp")

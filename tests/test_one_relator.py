@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from fiberkit import one_relator
 from fiberkit.errors import HintError, HypothesisError
 from fiberkit.one_relator import (
-    _exponent_data,
     analyze,
     descend,
     fiber_rank,
@@ -17,7 +16,7 @@ from fiberkit.one_relator import (
 from fiberkit.presentations import Presentation, ZMap
 from fiberkit.splittings import coset_graph
 from fiberkit.textfmt import parse_word
-from fiberkit.words import Word, cyclic_reduce, exponent_sum, substitute
+from fiberkit.words import Word, cancel_ends, cyclic_reduce, exponent_sum, substitute
 
 from tests_support import (
     parse_hint,
@@ -61,6 +60,24 @@ class TestAnalyze:
         with pytest.raises(HypothesisError, match="cyclically reduced"):
             analyze(w(("x", 1), ("y", 2), ("x", -1)), "x", "y")
 
+    def test_any_rotation_accepted(self):
+        # y x^2 is cyclically reduced but not in canonical rotation
+        data = analyze(w(("y", 1), ("x", 2)), "x", "y")
+        assert (data.p, data.q, data.m, data.a, data.b, data.e) == (2, 1, 1, 2, 1, 2)
+
+    @settings(max_examples=200)
+    @given(st.lists(
+        st.tuples(st.sampled_from("xxxyyyz"), st.integers(-6, 6).filter(bool)),
+        max_size=10,
+    ))
+    def test_every_syllable_rotation_agrees(self, sylls):
+        sylls = cancel_ends(w(*sylls)).syllables
+        outcomes = {
+            exponent_outcome(analyze, Word.of(*(sylls[i:] + sylls[:i])))
+            for i in range(len(sylls))
+        }
+        assert len(outcomes) <= 1
+
 
 def exponent_outcome(data_fn, relator):
     try:
@@ -70,8 +87,8 @@ def exponent_outcome(data_fn, relator):
 
 
 class TestExponentData:
-    """The one-pass ``_exponent_data`` against the reference that makes one
-    pass per quantity, messages included."""
+    """The one pass of ``analyze`` against the reference that makes one pass
+    per quantity, messages included, on cyclically reduced relators."""
 
     @pytest.mark.parametrize("text, message", [
         ("z x^2 w", "relator uses unexpected generators ['w', 'z']"),
@@ -80,8 +97,8 @@ class TestExponentData:
         ("x y z y^-1", "relator uses unexpected generators ['z']"),
     ])
     def test_refusals(self, text, message):
-        relator = parse_word(text, None)
-        assert exponent_outcome(_exponent_data, relator) == message
+        relator = cancel_ends(parse_word(text, None))
+        assert exponent_outcome(analyze, relator) == message
         assert exponent_outcome(reference_exponent_data, relator) == message
 
     @settings(max_examples=300)
@@ -90,8 +107,8 @@ class TestExponentData:
         max_size=10,
     ))
     def test_matches_the_multi_pass_reference(self, sylls):
-        relator = w(*sylls)
-        assert exponent_outcome(_exponent_data, relator) == exponent_outcome(
+        relator = cancel_ends(w(*sylls))
+        assert exponent_outcome(analyze, relator) == exponent_outcome(
             reference_exponent_data, relator
         )
 
@@ -434,8 +451,12 @@ class TestFiberRank:
         assert outcome(fiber_rank) == outcome(reference_fiber_rank)
 
     def test_needs_two_generator_one_relator(self):
-        with pytest.raises(HypothesisError):
+        with pytest.raises(HypothesisError) as info:
             fiber_rank(Presentation(("x",)))
+        assert str(info.value) == (
+            "needs a two-generator one-relator presentation, got 1 generators "
+            "and 0 relators"
+        )
 
 
 def hints_of(*texts):
@@ -529,6 +550,20 @@ class TestHintChecks:
         assert str(info.value) == message
         with pytest.raises(HypothesisError):
             reference_fiber_rank(pres, hints_of(hint))
+
+    @pytest.mark.parametrize("relator", ["x^2", "x y x^-1 y^-1"])
+    def test_leftover_hints_are_checked_where_analyze_stops(self, relator):
+        # q = 0: the loop stops on its first stage; a bad hint is named
+        # before the refusal, a good one leaves the refusal as it is
+        pres = Presentation(("x", "y"), (parse_word(relator, None),))
+        with pytest.raises(HintError, match="abelianized determinant 2"):
+            fiber_rank(pres, hints_of("x->x^2"))
+        with pytest.raises(HypothesisError) as info:
+            fiber_rank(pres, hints_of("x->x y"))
+        assert not isinstance(info.value, HintError)
+        assert "exponent sum in the second generator is zero" in str(info.value)
+        with pytest.raises(HypothesisError, match="not an automorphism"):
+            reference_fiber_rank(pres, hints_of("x->x^2"))
 
     def test_leftover_hints_are_checked_on_the_last_stage(self):
         # x^2 y^2 descends to the base case u y^2: a leftover hint on x

@@ -100,9 +100,9 @@ def reference_reduce_word(syllables):
 
 
 def reference_exponent_data(relator, x, y):
-    """Reference for ``one_relator._exponent_data``: one pass for the extra
-    generators, one per exponent sum and one for the ``x``-exponent gcd,
-    with the same checks, in the same order."""
+    """Reference for the exponent pass of ``one_relator.analyze``: one pass
+    for the extra generators, one per exponent sum and one for the
+    ``x``-exponent gcd, with the same checks, in the same order."""
     extra = relator.generators() - {x, y}
     if extra:
         raise HypothesisError(f"relator uses unexpected generators {sorted(extra)}")
@@ -233,7 +233,8 @@ def reference_fiber_rank(pres, hints=()):
     relator rotated to canonical form by ``cyclic_reduce`` at every stage,
     checked by ``analyze``, and every hint, repeated or not, validated by
     the heap search of ``invert_automorphism`` plus a substitution round
-    trip; the hints left over at the base case are validated too."""
+    trip; the hints left over where the recursion stops, at the base case
+    or on a relator ``analyze`` refuses, are validated too."""
     x, y = pres.generators
 
     def validated(hint):
@@ -258,7 +259,12 @@ def reference_fiber_rank(pres, hints=()):
                 for hint in pending:
                     validated(hint)
                 return (abs(alpha) - 1) * (abs(beta) - 1)
-        data = analyze(relator, x, y)
+        try:
+            data = analyze(relator, x, y)
+        except HypothesisError:
+            for hint in pending:
+                validated(hint)
+            raise
         if data.e > 1:
             new_x = next(name for name in ("u", "v", "w") if name not in (x, y))
             down = Presentation((new_x, y), (descend(relator, data.e, x, y, new_x),))
