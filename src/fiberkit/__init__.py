@@ -25,13 +25,11 @@ from .fox import (
 from .inference import FgConclusions, FgPremises, fg_inference
 from .links import (
     KnotGroupData,
-    LinkData,
     NOT_APPLICABLE,
     StallingsReport,
     cable_fibered,
     cable_group,
     fibered_splice,
-    multiplicity_class,
     splice,
     stallings_report,
 )

@@ -44,8 +44,6 @@ def unknot_data() -> KnotGroupData:
         meridian=Word.gen("u"),
         longitude=Word(),
         phi=ZMap({"u": 1}),
-        irreducible=True,
-        boundary_incompressible=False,
         name="unknot",
     )
 
@@ -69,8 +67,6 @@ def torus_knot_data(p: int, q: int) -> KnotGroupData:
         meridian=meridian,
         longitude=longitude,
         phi=phi,
-        irreducible=True,
-        boundary_incompressible=True,
         name=f"T({p},{q})",
     )
 

@@ -5,6 +5,13 @@ This module is the independent cross-check for the rank machinery: for a
 deficiency-one presentation whose infinite cyclic quotient has finitely
 generated free kernel, the order polynomial is monic with degree equal to
 that kernel rank.  Everything is exact; no floats anywhere.
+
+``alexander_matrix`` specializes the Fox Jacobian in one pass per relator
+and never calls ``GroupRingElement`` or ``fox_derivative``.  Those two stay
+public as the literal Fox calculus that the tests check the specialized
+Jacobian against, and because ``LAYERS`` in ``bench/tracer.py`` names
+``fox_derivative``; moving them into the tests waits for a change to the
+benchmark.
 """
 
 from __future__ import annotations

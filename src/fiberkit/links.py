@@ -1,10 +1,10 @@
 """Group-level splice sums, cables, and fiberedness bookkeeping.
 
 Everything here happens at the level of presentations with distinguished
-peripheral words.  Geometric inputs that the group cannot see, namely
-irreducibility of the exterior and incompressibility of the splicing
-torus, travel as caller-asserted flags; the predicates that need them
-refuse to answer rather than silently assuming them.
+peripheral words.  Geometric hypotheses that the group cannot see, such
+as incompressibility of the splicing tori, are arguments of
+``fibered_splice`` that its caller asserts; without them it refuses to
+answer rather than silently assuming them.
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ from .snf import xgcd
 from .words import Word, concat
 
 __all__ = [
-    "LinkData",
     "KnotGroupData",
-    "multiplicity_class",
     "splice",
     "cable_group",
     "fibered_splice",
@@ -42,92 +40,18 @@ NOT_APPLICABLE = "not applicable"
 
 
 @dataclass(frozen=True)
-class LinkData:
-    """Multilink bookkeeping: oriented components, pairwise linking
-    numbers, and one integer multiplicity per component.
-
-    A component listed with orientation -1 is stored re-oriented, negating
-    its multiplicity and its row and column of the linking matrix, so two
-    descriptions of the same multilink normalize identically.
-    """
-
-    components: tuple[str, ...]
-    linking_matrix: tuple[tuple[int, ...], ...]
-    multiplicities: tuple[int, ...]
-    orientations: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        n = len(self.components)
-        orientations = self.orientations or tuple([1] * n)
-        if len(orientations) != n or len(self.multiplicities) != n:
-            raise ValueError("component, orientation, multiplicity counts differ")
-        if any(o not in (1, -1) for o in orientations):
-            raise ValueError("orientations must be +-1")
-        matrix = [list(row) for row in self.linking_matrix]
-        if len(matrix) != n or any(len(row) != n for row in matrix):
-            raise ValueError("linking matrix must be n x n")
-        for i in range(n):
-            for j in range(n):
-                if i != j and matrix[i][j] != matrix[j][i]:
-                    raise ValueError("linking matrix must be symmetric")
-        mults = list(self.multiplicities)
-        for i, o in enumerate(orientations):
-            if o == -1:
-                mults[i] = -mults[i]
-                for j in range(n):
-                    matrix[i][j] = -matrix[i][j]
-                    matrix[j][i] = -matrix[j][i]
-        object.__setattr__(self, "orientations", tuple([1] * n))
-        object.__setattr__(self, "multiplicities", tuple(mults))
-        object.__setattr__(
-            self, "linking_matrix", tuple(tuple(row) for row in matrix)
-        )
-
-    def index_of(self, component: str) -> int:
-        return self.components.index(component)
-
-
-def multiplicity_class(link: LinkData, cycle: dict[tuple[str, str], int]) -> int:
-    """Evaluate the multiplicity class on a 1-cycle.
-
-    The cycle is an integer combination of meridians ``("M", name)`` and
-    components ``("S", name)``.  A meridian of component i evaluates to its
-    multiplicity; a component evaluates through its linking numbers with
-    everything else.  Linear in both the cycle and the multiplicities.
-    """
-    total = 0
-    for (kind, name), coeff in cycle.items():
-        i = link.index_of(name)
-        if kind == "M":
-            total += coeff * link.multiplicities[i]
-        elif kind == "S":
-            total += coeff * sum(
-                link.multiplicities[j] * link.linking_matrix[i][j]
-                for j in range(len(link.components))
-                if j != i
-            )
-        else:
-            raise ValueError(f"cycle basis element kind {kind!r} unknown")
-    return total
-
-
-@dataclass(frozen=True)
 class KnotGroupData:
     """A knot exterior group with its peripheral words and class to Z.
 
     The empty word is a legitimate longitude (an unknot bounds a disk);
     None means the peripheral word is genuinely missing, which blocks
-    splicing and cabling.  ``irreducible`` and ``boundary_incompressible``
-    are assertions supplied by the caller about the underlying space;
-    nothing here computes them.
+    splicing and cabling.
     """
 
     presentation: Presentation
     meridian: Word | None
     longitude: Word | None
     phi: ZMap
-    irreducible: bool = False
-    boundary_incompressible: bool = False
     name: str = "K"
 
     def __post_init__(self):
@@ -272,8 +196,6 @@ def cable_group(knot: KnotGroupData, p: int, q: int) -> KnotGroupData:
         meridian=new_meridian,
         longitude=new_longitude,
         phi=phi,
-        irreducible=knot.irreducible,
-        boundary_incompressible=knot.boundary_incompressible,
         name=f"{knot.name}({p},{q})",
     )
 

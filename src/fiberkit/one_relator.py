@@ -13,6 +13,12 @@ comes straight out of the coset graph of the obvious cyclic-edge amalgam.
 nor a descent applies, it consumes a caller-supplied basis change of the
 free group (a Nielsen move) and retries, and reports unknown once the hints
 run out.
+
+``invert_automorphism`` with its helpers ``_compose`` and
+``_signed_basis_fix`` is not on that path: it is the heap-search oracle the
+tests check ``validate_automorphism`` against, and ``LAYERS`` in
+``bench/tracer.py`` names it, so moving it into the tests waits for a
+change to the benchmark.
 """
 
 from __future__ import annotations

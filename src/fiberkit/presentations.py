@@ -2,8 +2,7 @@
 
 The abelianization is computed from the Smith normal form of the relator
 exponent matrix (rows = relators, columns = generators in declaration
-order), keeping the unimodular basis-change pair so the diagonalization can
-be replayed exactly.
+order).
 """
 
 from __future__ import annotations
@@ -70,16 +69,13 @@ class Presentation:
 class AbelianizationResult:
     """Outcome of diagonalizing the relator exponent matrix.
 
-    ``torsion_coefficients`` are the diagonal entries >= 2 in divisor order,
-    ``free_rank`` counts the generators not consumed by a nonzero diagonal
-    entry, and ``left @ matrix @ right`` reproduces ``diagonal`` exactly.
+    ``torsion_coefficients`` are the diagonal entries >= 2 in divisor order
+    and ``free_rank`` counts the generators not consumed by a nonzero
+    diagonal entry.
     """
 
     torsion_coefficients: tuple[int, ...]
     free_rank: int
-    diagonal: tuple[int, ...]
-    left: tuple[tuple[int, ...], ...]
-    right: tuple[tuple[int, ...], ...]
 
     @property
     def is_trivial(self) -> bool:
@@ -105,17 +101,12 @@ def abelianize(pres: Presentation) -> AbelianizationResult:
     """
     n = len(pres.generators)
     matrix = pres.exponent_matrix()
-    left, diag_mat, right = smith_normal_form(matrix, ncols=n)
-    diag = tuple(
-        diag_mat[i][i] for i in range(min(len(matrix), n))
-    )
+    _, diag_mat, _ = smith_normal_form(matrix, ncols=n)
+    diag = [diag_mat[i][i] for i in range(min(len(matrix), n))]
     rank = sum(1 for d in diag if d != 0)
     return AbelianizationResult(
         torsion_coefficients=tuple(d for d in diag if d >= 2),
         free_rank=n - rank,
-        diagonal=diag,
-        left=tuple(tuple(row) for row in left),
-        right=tuple(tuple(row) for row in right),
     )
 
 

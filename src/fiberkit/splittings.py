@@ -154,22 +154,16 @@ class CosetGraph:
     Vertices are NA-coset residues (and NB-coset residues for an amalgam);
     edges are NC-coset residues.  Edge ``k`` joins ``A(k mod a)`` to
     ``B(k mod b)`` in the amalgam case and ``A(k mod a)`` to
-    ``A(k + step mod a)`` in the HNN case.
+    ``A(k + step mod a)`` in the HNN case, where ``step`` is the stable
+    letter's phi-value (None for an amalgam).
     """
 
     kind: str
     a_idx: int
     b_idx: int | None
     c_idx: int
-    edges: tuple[tuple[int, tuple[str, int], tuple[str, int]], ...]
+    step: int | None
     euler_characteristic: int
-
-    @property
-    def vertices(self) -> tuple[tuple[str, int], ...]:
-        verts = [("A", i) for i in range(self.a_idx)]
-        if self.kind == AMALGAM:
-            verts += [("B", j) for j in range(self.b_idx)]
-        return tuple(verts)
 
     @property
     def vertex_count(self) -> int:
@@ -177,25 +171,19 @@ class CosetGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return self.c_idx
 
-    def is_connected(self) -> bool:
-        verts = set(self.vertices)
-        if not verts:
-            return True
-        adjacency: dict[tuple[str, int], set] = {v: set() for v in verts}
-        for _, u, v in self.edges:
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-        seen = set()
-        stack = [next(iter(verts))]
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(adjacency[v] - seen)
-        return seen == verts
+    @property
+    def edges(self) -> tuple[tuple[int, tuple[str, int], tuple[str, int]], ...]:
+        """Every edge as ``(k, end, end)``, built on each read."""
+        a = self.a_idx
+        if self.kind == AMALGAM:
+            return tuple(
+                (k, ("A", k % a), ("B", k % self.b_idx)) for k in range(self.c_idx)
+            )
+        return tuple(
+            (k, ("A", k % a), ("A", (k + self.step) % a)) for k in range(self.c_idx)
+        )
 
 
 def coset_graph(split: Splitting, phi: ZMap) -> CosetGraph:
@@ -207,25 +195,21 @@ def coset_graph(split: Splitting, phi: ZMap) -> CosetGraph:
             "unless it lies in a factor"
         )
     a_idx, c_idx = int(a_idx), int(c_idx)
+    # c is a multiple of lcm(a, b) (of a for HNN), so the edges join every
+    # pair of residues that agree mod gcd(a, b) (mod gcd(a, step)): the
+    # graph is connected exactly when that gcd is 1
     if split.kind == AMALGAM:
-        b_idx = int(b_idx)
-        edges = tuple(
-            (k, ("A", k % a_idx), ("B", k % b_idx)) for k in range(c_idx)
-        )
+        b_idx, step = int(b_idx), None
+        linked = gcd(a_idx, b_idx)
         chi = a_idx + b_idx - c_idx
     else:
         step = phi(Word.gen(split.stable_letter))
-        edges = tuple(
-            (k, ("A", k % a_idx), ("A", (k + step) % a_idx))
-            for k in range(c_idx)
-        )
-        b_idx = None
+        linked = gcd(a_idx, step)
         chi = a_idx - c_idx
-    graph = CosetGraph(split.kind, a_idx, b_idx, c_idx, edges, chi)
-    if not graph.is_connected():
+    if linked != 1:
         # cannot happen once phi is surjective: the factor images generate Z
         raise RuntimeError("coset graph fell apart; phi was not normalized")
-    return graph
+    return CosetGraph(split.kind, a_idx, b_idx, c_idx, step, chi)
 
 
 def free_kernel_rank(

@@ -126,18 +126,20 @@ def _lines(text: str, source: str):
             yield f"{source}:{lineno}", line
 
 
-def _split_phi(args: str) -> dict[str, int]:
+def _split_phi(args: str, where: str) -> dict[str, int]:
     values = {}
     for item in args.split():
         if "=" not in item:
-            raise ParseError(f"bad phi assignment {item!r}")
+            raise ParseError(f"{where}: bad phi assignment {item!r}")
         gen, _, value = item.partition("=")
+        if gen in values:
+            raise ParseError(f"{where}: phi names generator {gen!r} twice")
         try:
             values[gen] = int(value)
         except ValueError:
-            raise ParseError(f"bad phi value in {item!r}") from None
+            raise ParseError(f"{where}: bad phi value in {item!r}") from None
     if not values:
-        raise ParseError("empty phi line")
+        raise ParseError(f"{where}: empty phi line")
     return values
 
 
@@ -201,7 +203,7 @@ def parse_group_text(text: str, source: str = "<string>") -> GroupFile:
         elif keyword == "phi":
             if phi_values is not None:
                 raise ParseError(f"{where}: repeated phi line")
-            phi_values = _split_phi(args)
+            phi_values = _split_phi(args, where)
         elif keyword == "peripheral":
             if meridian_text is not None:
                 raise ParseError(f"{where}: repeated peripheral line")
@@ -263,6 +265,8 @@ def _split_assignments(args: str, keys: tuple[str, ...], where: str) -> dict[str
         key, eq, value = item.partition("=")
         if not eq or key not in keys:
             raise ParseError(f"{where}: expected {'/'.join(keys)} assignments")
+        if key in values:
+            raise ParseError(f"{where}: repeated {key}=...")
         values[key] = value
     missing = [k for k in keys if k not in values]
     if missing:
@@ -305,7 +309,7 @@ def parse_splitting_file(path: str | Path) -> tuple[Splitting, ZMap | None]:
         elif keyword == "phi":
             if phi_values is not None:
                 raise ParseError(f"{where}: repeated phi line")
-            phi_values = _split_phi(args)
+            phi_values = _split_phi(args, where)
         else:
             raise ParseError(f"{where}: unknown keyword {keyword!r}")
 
@@ -340,21 +344,27 @@ def parse_premise_file(path: str | Path) -> tuple[str, FgPremises, bool]:
     nontriviality assertion A != C != B defaults to yes."""
     path = Path(path)
     kind = None
-    nontrivial = True
+    nontrivial = None
     assignments = {}
     for where, line in _lines(_read(path), str(path)):
         parts = line.split()
         if parts[0] == "kind" and len(parts) == 2:
+            if kind is not None:
+                raise ParseError(f"{where}: repeated kind line")
             kind = parts[1]
         elif parts[0] == "nontrivial" and len(parts) == 2:
+            if nontrivial is not None:
+                raise ParseError(f"{where}: repeated nontrivial line")
             nontrivial = _yes_no(parts[1], f"{where}: nontrivial")
         elif parts[0] == "premise" and len(parts) == 3:
             flag, value = parts[1], parts[2]
             if flag not in FLAG_NAMES:
                 raise ParseError(f"{where}: unknown flag {flag!r}")
+            if flag in assignments:
+                raise ParseError(f"{where}: repeated premise {flag!r}")
             assignments[flag] = _yes_no(value, f"{where}: flag value")
         else:
             raise ParseError(f"{where}: unknown line {line!r}")
     if kind not in (AMALGAM, HNN):
         raise ParseError(f"{path}: needs a line 'kind amalgam' or 'kind hnn'")
-    return kind, FgPremises(**assignments), nontrivial
+    return kind, FgPremises(**assignments), nontrivial is not False

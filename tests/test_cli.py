@@ -262,7 +262,19 @@ def scrambled(tmp_path_factory):
 
 class TestAdversarialSizes:
     """Relators of about 10^5 letters run through the rank recursion in
-    bounded time; no timing bound is asserted."""
+    bounded time, with no timing bound asserted; a coset graph of a million
+    edges gets its rank in under a second."""
+
+    def test_rank_of_huge_coset_graph(self, workdir, capsys):
+        (workdir / "big.spl").write_text(
+            "amalgam A=A.grp B=B.grp\nedge inA=x^1000 inB=y^1001\nphi x=1001 y=1000\n",
+            encoding="utf-8",
+        )
+        started = perf_counter()
+        code, out, _ = run(capsys, "rank", workdir / "big.spl")
+        assert perf_counter() - started < 1.0
+        assert code == 0
+        assert out == "chi = -998999\nrank = 999000\n"
 
     def test_fiber_rank(self, scrambled, capsys):
         directory, nielsen, rank = scrambled
@@ -458,6 +470,21 @@ class TestInferVerb:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("name, text, verb, message", [
+        ("p.inf", "kind amalgam\npremise n_fg yes\npremise n_fg no\n", "infer",
+         "3: repeated premise 'n_fg'"),
+        ("s.spl", "amalgam A=A.grp A=B.grp B=B.grp\nedge inA=x^2 inB=y^3\n", "graph",
+         "1: repeated A=..."),
+        ("s.spl", "amalgam A=A.grp B=B.grp\nedge inA=x^2 inB=y^3\nphi x=3 y=2 x=5\n", "rank",
+         "3: phi names generator 'x' twice"),
+        ("g.grp", "gen x y\nrel x^2 y^-3\nphi x=3 y=2 x=5\n", "phi",
+         "3: phi names generator 'x' twice"),
+    ], ids=["premise", "splitting-key", "splitting-phi", "group-phi"])
+    def test_repeated_key_is_a_parse_error(self, workdir, capsys, name, text, verb, message):
+        # the last value used to win: infer printed n_fg = no and exited 0
+        (workdir / name).write_text(text, encoding="utf-8")
+        assert run(capsys, verb, workdir / name) == (1, "", f"error: {workdir / name}:{message}\n")
+
     def test_parse_error(self, workdir, capsys):
         (workdir / "bad.grp").write_text("gen x\nrel x^0\n", encoding="utf-8")
         code, _, err = run(capsys, "abelianize", workdir / "bad.grp")

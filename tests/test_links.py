@@ -11,12 +11,10 @@ from fiberkit.errors import HypothesisError
 from fiberkit.fox import alexander_poly, monic_degree_check
 from fiberkit.links import (
     KnotGroupData,
-    LinkData,
     NOT_APPLICABLE,
     cable_fibered,
     cable_group,
     fibered_splice,
-    multiplicity_class,
     splice,
     stallings_report,
 )
@@ -37,47 +35,6 @@ def zero_class(data: KnotGroupData) -> KnotGroupData:
         phi=ZMap({g: 0 for g in data.presentation.generators}),
         name=data.name,
     )
-
-
-HOPF = LinkData(
-    components=("S1", "S2"),
-    linking_matrix=((0, 1), (1, 0)),
-    multiplicities=(5, 7),
-)
-
-
-class TestLinkData:
-    def test_meridian_classes_are_multiplicities(self):
-        assert multiplicity_class(HOPF, {("M", "S1"): 1}) == 5
-        assert multiplicity_class(HOPF, {("M", "S2"): 1}) == 7
-
-    def test_component_class_through_linking(self):
-        assert multiplicity_class(HOPF, {("S", "S1"): 1}) == 7
-        assert multiplicity_class(HOPF, {("S", "S2"): 1}) == 5
-
-    def test_zero_multiplicities(self):
-        link = LinkData(("S1", "S2"), ((0, 3), (3, 0)), (0, 0))
-        assert multiplicity_class(link, {("S", "S1"): 1, ("M", "S2"): 4}) == 0
-
-    def test_linear_in_cycle(self):
-        cycle = {("M", "S1"): 2, ("S", "S2"): -3}
-        assert multiplicity_class(HOPF, cycle) == 2 * 5 - 3 * 5
-
-    def test_reversal_normalization(self):
-        reversed_first = LinkData(
-            components=("S1", "S2"),
-            linking_matrix=((0, 1), (1, 0)),
-            multiplicities=(5, 7),
-            orientations=(-1, 1),
-        )
-        assert reversed_first.multiplicities == (-5, 7)
-        assert reversed_first.linking_matrix == ((0, -1), (-1, 0))
-        # reversing twice restores everything except orientation bookkeeping
-        assert multiplicity_class(reversed_first, {("M", "S1"): 1}) == -5
-
-    def test_asymmetric_matrix_rejected(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            LinkData(("a", "b"), ((0, 1), (2, 0)), (0, 0))
 
 
 class TestSplice:

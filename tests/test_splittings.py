@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -8,12 +9,14 @@ from fiberkit.presentations import Presentation, ZMap
 from fiberkit.splittings import (
     AMALGAM,
     HNN,
+    CosetGraph,
     Splitting,
     coset_graph,
     free_kernel_rank,
     kernel_indices,
 )
 from fiberkit.words import Word
+from tests_support import is_connected, random_realizable_splitting
 
 
 def torus_splitting(p, q):
@@ -128,7 +131,7 @@ class TestCosetGraph:
             (4, ("A", 1), ("B", 0)),
             (5, ("A", 2), ("B", 1)),
         )
-        assert graph.is_connected()
+        assert is_connected(graph)
 
     def test_tree_case(self):
         split = torus_splitting(1, 1)
@@ -229,14 +232,42 @@ class TestFreeKernelRank:
             assert rank == 1 - graph.euler_characteristic
 
 
-from tests_support import random_realizable_splitting
-
-
 class TestRandomGraphs:
     def test_connectivity_sample(self):
         rng = random.Random(11)
         for _ in range(200):
             split, phi = random_realizable_splitting(rng)
             graph = coset_graph(split, phi)
-            assert graph.is_connected()
+            assert is_connected(graph)
             assert graph.euler_characteristic == graph.vertex_count - graph.edge_count
+
+    def test_gcd_criterion_matches_the_search(self):
+        # disconnected graphs included: they are built directly, since
+        # coset_graph refuses them
+        rng = random.Random(12)
+        for _ in range(300):
+            a = rng.randint(1, 12)
+            if rng.random() < 0.5:
+                b = rng.randint(1, 12)
+                c = math.lcm(a, b) * rng.randint(1, 3)
+                graph = CosetGraph(AMALGAM, a, b, c, None, a + b - c)
+                assert is_connected(graph) == (math.gcd(a, b) == 1)
+            else:
+                step = rng.randint(-15, 15)
+                c = a * rng.randint(1, 3)
+                graph = CosetGraph(HNN, a, None, c, step, a - c)
+                assert is_connected(graph) == (math.gcd(a, step) == 1)
+            assert len(graph.edges) == graph.edge_count
+
+
+class TestAdversarialSizes:
+    def test_huge_coprime_exponents(self):
+        # x^1000 = y^1001: a million edges that coset_graph never lists
+        started = time.perf_counter()
+        split = torus_splitting(1000, 1001)
+        graph = coset_graph(split, ZMap({"x": 1001, "y": 1000}))
+        rank = free_kernel_rank(AMALGAM, graph.a_idx, graph.b_idx, graph.c_idx, 0, 0)
+        assert time.perf_counter() - started < 1.0
+        assert (graph.a_idx, graph.b_idx, graph.c_idx) == (1001, 1000, 1001000)
+        assert graph.euler_characteristic == -998999
+        assert rank == 999000

@@ -8,6 +8,7 @@ from fiberkit.textfmt import (
     format_group,
     parse_group_file,
     parse_group_text,
+    parse_premise_file,
     parse_splitting_file,
     parse_word,
 )
@@ -111,6 +112,11 @@ class TestGroupFiles:
         with pytest.raises(ParseError, match="misses"):
             parse_group_text("gen x y\nphi x=1\n")
 
+    def test_phi_generator_named_twice(self):
+        with pytest.raises(ParseError) as info:
+            parse_group_text("gen x y\nphi x=3 y=2 x=5\n", source="f")
+        assert str(info.value) == "f:2: phi names generator 'x' twice"
+
     def test_relator_error_carries_line(self):
         with pytest.raises(ParseError, match=":3:"):
             parse_group_text("group g\ngen x\nrel x^0\n", source="f")
@@ -212,3 +218,48 @@ class TestSplittingFiles:
         path = self.write(tmp_path, "t.spl", "edge inA=x inB=y\n")
         with pytest.raises(ParseError, match="before"):
             parse_splitting_file(path)
+
+    def test_phi_generator_named_twice(self, tmp_path):
+        self.write(tmp_path, "A.grp", "group A\ngen x\n")
+        self.write(tmp_path, "B.grp", "group B\ngen y\n")
+        path = self.write(
+            tmp_path, "t.spl", "amalgam A=A.grp B=B.grp\nedge inA=x^2 inB=y^3\nphi x=3 y=2 x=5\n"
+        )
+        with pytest.raises(ParseError) as info:
+            parse_splitting_file(path)
+        assert str(info.value) == f"{path}:3: phi names generator 'x' twice"
+
+    @pytest.mark.parametrize("line, key", [
+        ("amalgam A=A.grp A=B.grp B=B.grp", "A"),
+        ("amalgam A=A.grp B=B.grp B=A.grp", "B"),
+        ("hnn A=A.grp stable=t stable=s", "stable"),
+    ])
+    def test_splitting_key_given_twice(self, tmp_path, line, key):
+        self.write(tmp_path, "A.grp", "group A\ngen x\n")
+        self.write(tmp_path, "B.grp", "group B\ngen y\n")
+        path = self.write(tmp_path, "t.spl", f"# twice\n{line}\n")
+        with pytest.raises(ParseError) as info:
+            parse_splitting_file(path)
+        assert str(info.value) == f"{path}:2: repeated {key}=..."
+
+
+class TestPremiseFiles:
+    def test_nontrivial_defaults_to_yes(self, tmp_path):
+        path = tmp_path / "p.inf"
+        path.write_text("kind hnn\npremise n_fg yes\n", encoding="utf-8")
+        kind, premises, nontrivial = parse_premise_file(path)
+        assert (kind, premises.n_fg, nontrivial) == ("hnn", True, True)
+
+    @pytest.mark.parametrize("second, message", [
+        ("kind hnn", "repeated kind line"),
+        ("nontrivial no", "repeated nontrivial line"),
+        ("premise n_fg no", "repeated premise 'n_fg'"),
+    ])
+    def test_repeated_key(self, tmp_path, second, message):
+        path = tmp_path / "p.inf"
+        path.write_text(
+            f"kind amalgam\nnontrivial yes\npremise n_fg yes\n{second}\n", encoding="utf-8"
+        )
+        with pytest.raises(ParseError) as info:
+            parse_premise_file(path)
+        assert str(info.value) == f"{path}:4: {message}"

@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the code paths they check: the torus
 closed form is divided out by sympy, never by ``LaurentPoly.exact_div``,
 the rational-function reference below never touches the Fox machinery,
-the rotation reference compares every letter rotation in full, the rank
+the rotation reference compares every letter rotation in full, the
+connectivity reference walks the explicit coset graph edges, the rank
 recursion reference rotates to canonical form at every stage and checks
 every hint by heap search, the Alexander reference takes sympy
 determinants of Fox derivatives read off the letters, the word parser
@@ -348,6 +349,33 @@ def torus_alexander_closed_form(p, q):
     assert remainder.is_zero
     coeffs = {e: int(c) for (e,), c in quotient.terms()}
     return LaurentPoly.from_dict(coeffs).normalize()
+
+
+def vertices(graph):
+    """Every vertex of a coset graph: the A residues, then the B residues."""
+    verts = [("A", i) for i in range(graph.a_idx)]
+    if graph.kind == AMALGAM:
+        verts += [("B", j) for j in range(graph.b_idx)]
+    return tuple(verts)
+
+
+def is_connected(graph):
+    """Depth-first search over the explicit edges of a coset graph, the
+    oracle for the gcd test ``coset_graph`` makes instead."""
+    verts = set(vertices(graph))
+    adjacency = {v: set() for v in verts}
+    for _, u, v in graph.edges:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    seen = set()
+    stack = [next(iter(verts))]
+    while stack:
+        v = stack.pop()
+        if v in seen:
+            continue
+        seen.add(v)
+        stack.extend(adjacency[v] - seen)
+    return seen == verts
 
 
 def random_realizable_splitting(rng):
