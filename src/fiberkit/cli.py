@@ -6,14 +6,20 @@ are declared once, in ``_VERBS``.  A verb named first on the command line
 gets its own parser, ``fiberkit <verb>``, which reads the rest of the line
 exactly as that verb's subparser in the full tree would; any other first
 word (none, ``-h``, a typo, ``--``) gets the full tree, and so do leftover
-arguments, whose error shows every verb on its usage line.  ``main`` maps
-the toolkit's errors onto exit codes: 0 on success, 1 on parse errors, 2
-on hypothesis violations, 3 on inference contradictions.
+arguments, whose error shows every verb on its usage line.  A verb's own
+parser is built once per process and reused by every later ``main`` call
+that names it, so callers that run ``main`` many times in one process
+(tests, scripts, the benchmark) no longer rebuild it; a one-shot ``python
+-m fiberkit.cli`` builds one parser either way.  The full tree is built
+afresh whenever it is needed.  ``main`` maps the toolkit's errors onto exit
+codes: 0 on success, 1 on parse errors, 2 on hypothesis violations, 3 on
+inference contradictions.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import corpus
@@ -258,6 +264,18 @@ def _add_verb(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentPa
     return parser
 
 
+@functools.cache
+def _verb_parser(name: str) -> argparse.ArgumentParser:
+    """Verb ``name``'s own parser, built on its first use in a process.
+
+    Reuse is safe: parsing leaves a parser as it was (``append`` copies its
+    ``[]`` default before adding to it), and help is laid out afresh for
+    ``COLUMNS`` on each call.
+    """
+    # the full tree would name this subparser "fiberkit <verb>"
+    return _add_verb(argparse.ArgumentParser(prog=f"fiberkit {name}"), name)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     """The full tree: a subparser for each verb."""
     parser = argparse.ArgumentParser(
@@ -275,10 +293,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     extras = True
     if argv and argv[0] in _VERBS:
-        # the full tree would name this subparser "fiberkit <verb>" and hand
-        # it every later string, "--" included
-        verb = argparse.ArgumentParser(prog=f"fiberkit {argv[0]}")
-        args, extras = _add_verb(verb, argv[0]).parse_known_args(argv[1:])
+        # the full tree would hand the verb's subparser every later string,
+        # "--" included
+        args, extras = _verb_parser(argv[0]).parse_known_args(argv[1:])
     if extras:
         # the full tree reports leftovers, with every verb on its usage line
         args = _build_parser().parse_args(argv)

@@ -242,9 +242,10 @@ def fox_derivative(word: Word, gen: str) -> GroupRingElement:
 # Alexander polynomial
 
 def alexander_matrix(
-    pres: Presentation, phi: ZMap
+    pres: Presentation, phi: ZMap, *, omit: str | None = None
 ) -> list[list[LaurentPoly]]:
-    """Specialized Fox Jacobian: one row per relator, one column per generator.
+    """Specialized Fox Jacobian: one row per relator, one column per generator
+    other than ``omit``.
 
     Entry ``(r, g)`` equals ``fox_derivative(r, g).specialize(phi)``, built
     in one pass over the syllables of ``r`` that carries ``h``, the phi-value
@@ -252,16 +253,21 @@ def alexander_matrix(
     ``v = phi(g)`` adds ``t^h + t^(h+v) + ... + t^(h+(e-1)v)`` to column
     ``g`` when ``e > 0`` and ``-(t^(h-v) + ... + t^(h+ev))`` when ``e < 0``;
     when ``v == 0`` both collapse to ``e t^h``, so a huge exponent on a
-    generator of value 0 costs O(1).  Then ``h`` advances by ``e v``.
+    generator of value 0 costs O(1).  Then ``h`` advances by ``e v``; over
+    the syllables of ``omit`` it only advances, so they cost O(1) too.
     """
-    column = {g: j for j, g in enumerate(pres.generators)}
+    kept = [g for g in pres.generators if g != omit]
+    column = {g: j for j, g in enumerate(kept)}
     values = {g: phi(Word.gen(g)) for g in pres.generators}
     matrix = []
     for relator in pres.relators:
-        entries: list[dict[int, int]] = [{} for _ in pres.generators]
+        entries: list[dict[int, int]] = [{} for _ in kept]
         h = 0
         for g, e in relator.syllables:
             v = values[g]
+            if g == omit:
+                h += e * v
+                continue
             acc = entries[column[g]]
             if v == 0:
                 acc[h] = acc.get(h, 0) + e
@@ -319,15 +325,9 @@ def alexander_poly(pres: Presentation, phi: ZMap) -> LaurentPoly:
     if k < n - 1:
         return LaurentPoly()
 
-    deleted = next(
-        j for j, g in enumerate(pres.generators) if phi.values[g] != 0
-    )
-    matrix = alexander_matrix(pres, phi)
-    reduced = [
-        [row[j] for j in range(n) if j != deleted] for row in matrix
-    ]
-    det = _det(reduced)
-    weight = phi.values[pres.generators[deleted]]
+    deleted = next(g for g in pres.generators if phi.values[g] != 0)
+    det = _det(alexander_matrix(pres, phi, omit=deleted))
+    weight = phi.values[deleted]
     t_minus_1 = LaurentPoly.from_dict({1: 1, 0: -1})
     compensation = LaurentPoly.from_dict({weight: 1, 0: -1})
     return (det * t_minus_1).exact_div(compensation).normalize()

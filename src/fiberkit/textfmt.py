@@ -26,7 +26,7 @@ Premise files feed the finite-generation inference::
     premise n_fg yes
 
 Blank lines and ``#`` comments are ignored; unknown keywords are parse
-errors.  Every file is read and written here, and a file that cannot be
+errors, and an error in a line names it as ``<file>:<line>:``.  Every file is read and written here, and a file that cannot be
 read or is not UTF-8, or a path that cannot be written, is a parse error
 too.
 """
@@ -143,42 +143,50 @@ def _split_phi(args: str, where: str) -> dict[str, int]:
     return values
 
 
-def _phi_map(values: dict[str, int] | None, generators, source: str) -> ZMap | None:
-    """The class of a phi line, which must name exactly the declared
-    generators; None when the file has no phi line."""
-    if values is None:
+def _phi_map(phi_line: tuple[str, dict[str, int]] | None, generators) -> ZMap | None:
+    """The class of a ``(where, values)`` phi line, which must name exactly
+    the declared generators; None when the file has no phi line."""
+    if phi_line is None:
         return None
+    where, values = phi_line
     for g in values:
         if g not in generators:
-            raise ParseError(f"{source}: phi names undeclared generator {g!r}")
+            raise ParseError(f"{where}: phi names undeclared generator {g!r}")
     for g in generators:
         if g not in values:
-            raise ParseError(f"{source}: phi misses generator {g!r}")
+            raise ParseError(f"{where}: phi misses generator {g!r}")
     return ZMap(values)
 
 
-def _split_keyed_words(args: str, keys: tuple[str, str]) -> tuple[str, str]:
+def _split_keyed_words(args: str, keys: tuple[str, str], where: str) -> tuple[str, str]:
     """Split e.g. ``meridian=x y^-1 longitude=x^2`` into the two word
     strings; word tokens may contain spaces, so we cut at the second key."""
     first_key, second_key = keys
     prefix = first_key + "="
     marker = second_key + "="
     if not args.startswith(prefix):
-        raise ParseError(f"expected {prefix!r} first")
+        raise ParseError(f"{where}: expected {prefix!r} first")
     rest = args[len(prefix):]
     pieces = rest.split(marker)
     if len(pieces) != 2:
-        raise ParseError(f"expected exactly one {marker!r}")
+        raise ParseError(f"{where}: expected exactly one {marker!r}")
     return pieces[0].strip(), pieces[1].strip()
+
+
+def _line_words(where: str, generators, *texts: str) -> list[Word]:
+    """Parse the words of the file line at ``where``, naming it in any error."""
+    try:
+        return [parse_word(text, generators) for text in texts]
+    except ParseError as exc:
+        raise ParseError(f"{where}: {exc}") from None
 
 
 def parse_group_text(text: str, source: str = "<string>") -> GroupFile:
     name = None
     generators: list[str] = []
     relator_lines: list[tuple[str, str]] = []
-    phi_values = None
-    meridian_text = None
-    longitude_text = None
+    phi_line = None
+    peripheral_line = None
 
     for where, line in _lines(text, source):
         keyword, _, args = line.partition(" ")
@@ -201,14 +209,14 @@ def parse_group_text(text: str, source: str = "<string>") -> GroupFile:
         elif keyword == "rel":
             relator_lines.append((where, args))
         elif keyword == "phi":
-            if phi_values is not None:
+            if phi_line is not None:
                 raise ParseError(f"{where}: repeated phi line")
-            phi_values = _split_phi(args, where)
+            phi_line = where, _split_phi(args, where)
         elif keyword == "peripheral":
-            if meridian_text is not None:
+            if peripheral_line is not None:
                 raise ParseError(f"{where}: repeated peripheral line")
-            meridian_text, longitude_text = _split_keyed_words(
-                args, ("meridian", "longitude")
+            peripheral_line = where, _split_keyed_words(
+                args, ("meridian", "longitude"), where
             )
         else:
             raise ParseError(f"{where}: unknown keyword {keyword!r}")
@@ -217,17 +225,14 @@ def parse_group_text(text: str, source: str = "<string>") -> GroupFile:
         raise ParseError(f"{source}: no generators declared")
     relators = []
     for where, args in relator_lines:
-        try:
-            relators.append(parse_word(args, generators))
-        except ParseError as exc:
-            raise ParseError(f"{where}: {exc}") from None
+        relators += _line_words(where, generators, args)
     pres = Presentation(tuple(generators), tuple(relators))
-    phi = _phi_map(phi_values, generators, source)
+    phi = _phi_map(phi_line, generators)
 
     meridian = longitude = None
-    if meridian_text is not None:
-        meridian = parse_word(meridian_text, generators)
-        longitude = parse_word(longitude_text, generators)
+    if peripheral_line is not None:
+        where, texts = peripheral_line
+        meridian, longitude = _line_words(where, generators, *texts)
 
     return GroupFile(
         name=name or "G",
@@ -280,9 +285,8 @@ def parse_splitting_file(path: str | Path) -> tuple[Splitting, ZMap | None]:
     kind = None
     factor_a = factor_b = None
     stable = None
-    edges_a: list[str] = []
-    edges_b: list[str] = []
-    phi_values = None
+    edge_lines: list[tuple[str, str, str]] = []
+    phi_line = None
 
     for where, line in _lines(_read(path), str(path)):
         keyword, _, args = line.partition(" ")
@@ -303,13 +307,11 @@ def parse_splitting_file(path: str | Path) -> tuple[Splitting, ZMap | None]:
             keys = ("inA", "inB") if kind == AMALGAM else ("inC", "inD")
             if kind is None:
                 raise ParseError(f"{where}: edge before the splitting line")
-            wa, wb = _split_keyed_words(args, keys)
-            edges_a.append(wa)
-            edges_b.append(wb)
+            edge_lines.append((where, *_split_keyed_words(args, keys, where)))
         elif keyword == "phi":
-            if phi_values is not None:
+            if phi_line is not None:
                 raise ParseError(f"{where}: repeated phi line")
-            phi_values = _split_phi(args, where)
+            phi_line = where, _split_phi(args, where)
         else:
             raise ParseError(f"{where}: unknown keyword {keyword!r}")
 
@@ -319,18 +321,19 @@ def parse_splitting_file(path: str | Path) -> tuple[Splitting, ZMap | None]:
     gens_a = factor_a.generators
     gens_b = factor_b.generators if kind == AMALGAM else gens_a
     all_gens = gens_a + (gens_b if kind == AMALGAM else (stable,))
+    edges_a: list[Word] = []
+    edges_b: list[Word] = []
+    for where, wa, wb in edge_lines:
+        edges_a += _line_words(where, gens_a, wa)
+        edges_b += _line_words(where, gens_b, wb)
     try:
         split = Splitting(
-            kind,
-            factor_a,
-            factor_b,
-            tuple(parse_word(w, gens_a) for w in edges_a),
-            tuple(parse_word(w, gens_b) for w in edges_b),
+            kind, factor_a, factor_b, tuple(edges_a), tuple(edges_b),
             stable_letter=stable,
         )
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    return split, _phi_map(phi_values, all_gens, str(path))
+    return split, _phi_map(phi_line, all_gens)
 
 
 def _yes_no(value: str, what: str) -> bool:

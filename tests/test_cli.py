@@ -263,7 +263,39 @@ def scrambled(tmp_path_factory):
 class TestAdversarialSizes:
     """Relators of about 10^5 letters run through the rank recursion in
     bounded time, with no timing bound asserted; a coset graph of a million
-    edges gets its rank in under a second."""
+    edges gets its rank, and a relator whose omitted Jacobian column would
+    hold 2 * 10^9 terms its order polynomial, in under a second."""
+
+    @pytest.fixture
+    def conjugation(self, workdir):
+        path = workdir / "conjugation.grp"
+        path.write_text(
+            "group conjugation\ngen x y\nrel x^1000000000 y x^-1000000000 y^-1\n"
+            "phi x=1 y=0\n",
+            encoding="utf-8",
+        )
+        return path
+
+    def test_alexander_of_huge_omitted_column(self, conjugation, capsys):
+        started = perf_counter()
+        code, out, _ = run(capsys, "alexander", conjugation)
+        assert perf_counter() - started < 1.0
+        assert (code, out) == (0, "-1 + t^1000000000\n")
+
+    def test_report_of_huge_omitted_column(self, conjugation, capsys):
+        started = perf_counter()
+        code, out, _ = run(capsys, "report", conjugation)
+        assert perf_counter() - started < 1.0
+        assert code == 0
+        assert out == (
+            "image = 1Z\n"
+            "abelianization = Z + Z\n"
+            "alexander = -1 + t^1000000000\n"
+            "monic = yes\n"
+            "degree = 1000000000\n"
+            "note: m = 0: both exponent sums vanish, no torsion number\n"
+            "verdict = inconclusive\n"
+        )
 
     def test_rank_of_huge_coset_graph(self, workdir, capsys):
         (workdir / "big.spl").write_text(
@@ -393,8 +425,9 @@ ARGVS = [
 
 
 class TestArgvDifferential:
-    """``main`` gives a named verb its own parser; every call must end
-    exactly as it does through the full tree of all verbs."""
+    """``main`` gives a named verb its own parser, built once per process;
+    every call must end exactly as it does through the full tree of all
+    verbs, whatever calls came before it."""
 
     @pytest.fixture
     def files(self, workdir):
@@ -426,6 +459,67 @@ class TestArgvDifferential:
         monkeypatch.setattr(cli, "_build_parser", full_tree)
         _, _, err = outcome(capsys, files(argv))
         assert "usage:" not in err
+
+    def test_a_reused_parser_carries_nothing_over(self, files, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        calls = [files(argv) for argv in ARGVS * 2]
+        random.Random(12).shuffle(calls)
+        for argv in calls:
+            assert outcome(capsys, argv) == outcome(capsys, argv, reference_main), argv
+
+    def test_hints_do_not_pile_up(self, files, capsys, monkeypatch):
+        # a verb's parser shares its --nielsen default [] between calls
+        counts = []
+
+        def spy(real):
+            def counting(*args):
+                counts.append(len(args[-1]))  # the hints come last
+                return real(*args)
+            return counting
+
+        monkeypatch.setattr(cli, "fiber_rank", spy(cli.fiber_rank))
+        monkeypatch.setattr(cli, "stallings_report", spy(cli.stallings_report))
+        hinted = files(["fiber-rank", "@showcase.grp", "--nielsen", "u->u y"])
+        for _ in range(3):
+            assert outcome(capsys, hinted) == (0, "rank = 4\n", "")
+        report = files(["report", "@showcase.grp"])
+        for argv in (report, report + ["--nielsen", "u->u y"], report):
+            assert outcome(capsys, argv)[0] == 0
+        assert counts == [1, 1, 1, 0, 1, 0]
+
+    def test_a_failed_parse_leaves_the_parser_as_it_was(self, files, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        good = files(["fiber-rank", "@showcase.grp", "--nielsen", "u->u y"])
+        expected = outcome(capsys, good, reference_main)
+        for argv, code in ((["fiber-rank"], 2), (["fiber-rank", "--help"], 0)):
+            assert outcome(capsys, argv)[0] == code
+            assert outcome(capsys, good) == expected
+
+    def test_help_follows_each_calls_columns(self, capsys, monkeypatch):
+        # verb help reads the same at 80 and 120 columns; 40 wraps it
+        helps = []
+        for columns in ("80", "40", "120"):
+            monkeypatch.setenv("COLUMNS", columns)
+            helps.append(outcome(capsys, ["cable", "--help"]))
+            assert helps[-1] == outcome(capsys, ["cable", "--help"], reference_main)
+        assert helps[1] != helps[0]
+
+    def test_each_verb_parser_is_built_once(self, files, capsys, monkeypatch):
+        built = []
+        real = cli._add_verb
+
+        def counting(parser, name):
+            built.append(name)
+            return real(parser, name)
+
+        monkeypatch.setattr(cli, "_add_verb", counting)
+        cli._verb_parser.cache_clear()
+        report = files(["report", "@showcase.grp", "--nielsen", "u->u y"])
+        for _ in range(20):
+            assert outcome(capsys, report)[0] == 0
+        assert built == ["report"]
+        assert outcome(capsys, files(["alexander", "@trefoil.grp"]))[0] == 0
+        assert built == ["report", "alexander"]
 
 
 def test_entry_point_reads_sys_argv(workdir, capsys, monkeypatch):
@@ -484,6 +578,17 @@ class TestExitCodes:
         # the last value used to win: infer printed n_fg = no and exited 0
         (workdir / name).write_text(text, encoding="utf-8")
         assert run(capsys, verb, workdir / name) == (1, "", f"error: {workdir / name}:{message}\n")
+
+    @pytest.mark.parametrize("text, argv, message", [
+        (TREFOIL.replace("peripheral meridian=x y^-1", "peripheral meridian=x z"),
+         ["cable", "@", "-p", "2", "-q", "3"], "5: undeclared generator 'z'"),
+        (TREFOIL.replace("phi x=3 y=2", "phi x=3"), ["phi", "@"], "4: phi misses generator 'y'"),
+    ], ids=["peripheral", "phi"])
+    def test_group_file_errors_name_their_line(self, workdir, capsys, text, argv, message):
+        path = workdir / "g.grp"
+        path.write_text(text, encoding="utf-8")
+        argv = [str(path) if a == "@" else a for a in argv]
+        assert run(capsys, *argv) == (1, "", f"error: {path}:{message}\n")
 
     def test_parse_error(self, workdir, capsys):
         (workdir / "bad.grp").write_text("gen x\nrel x^0\n", encoding="utf-8")

@@ -315,6 +315,15 @@ class TestAlexanderMatrix:
             for r in pres.relators
         ]
 
+    @given(presentations_with_phi(), st.data())
+    def test_omit_leaves_out_exactly_that_column(self, pres_phi, data):
+        pres, phi = pres_phi
+        j = data.draw(st.integers(0, len(pres.generators) - 1))
+        full = alexander_matrix(pres, phi)
+        assert alexander_matrix(pres, phi, omit=pres.generators[j]) == [
+            row[:j] + row[j + 1:] for row in full
+        ]
+
     def test_shape(self):
         pres = Presentation(("x", "y"), (w(("x", 2), ("y", -3)),))
         matrix = alexander_matrix(pres, ZMap({"x": 3, "y": 2}))

@@ -121,6 +121,19 @@ class TestGroupFiles:
         with pytest.raises(ParseError, match=":3:"):
             parse_group_text("group g\ngen x\nrel x^0\n", source="f")
 
+    @pytest.mark.parametrize("line, message", [
+        ("phi x=1", "phi misses generator 'y'"),
+        ("phi x=1 y=0 z=2", "phi names undeclared generator 'z'"),
+        ("peripheral meridian=x z longitude=1", "undeclared generator 'z'"),
+        ("peripheral meridian=x longitude=y^0", "zero exponent in token 'y^0'"),
+        ("peripheral longitude=x", "expected 'meridian=' first"),
+        ("peripheral meridian=x", "expected exactly one 'longitude='"),
+    ])
+    def test_phi_and_peripheral_errors_carry_line(self, line, message):
+        with pytest.raises(ParseError) as info:
+            parse_group_text(f"gen x y\n# comment\n\n{line}\nrel x y\n", source="f")
+        assert str(info.value) == f"f:4: {message}"
+
     def test_empty_longitude_round_trip(self):
         group = GroupFile(
             name="unknot",
@@ -228,6 +241,22 @@ class TestSplittingFiles:
         with pytest.raises(ParseError) as info:
             parse_splitting_file(path)
         assert str(info.value) == f"{path}:3: phi names generator 'x' twice"
+
+    @pytest.mark.parametrize("text, message", [
+        ("edge inA=x^2 inB=y^3\nedge inA=x inB=z\nphi x=3 y=2\n",
+         "3: undeclared generator 'z'"),
+        ("edge inA=x^2 inB=y^3\nedge inA=x^0 inB=y\n", "3: zero exponent in token 'x^0'"),
+        ("edge inA=x^2 inB=y^3\nedge inB=y inA=x\n", "3: expected 'inA=' first"),
+        ("edge inA=x^2 inB=y^3\nphi x=3\n", "3: phi misses generator 'y'"),
+        ("edge inA=x^2 inB=y^3\nphi x=3 y=2 t=1\n", "3: phi names undeclared generator 't'"),
+    ])
+    def test_edge_and_phi_errors_carry_line(self, tmp_path, text, message):
+        self.write(tmp_path, "A.grp", "group A\ngen x\n")
+        self.write(tmp_path, "B.grp", "group B\ngen y\n")
+        path = self.write(tmp_path, "t.spl", f"amalgam A=A.grp B=B.grp\n{text}")
+        with pytest.raises(ParseError) as info:
+            parse_splitting_file(path)
+        assert str(info.value) == f"{path}:{message}"
 
     @pytest.mark.parametrize("line, key", [
         ("amalgam A=A.grp A=B.grp B=B.grp", "A"),
