@@ -13,13 +13,17 @@ that names it, so callers that run ``main`` many times in one process
 -m fiberkit.cli`` builds one parser either way.  The full tree is built
 afresh whenever it is needed.  ``main`` maps the toolkit's errors onto exit
 codes: 0 on success, 1 on parse errors, 2 on hypothesis violations, 3 on
-inference contradictions.
+inference contradictions.  Files are written through ``textfmt.write_file``,
+which leaves a file that already holds the same bytes untouched, so a
+repeated ``corpus`` or ``-o`` keeps the files' mtimes.  ``entry`` exits 1
+without a traceback when stdout is closed early, as in ``| head -1``.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from . import corpus
@@ -38,6 +42,7 @@ from .textfmt import (
     parse_premise_file,
     parse_splitting_file,
     parse_word,
+    write_file,
     writing,
 )
 from .words import Word, cyclic_reduce
@@ -74,8 +79,7 @@ def _knot_data(group: GroupFile) -> KnotGroupData:
 
 def _emit(text: str, output: str | None):
     if output:
-        with writing(output) as path:
-            path.write_text(text, encoding="utf-8")
+        write_file(output, text)
     else:
         sys.stdout.write(text)
 
@@ -209,9 +213,7 @@ def _cmd_corpus(args) -> int:
     with writing(args.dir) as target:
         target.mkdir(parents=True, exist_ok=True)
     for filename, content in corpus.corpus_files():
-        with writing(target / filename) as path:
-            path.write_text(content, encoding="utf-8")
-        print(f"wrote {path}")
+        print(f"wrote {write_file(target / filename, content)}")
     return 0
 
 
@@ -309,7 +311,15 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so that the flush at
+        # exit cannot fail again and print "Exception ignored"
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

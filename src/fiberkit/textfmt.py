@@ -28,12 +28,14 @@ Premise files feed the finite-generation inference::
 Blank lines and ``#`` comments are ignored; unknown keywords are parse
 errors, and an error in a line names it as ``<file>:<line>:``.  Every file is read and written here, and a file that cannot be
 read or is not UTF-8, or a path that cannot be written, is a parse error
-too.
+too.  ``write_file`` leaves a file that already holds the bytes it would
+write untouched, so its mtime stays as it was.
 """
 
 from __future__ import annotations
 
 import re
+import stat
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,6 +56,7 @@ __all__ = [
     "parse_splitting_file",
     "parse_premise_file",
     "writing",
+    "write_file",
 ]
 
 _TOKEN = re.compile(r"^([A-Za-z_][A-Za-z0-9_']*)(?:\^(-?\d+))?$")
@@ -116,6 +119,32 @@ def writing(path: str | Path):
         yield Path(path)
     except OSError as exc:
         raise ParseError(f"cannot write {path}: {exc}") from None
+
+
+def write_file(path: str | Path, text: str) -> Path:
+    """Write ``text`` to ``path`` as UTF-8, unless ``path`` is a regular
+    file that already holds exactly those bytes; return ``path`` as a Path.
+
+    Only a regular file of the same size is read back, so a FIFO, a tty or
+    ``/dev/stdout`` on a pipe is written without being read, which would
+    block.  A write that fails is a parse error, as in ``writing``.
+    """
+    data = text.encode("utf-8")
+    with writing(path) as target:
+        if not _holds(target, data):
+            target.write_bytes(data)
+    return target
+
+
+def _holds(path: Path, data: bytes) -> bool:
+    try:
+        info = path.stat()
+        if not stat.S_ISREG(info.st_mode) or info.st_size != len(data):
+            return False
+        return path.read_bytes() == data
+    except OSError:
+        # whatever stops the read, the write reports
+        return False
 
 
 def _lines(text: str, source: str):

@@ -522,18 +522,45 @@ class TestArgvDifferential:
         assert built == ["report", "alexander"]
 
 
+def cli_process(*argv, **kwargs):
+    """Run ``python -m fiberkit.cli`` on ``argv`` with the package on the path."""
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    return subprocess.run([sys.executable, "-m", "fiberkit.cli", *map(str, argv)],
+                          env=env, **kwargs)
+
+
 def test_entry_point_reads_sys_argv(workdir, capsys, monkeypatch):
     """``python -m fiberkit.cli`` parses ``sys.argv[1:]`` as ``main(argv)``
     does; the usage line shows in ``rep``'s error."""
     run(capsys, "corpus", "--dir", workdir / "corpus")
     monkeypatch.setenv("COLUMNS", "80")
-    env = dict(os.environ, COLUMNS="80", PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     for argv in (["--help"], ["report", str(workdir / "corpus" / "showcase.grp")], ["rep", "x"]):
-        proc = subprocess.run(
-            [sys.executable, "-m", "fiberkit.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = cli_process(*argv, capture_output=True, text=True, timeout=60)
         assert (proc.returncode, proc.stdout, proc.stderr) == outcome(capsys, argv)
+
+
+def test_closed_stdout_exits_1_without_a_traceback(workdir):
+    """``fiberkit report … | head -1``: the reader is gone before the
+    report is flushed."""
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        proc = cli_process("report", workdir / "trefoil.grp", stdout=writer,
+                           stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(writer)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_output_to_dev_stdout_on_a_pipe(workdir):
+    """``-o /dev/stdout`` writes into the pipe; reading the target back
+    first would block on the pipe until the timeout."""
+    argv = ["cable", workdir / "trefoil.grp", "-p", "2", "-q", "3"]
+    plain = cli_process(*argv, capture_output=True, timeout=10)
+    piped = cli_process(*argv, "-o", "/dev/stdout", capture_output=True, timeout=10)
+    assert plain.returncode == 0 and plain.stdout.startswith(b"group ")
+    assert (piped.returncode, piped.stdout, piped.stderr) == (0, plain.stdout, b"")
 
 
 class TestInferVerb:
@@ -701,6 +728,45 @@ class TestConstructionVerbs:
         assert out == "trivial\n"
 
 
+class TestOutputFiles:
+    """``-o`` onto a file that already holds the output leaves it alone."""
+
+    def argv(self, workdir, verb):
+        if verb == "cable":
+            return ["cable", workdir / "trefoil.grp", "-p", "2", "-q", "3"]
+        zero = TREFOIL.replace("phi x=3 y=2", "phi x=0 y=0")
+        (workdir / "zero.grp").write_text(zero, encoding="utf-8")
+        return ["splice", workdir / "zero.grp", workdir / "zero.grp"]
+
+    @pytest.mark.parametrize("verb", ["cable", "splice"])
+    def test_identical_file_is_left_alone(self, workdir, capsys, verb):
+        argv = self.argv(workdir, verb)
+        code, text, _ = run(capsys, *argv)
+        assert code == 0
+        target = workdir / "out.grp"
+        target.write_bytes(text.encode("utf-8"))
+        os.utime(target, ns=(0, 0))
+        target.chmod(0o444)
+        inode = target.stat().st_ino
+        assert run(capsys, *argv, "-o", target) == (0, "", "")
+        assert (target.stat().st_mtime_ns, target.stat().st_ino) == (0, inode)
+        assert target.read_text(encoding="utf-8") == text
+
+    @pytest.mark.parametrize("verb", ["cable", "splice"])
+    @pytest.mark.parametrize("change", ["same-size", "shorter", "longer"])
+    def test_different_file_is_rewritten(self, workdir, capsys, verb, change):
+        argv = self.argv(workdir, verb)
+        text = run(capsys, *argv)[1]
+        stale = {"same-size": text.replace("group ", "group_"),
+                 "shorter": text[:-1], "longer": text + "\n"}[change]
+        target = workdir / "out.grp"
+        target.write_text(stale, encoding="utf-8")
+        os.utime(target, ns=(0, 0))
+        assert run(capsys, *argv, "-o", target) == (0, "", "")
+        assert target.stat().st_mtime_ns != 0
+        assert target.read_text(encoding="utf-8") == text
+
+
 class TestCorpusVerb:
     def test_deterministic(self, workdir, capsys):
         first = workdir / "c1"
@@ -751,6 +817,51 @@ class TestCorpusVerb:
             p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in target.iterdir()
         }
         assert written == CORPUS_DIGESTS
+
+
+    def test_rewrites_only_the_files_that_differ(self, workdir, capsys):
+        target = workdir / "corpus"
+        run(capsys, "corpus", "--dir", target)
+        names = list(CORPUS_DIGESTS)
+        kinds = {names[0]: "missing", names[1]: "junk", names[2]: "not-utf-8"}
+        for i, name in enumerate(names[3:]):
+            kinds[name] = ("identical", "same-size", "shorter", "longer")[i % 4]
+        inodes = {}
+        for name, kind in kinds.items():
+            path = target / name
+            data = path.read_bytes()
+            if kind == "missing":
+                path.unlink()
+                continue
+            path.write_bytes({
+                "identical": data,
+                "same-size": data[:-2] + b"?\n",
+                "shorter": data[:-1],
+                "longer": data + b"# more\n",
+                "junk": bytes(10 * 2**20),
+                "not-utf-8": b"\xff" * len(data),
+            }[kind])
+            os.utime(path, ns=(0, 0))
+            inodes[name] = path.stat().st_ino
+        code, out, err = run(capsys, "corpus", "--dir", target)
+        assert (code, out, err) == (0, "".join(f"wrote {target / n}\n" for n in names), "")
+        written = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in target.iterdir()
+        }
+        assert written == CORPUS_DIGESTS
+        for name, kind in kinds.items():
+            info = (target / name).stat()
+            if kind == "identical":
+                assert (info.st_mtime_ns, info.st_ino) == (0, inodes[name])
+            else:
+                assert info.st_mtime_ns != 0, (name, kind)
+
+    def test_directory_in_place_of_a_member(self, workdir, capsys):
+        target = workdir / "corpus"
+        (target / "trefoil.grp").mkdir(parents=True)
+        code, out, err = run(capsys, "corpus", "--dir", target)
+        assert (code, out) == (1, f"wrote {target / 'unknot.grp'}\n")
+        assert err.startswith(f"error: cannot write {target / 'trefoil.grp'}: [Errno 21]")
 
 
 # SHA-256 of each corpus file, in the order the corpus verb writes them; the

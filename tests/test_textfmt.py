@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -292,3 +295,65 @@ class TestPremiseFiles:
         with pytest.raises(ParseError) as info:
             parse_premise_file(path)
         assert str(info.value) == f"{path}:4: {message}"
+
+
+# ---------------------------------------------------------------------------
+# every file the package writes goes through textfmt
+
+SRC = Path(__file__).parents[1] / "src" / "fiberkit"
+
+
+def _mode(call: ast.Call):
+    """The mode or flags argument of an ``open`` call, or None."""
+    for keyword in call.keywords:
+        if keyword.arg in ("mode", "flags"):
+            return keyword.value
+    func = call.func
+    # Path(...).open(mode) takes the mode first; open, io.open and os.open second
+    on_path = isinstance(func, ast.Attribute) and not (
+        isinstance(func.value, ast.Name) and func.value.id in ("os", "io", "builtins"))
+    index = 0 if on_path else 1
+    return call.args[index] if len(call.args) > index else None
+
+
+def _writes(source: str) -> list[str]:
+    """Calls in ``source`` that write a file: ``write_text``, ``write_bytes``
+    and any ``open`` that is not read-only.  Opening ``os.devnull`` writes
+    no file and is not counted."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in ("write_text", "write_bytes"):
+            found.append(f"{node.lineno}: {name}")
+        elif name == "open":
+            mode = _mode(node)
+            if node.args and ast.unparse(node.args[0]) == "os.devnull":
+                continue
+            if mode is None or (isinstance(mode, ast.Attribute) and mode.attr == "O_RDONLY"):
+                continue
+            if isinstance(mode, ast.Constant) and isinstance(mode.value, str) \
+                    and not set(mode.value) & set("wax+"):
+                continue
+            found.append(f"{node.lineno}: open")
+    return found
+
+
+@pytest.mark.parametrize("source, count", [
+    ("Path(p).write_text(s)\np.write_bytes(b)", 2),
+    ("open(p, 'w')\nopen(p, mode='ab')\np.open('x')\nio.open(p, 'r+')", 4),
+    ("os.open(p, os.O_WRONLY)\nopen(p, m)\np.open(mode=m)", 3),
+    ("open(p)\nopen(p, 'rb')\np.open()\np.open('r')\nos.open(p, os.O_RDONLY)", 0),
+    ("p.read_text()\np.read_bytes()\nos.open(os.devnull, os.O_WRONLY)", 0),
+])
+def test_write_scan_finds_writes(source, count):
+    assert len(_writes(source)) == count
+
+
+def test_only_textfmt_writes_files():
+    found = {path.name: _writes(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert found.pop("textfmt.py")
+    assert found == {name: [] for name in found}
