@@ -27,7 +27,6 @@ from .links import (
     KnotGroupData,
     NOT_APPLICABLE,
     StallingsReport,
-    cable_fibered,
     cable_group,
     fibered_splice,
     splice,

@@ -109,7 +109,8 @@ def torus_knot_splitting(p: int, q: int) -> tuple[Splitting, ZMap]:
 def corpus_files() -> list[tuple[str, str]]:
     """The files of ``fiberkit corpus`` as ``(filename, text)`` pairs, in
     the order they are written; the texts are deterministic."""
-    knots = [("unknot.grp", unknot_data()), ("trefoil.grp", trefoil_data())]
+    trefoil = trefoil_data()
+    knots = [("unknot.grp", unknot_data()), ("trefoil.grp", trefoil)]
     knots += [
         (f"torus_{p}_{q}.grp", torus_knot_data(p, q))
         for p in range(2, 7)
@@ -120,7 +121,6 @@ def corpus_files() -> list[tuple[str, str]]:
 
     showcase = showcase_presentation()
     descended = showcase_descended()
-    trefoil = trefoil_data()
     zero = replace(trefoil, phi=ZMap({g: 0 for g in trefoil.presentation.generators}))
     spliced, spliced_phi = splice(zero, zero)
     verdict = fibered_splice(True, True, False, True)

@@ -92,9 +92,6 @@ class LaurentPoly:
     def shift(self, by: int) -> "LaurentPoly":
         return LaurentPoly(tuple((e + by, c) for e, c in self.terms))
 
-    def evaluate_at_one(self) -> int:
-        return sum(c for _, c in self.terms)
-
     def normalize(self) -> "LaurentPoly":
         """Multiply by a unit so the lowest exponent is 0 and the top
         coefficient is positive."""
@@ -315,7 +312,7 @@ def alexander_poly(pres: Presentation, phi: ZMap) -> LaurentPoly:
         raise HypothesisError("map to Z does not kill every relator")
     if phi.image_gcd() == 0:
         raise HypothesisError("map to Z is trivial on every generator")
-    phi, _ = phi.normalized()
+    phi = phi.normalized()
     n = len(pres.generators)
     k = len(pres.relators)
     if k > n - 1:

@@ -102,22 +102,6 @@ class FgConclusions:
     def __getitem__(self, attr: str) -> TriBool:
         return self.flags[_INDEX[attr]]
 
-    def known(self) -> dict[str, bool]:
-        return {
-            attr: value
-            for (attr, _), value in zip(_FLAGS, self.flags)
-            if value is not None
-        }
-
-    def as_premises(self) -> FgPremises:
-        return FgPremises(**self.known())
-
-    def implies(self, other: "FgConclusions") -> bool:
-        """Every definite flag here is also definite (and equal) there."""
-        return all(
-            v is None or v == w for v, w in zip(self.flags, other.flags)
-        )
-
 
 # One row per rule: (name, antecedents, alternatives).  A literal is a flag
 # name, negated by a "not " prefix.  "{s}" in a flag stands for a factor

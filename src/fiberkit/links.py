@@ -30,7 +30,6 @@ __all__ = [
     "splice",
     "cable_group",
     "fibered_splice",
-    "cable_fibered",
     "stallings_report",
     "StallingsReport",
     "NOT_APPLICABLE",
@@ -138,13 +137,6 @@ def splice(first: KnotGroupData, second: KnotGroupData) -> tuple[Presentation, Z
     return Presentation(gens, relators), ZMap(values)
 
 
-def _require_cable_framing(p: int, q: int):
-    if q == 0:
-        raise HypothesisError("cable needs q != 0")
-    if gcd(p, q) != 1:
-        raise HypothesisError(f"cable needs coprime framing, gcd({p}, {q}) != 1")
-
-
 def cable_group(knot: KnotGroupData, p: int, q: int) -> KnotGroupData:
     """Group of the cable knot running ``p`` times around the meridian and
     ``q`` times along the longitude of ``knot``.
@@ -160,7 +152,10 @@ def cable_group(knot: KnotGroupData, p: int, q: int) -> KnotGroupData:
     longitude is ``meridian^p longitude^q`` corrected by a meridian power
     to value 0.
     """
-    _require_cable_framing(p, q)
+    if q == 0:
+        raise HypothesisError("cable needs q != 0")
+    if gcd(p, q) != 1:
+        raise HypothesisError(f"cable needs coprime framing, gcd({p}, {q}) != 1")
     meridian, longitude = knot.require_peripheral()
 
     taken = set(knot.presentation.generators)
@@ -216,12 +211,6 @@ def fibered_splice(
     if not (first_incompressible and second_incompressible):
         return NOT_APPLICABLE
     return first_fibered and second_fibered
-
-
-def cable_fibered(base_fibered: bool, p: int, q: int) -> bool:
-    """A cable fibers exactly when its companion does."""
-    _require_cable_framing(p, q)
-    return base_fibered
 
 
 # ---------------------------------------------------------------------------

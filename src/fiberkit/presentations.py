@@ -77,14 +77,6 @@ class AbelianizationResult:
     torsion_coefficients: tuple[int, ...]
     free_rank: int
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion_coefficients
-
-    @property
-    def is_infinite_cyclic(self) -> bool:
-        return self.free_rank == 1 and not self.torsion_coefficients
-
     def __str__(self) -> str:
         parts = [f"Z/{d}" for d in self.torsion_coefficients]
         parts += ["Z"] * self.free_rank
@@ -99,14 +91,10 @@ def abelianize(pres: Presentation) -> AbelianizationResult:
     >>> str(abelianize(p))
     'Z'
     """
-    n = len(pres.generators)
-    matrix = pres.exponent_matrix()
-    _, diag_mat, _ = smith_normal_form(matrix, ncols=n)
-    diag = [diag_mat[i][i] for i in range(min(len(matrix), n))]
-    rank = sum(1 for d in diag if d != 0)
+    diag = smith_normal_form(pres.exponent_matrix())
     return AbelianizationResult(
         torsion_coefficients=tuple(d for d in diag if d >= 2),
-        free_rank=n - rank,
+        free_rank=len(pres.generators) - sum(1 for d in diag if d),
     )
 
 
@@ -131,8 +119,8 @@ class ZMap:
             d = gcd(d, v)
         return d
 
-    def normalized(self) -> tuple["ZMap", int]:
-        """Divide through so the image is all of Z; returns ``(map, d)``.
+    def normalized(self) -> "ZMap":
+        """Divide through so the image is all of Z.
 
         Raises when the map is trivial, since there is nothing to rescale.
         """
@@ -140,8 +128,8 @@ class ZMap:
         if d == 0:
             raise HypothesisError("map to Z is trivial; no surjective rescaling")
         if d == 1:
-            return self, 1
-        return ZMap({g: v // d for g, v in self.values.items()}), d
+            return self
+        return ZMap({g: v // d for g, v in self.values.items()})
 
     def __str__(self) -> str:
         return " ".join(f"{g}={v}" for g, v in self.values.items())

@@ -1,15 +1,16 @@
-"""Exact integer matrix tools: Smith normal form and the extended gcd.
+"""Exact integer matrix tools: the Smith normal form and the extended gcd.
 
-Everything works on plain lists of Python ints, so there is no overflow;
-matrices at the scale used here (relator exponent matrices, well under
-64x64) are far below any performance concern.
+``smith_normal_form`` returns the invariant factors only, not unimodular
+transforms that reach them: ``abelianize`` reads nothing but the diagonal,
+so each row and column operation is applied and then forgotten.  Everything
+works on plain lists of Python ints, so there is no overflow.
 """
 
 from __future__ import annotations
 
-__all__ = ["smith_normal_form", "xgcd", "identity_matrix"]
+from math import gcd
 
-Matrix = list[list[int]]
+__all__ = ["smith_normal_form", "xgcd"]
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -27,114 +28,48 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def identity_matrix(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def smith_normal_form(matrix: list[list[int]]) -> list[int]:
+    """The diagonal of the Smith normal form over Z: ``min(rows, cols)``
+    entries, nonnegative, each dividing the next, zeros last.
 
+    Each pass pivots on a least nonzero ``|entry|`` and reduces its column,
+    then its row, by floor division; a nonzero remainder is smaller than
+    the pivot and becomes the next pivot, so the passes terminate.
 
-def _row_combine(mat: Matrix, i: int, j: int, s: int, t: int, u: int, v: int):
-    """rows (i, j) <- (s*row_i + t*row_j, u*row_i + v*row_j); s*v - t*u = +-1."""
-    for k in range(len(mat[0])):
-        a, b = mat[i][k], mat[j][k]
-        mat[i][k] = s * a + t * b
-        mat[j][k] = u * a + v * b
-
-
-def _col_combine(mat: Matrix, i: int, j: int, s: int, t: int, u: int, v: int):
-    for row in mat:
-        a, b = row[i], row[j]
-        row[i] = s * a + t * b
-        row[j] = u * a + v * b
-
-
-def smith_normal_form(
-    matrix: list[list[int]], ncols: int | None = None
-) -> tuple[Matrix, Matrix, Matrix]:
-    """Diagonalize over Z: return ``(left, diag, right)`` with
-    ``left @ matrix @ right == diag``, both transforms unimodular, and the
-    diagonal entries nonnegative with each dividing the next (zeros last).
-
-    Works on a copy; accepts matrices with zero rows or columns (pass
-    ``ncols`` so the column count survives an empty row list).
+    >>> smith_normal_form([[2, 0], [0, 3]])
+    [1, 6]
+    >>> smith_normal_form([])
+    []
     """
-    m = len(matrix)
-    n = len(matrix[0]) if m else (ncols or 0)
     a = [list(map(int, row)) for row in matrix]
-    left = identity_matrix(m)
-    right = identity_matrix(n)
-
-    def pivot_search(t: int):
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = a[i][j]
-                if v and (best is None or abs(v) < abs(best[2])):
-                    best = (i, j, v)
-        return best
-
-    t = 0
-    while t < min(m, n):
-        found = pivot_search(t)
-        if found is None:
-            break
-        pi, pj, _ = found
-        if pi != t:
-            a[pi], a[t] = a[t], a[pi]
-            left[pi], left[t] = left[t], left[pi]
-        if pj != t:
+    size = min(len(a), len(a[0])) if a else 0
+    diag = []
+    while entries := [
+        (abs(v), i, j) for i, row in enumerate(a) for j, v in enumerate(row) if v
+    ]:
+        _, pi, pj = min(entries)
+        prow = a[pi]
+        pivot = prow[pj]
+        clear = True  # until a remainder is left in the pivot's column or row
+        for i, row in enumerate(a):
+            if i != pi and row[pj]:
+                q = row[pj] // pivot
+                for k, v in enumerate(prow):
+                    row[k] -= q * v
+                clear = clear and not row[pj]
+        for j, v in enumerate(prow):
+            if j != pj and v:
+                q = v // pivot
+                for row in a:
+                    row[j] -= q * row[pj]
+                clear = clear and not prow[j]
+        if clear:
+            diag.append(abs(pivot))
+            del a[pi]
             for row in a:
-                row[pj], row[t] = row[t], row[pj]
-            for row in right:
-                row[pj], row[t] = row[t], row[pj]
-
-        while True:
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    if a[i][t] % a[t][t] == 0:
-                        # plain elimination keeps the pivot row fixed
-                        factor = a[i][t] // a[t][t]
-                        _row_combine(a, t, i, 1, 0, -factor, 1)
-                        _row_combine(left, t, i, 1, 0, -factor, 1)
-                    else:
-                        g, s, u = xgcd(a[t][t], a[i][t])
-                        alpha, beta = a[t][t] // g, a[i][t] // g
-                        # the block [[s, u], [-beta, alpha]] has determinant 1
-                        _row_combine(a, t, i, s, u, -beta, alpha)
-                        _row_combine(left, t, i, s, u, -beta, alpha)
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    if a[t][j] % a[t][t] == 0:
-                        factor = a[t][j] // a[t][t]
-                        _col_combine(a, t, j, 1, 0, -factor, 1)
-                        _col_combine(right, t, j, 1, 0, -factor, 1)
-                    else:
-                        g, s, u = xgcd(a[t][t], a[t][j])
-                        alpha, beta = a[t][t] // g, a[t][j] // g
-                        _col_combine(a, t, j, s, u, -beta, alpha)
-                        _col_combine(right, t, j, s, u, -beta, alpha)
-            if any(a[i][t] for i in range(t + 1, m)):
-                continue  # column ops re-dirtied the pivot column
-            stray = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % a[t][t]:
-                        stray = i
-                        break
-                if stray is not None:
-                    break
-            if stray is None:
-                break
-            # fold the offending row into the pivot row; the next gcd pass
-            # strictly shrinks |pivot|, so this terminates
-            for k in range(n):
-                a[t][k] += a[stray][k]
-            for k in range(m):
-                left[t][k] += left[stray][k]
-        t += 1
-
-    for i in range(min(m, n)):
-        if a[i][i] < 0:
-            for k in range(n):
-                a[i][k] = -a[i][k]
-            for k in range(m):
-                left[i][k] = -left[i][k]
-    return left, a, right
+                del row[pj]
+    for s in range(len(diag)):
+        for t in range(s + 1, len(diag)):
+            g = gcd(diag[s], diag[t])
+            diag[s], diag[t] = g, diag[s] // g * diag[t]
+    return diag + [0] * (size - len(diag))

@@ -121,7 +121,7 @@ def _normalized_indices(split: Splitting, phi: ZMap):
         )
     if phi.image_gcd() == 0:
         raise HypothesisError("N = G, indices undefined")
-    phi, _ = phi.normalized()
+    phi = phi.normalized()
     a_idx = _subgroup_index(
         phi, [Word.gen(g) for g in split.factor_a.generators]
     )

@@ -10,6 +10,9 @@ import time
 from itertools import product
 from math import gcd
 
+import sympy
+from sympy.matrices.normalforms import invariant_factors
+
 from fiberkit.corpus import (
     showcase_descended,
     showcase_hint,
@@ -43,10 +46,11 @@ from fiberkit.splittings import (
 )
 from fiberkit.words import Word
 from tests_support import (
+    as_premises,
     corpus_presentations,
-    int_det,
     is_connected,
-    mat_mul,
+    is_infinite_cyclic,
+    is_trivial,
     random_realizable_splitting,
     t_power_minus_one,
     torus_alexander_closed_form,
@@ -121,7 +125,7 @@ def test_acceptance_4_torus_knot_sweep():
             if gcd(p, q) != 1:
                 continue
             cab = cable_group(unknot_data(), p, q)
-            assert abelianize(cab.presentation).is_infinite_cyclic
+            assert is_infinite_cyclic(abelianize(cab.presentation))
 
             delta = alexander_poly(cab.presentation, cab.phi)
             assert delta == torus_alexander_closed_form(p, q)
@@ -144,7 +148,7 @@ def test_acceptance_5_showcase_report():
     assert rep.alexander_monic
     assert rep.alexander_degree == 4
     assert rep.fiber_rank == 4
-    assert rep.abelianization.is_infinite_cyclic
+    assert is_infinite_cyclic(rep.abelianization)
     report(5, "monic degree 4 equals the kernel rank; abelianization Z")
 
 
@@ -261,7 +265,7 @@ def test_acceptance_6_inference_truth_table():
     # idempotent: closing the closure changes nothing; conclusions of a
     # consistent state never overwrite its premises.  Reads the flags the
     # sweep already closed instead of closing every state a second time;
-    # indexing and as_premises() read only the flags, not the disjunctions.
+    # indexing and as_premises read only the flags, not the disjunctions.
     cache = {}
     combos = product(VALUES, repeat=n)
     for index, combo in enumerate(combos):
@@ -273,7 +277,7 @@ def test_acceptance_6_inference_truth_table():
         key = conclusions.flags
         if key not in cache:
             cache[key] = fg_inference(
-                AMALGAM, conclusions.as_premises()
+                AMALGAM, as_premises(conclusions)
             ).flags
         assert cache[key] == key
         for name, wanted in kwargs.items():
@@ -327,17 +331,15 @@ def test_acceptance_7_property_suites():
                 ) * t_power_minus_one(phi.values[g])
             assert total.is_zero, name
 
-    # Smith form invariants on 1000 random matrices up to 8x8
+    # Smith form diagonals on 1000 random matrices up to 8x8, against sympy
     rng = random.Random(20260810)
     for _ in range(1000):
         rows = rng.randint(1, 8)
         cols = rng.randint(1, 8)
         matrix = [[rng.randint(-30, 30) for _ in range(cols)] for _ in range(rows)]
-        left, diag_mat, right = smith_normal_form(matrix)
-        assert mat_mul(mat_mul(left, matrix), right) == diag_mat
-        assert abs(int_det(left)) == 1
-        assert abs(int_det(right)) == 1
-        diag = [diag_mat[i][i] for i in range(min(rows, cols))]
+        diag = smith_normal_form(matrix)
+        expected = invariant_factors(sympy.Matrix(matrix), domain=sympy.ZZ)
+        assert diag == [int(d) for d in expected]
         nonzero = [d for d in diag if d]
         assert all(d >= 0 for d in diag)
         assert diag == nonzero + [0] * (len(diag) - len(nonzero))
@@ -366,12 +368,12 @@ def test_acceptance_8_splice_homology_and_gate():
         )
 
     first, _ = splice(zero_class(trefoil_data()), zero_class(trefoil_data()))
-    assert abelianize(first).is_trivial
+    assert is_trivial(abelianize(first))
 
     second, _ = splice(
         zero_class(trefoil_data()), zero_class(torus_knot_data(2, 5))
     )
-    assert abelianize(second).is_trivial
+    assert is_trivial(abelianize(second))
 
     assert fibered_splice(True, True, False, True) == NOT_APPLICABLE
     report(8, "spliced groups abelianize to nothing; missing assertion gates")

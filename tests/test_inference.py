@@ -6,10 +6,7 @@ import pytest
 from fiberkit import inference
 from fiberkit.errors import ContradictionError, HypothesisError
 from fiberkit.inference import FLAG_NAMES, FgPremises, fg_inference
-
-
-def known(conclusions):
-    return conclusions.known()
+from tests_support import as_premises, implies, known
 
 
 class TestForwardRules:
@@ -165,7 +162,7 @@ class TestClosureShape:
             "amalgam",
             FgPremises(n_fg=True, n_in_c=False, n_and_c_fg=True),
         )
-        assert weak.implies(strong)
+        assert implies(weak, strong)
 
     def test_idempotent_on_examples(self):
         for premises in (
@@ -176,7 +173,7 @@ class TestClosureShape:
             ),
         ):
             once = fg_inference("amalgam", premises)
-            twice = fg_inference("amalgam", once.as_premises())
+            twice = fg_inference("amalgam", as_premises(once))
             assert once.flags == twice.flags
 
     def test_amalgam_needs_nontriviality_assertion(self):

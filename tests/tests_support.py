@@ -9,12 +9,17 @@ recursion reference rotates to canonical form at every stage and checks
 every hint by heap search, the Alexander reference takes sympy
 determinants of Fox derivatives read off the letters, the word parser
 reference matches and checks every token, repeated or not, the free
-reduction reference merges syllables in place on a stack of lists, and
-the exponent data reference makes one pass per quantity.
+reduction reference merges syllables in place on a stack of lists, the
+exponent data reference makes one pass per quantity, and the Smith
+normal form oracle takes the gcd of every k x k minor by Bareiss
+elimination.  The small predicates after it (``known``, ``implies``,
+``is_trivial``, ``cable_fibered`` and the like) are read only by tests,
+so they live here rather than in the library.
 """
 
 import math
 import re
+from itertools import combinations
 
 import sympy
 
@@ -26,6 +31,8 @@ from fiberkit.corpus import (
 )
 from fiberkit.errors import HypothesisError, ParseError
 from fiberkit.fox import LaurentPoly
+from fiberkit.inference import FLAG_NAMES, FgPremises
+from fiberkit.links import cable_group
 from fiberkit.one_relator import (
     RelatorAnalysis,
     analyze,
@@ -65,22 +72,57 @@ def int_det(matrix):
     return sign * a[-1][-1]
 
 
-def mat_mul(a, b):
-    """Integer matrix product."""
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0]) if inner else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        for k in range(inner):
-            v = ai[k]
-            if v:
-                bk = b[k]
-                oi = out[i]
-                for j in range(cols):
-                    oi[j] += v * bk[j]
-    return out
+def minor_gcd(matrix, k):
+    """The k-th determinantal divisor: the gcd of every k x k minor, each
+    taken by ``int_det``; 0 when every minor vanishes."""
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    d = 0
+    for picked_rows in combinations(range(rows), k):
+        for picked_cols in combinations(range(cols), k):
+            minor = [[matrix[i][j] for j in picked_cols] for i in picked_rows]
+            d = math.gcd(d, int_det(minor))
+    return d
+
+
+def evaluate_at_one(poly):
+    """A Laurent polynomial's value at ``t = 1``."""
+    return sum(c for _, c in poly.terms)
+
+
+def known(conclusions):
+    """The definite flags of an inference closure, by attribute name."""
+    return {
+        attr: value
+        for attr, value in zip(FLAG_NAMES, conclusions.flags)
+        if value is not None
+    }
+
+
+def as_premises(conclusions):
+    """A closure's definite flags fed back in as premises."""
+    return FgPremises(**known(conclusions))
+
+
+def implies(weak, strong):
+    """Every definite flag of ``weak`` is also definite, and equal, in
+    ``strong``."""
+    return all(v is None or v == w for v, w in zip(weak.flags, strong.flags))
+
+
+def is_trivial(abelianization):
+    return abelianization.free_rank == 0 and not abelianization.torsion_coefficients
+
+
+def is_infinite_cyclic(abelianization):
+    return abelianization.free_rank == 1 and not abelianization.torsion_coefficients
+
+
+def cable_fibered(base_fibered, p, q):
+    """A cable fibers exactly when its companion does; building the cable
+    of the unknot checks the framing ``(p, q)``."""
+    cable_group(unknot_data(), p, q)
+    return base_fibered
 
 
 def reference_reduce_word(syllables):
