@@ -21,7 +21,7 @@ from .presentations import Presentation, ZMap, abelianize, canonical_zmap
 from .snf import xgcd
 from .splittings import AMALGAM, Splitting
 from .textfmt import GroupFile, format_group
-from .words import Word, concat
+from .words import Word
 
 __all__ = [
     "unknot_data",
@@ -52,7 +52,9 @@ def torus_knot_data(p: int, q: int) -> KnotGroupData:
     """Group ``<x, y | x^p = y^q>`` with class x -> q, y -> p.
 
     The meridian is ``x^s y^r`` for a Bezout pair ``s*q + r*p = 1``; the
-    longitude is the central element ``x^p`` undone by ``meridian^(p*q)``.
+    longitude is the central element ``x^p`` undone by ``meridian^(p*q)``,
+    written out as ``x^p (y^-r x^-s)^(pq)``.  With ``p, q >= 2`` neither
+    ``r`` nor ``s`` is 0, so both words are freely reduced as written.
     """
     if p < 2 or q < 2 or gcd(p, q) != 1:
         raise HypothesisError("torus knot needs coprime p, q >= 2")
@@ -60,8 +62,8 @@ def torus_knot_data(p: int, q: int) -> KnotGroupData:
     pres = Presentation(("x", "y"), (relator,))
     phi = ZMap({"x": q, "y": p})
     _, s, r = xgcd(q, p)
-    meridian = concat(Word.gen("x", s), Word.gen("y", r))
-    longitude = concat(Word.gen("x", p), meridian ** (-p * q))
+    meridian = Word((("x", s), ("y", r)))
+    longitude = Word((("x", p),) + (("y", -r), ("x", -s)) * (p * q))
     return KnotGroupData(
         presentation=pres,
         meridian=meridian,

@@ -250,8 +250,10 @@ def alexander_matrix(
     ``v = phi(g)`` adds ``t^h + t^(h+v) + ... + t^(h+(e-1)v)`` to column
     ``g`` when ``e > 0`` and ``-(t^(h-v) + ... + t^(h+ev))`` when ``e < 0``;
     when ``v == 0`` both collapse to ``e t^h``, so a huge exponent on a
-    generator of value 0 costs O(1).  Then ``h`` advances by ``e v``; over
-    the syllables of ``omit`` it only advances, so they cost O(1) too.
+    generator of value 0 costs O(1).  A single letter, ``e = 1`` or
+    ``e = -1``, adds its one term ``t^h`` or ``-t^(h-v)`` directly, with no
+    loop.  Then ``h`` advances by ``e v``; over the syllables of ``omit`` it
+    only advances, so they cost O(1) too.
     """
     kept = [g for g in pres.generators if g != omit]
     column = {g: j for j, g in enumerate(kept)}
@@ -266,8 +268,10 @@ def alexander_matrix(
                 h += e * v
                 continue
             acc = entries[column[g]]
-            if v == 0:
+            if v == 0 or e == 1:
                 acc[h] = acc.get(h, 0) + e
+            elif e == -1:
+                acc[h - v] = acc.get(h - v, 0) - 1
             elif e > 0:
                 for k in range(h, h + e * v, v):
                     acc[k] = acc.get(k, 0) + 1

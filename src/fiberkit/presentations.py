@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
+from operator import mul
 
 from .errors import HypothesisError
 from .snf import smith_normal_form
-from .words import Word, exponent_sum
+from .words import Word
 
 __all__ = [
     "Presentation",
@@ -28,37 +29,45 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Presentation:
-    """Generators (ordered, named) and freely reduced relator words."""
+    """Generators (ordered, named) and freely reduced relator words.
+
+    Construction walks each relator's syllables once and keeps its row of
+    exponent sums, one column per generator in declaration order; a
+    syllable on a generator outside the columns is the undeclared-generator
+    error.  ``exponent_matrix``, ``abelianize`` and ``zmap_validate`` read
+    these rows and never walk the relators again.
+    """
 
     generators: tuple[str, ...]
     relators: tuple[Word, ...] = ()
+    _rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
+        column: dict[str, int] = {}
         for g in self.generators:
             if not g:
                 raise ValueError("empty generator name")
-            if g in seen:
+            if g in column:
                 raise ValueError(f"duplicate generator {g!r}")
-            seen.add(g)
-        for r in self.relators:
-            undeclared = r.generators() - seen
-            if undeclared:
-                raise ValueError(
-                    f"relator {r} uses undeclared generators {sorted(undeclared)}"
-                )
-
-    def exponent_matrix(self) -> list[list[int]]:
-        """Row ``i`` holds the exponent sums of relator ``i``, one pass over
-        its syllables."""
-        column = {g: j for j, g in enumerate(self.generators)}
-        matrix = []
+            column[g] = len(column)
+        rows = []
         for r in self.relators:
             row = [0] * len(column)
-            for g, e in r.syllables:
-                row[column[g]] += e
-            matrix.append(row)
-        return matrix
+            try:
+                for g, e in r.syllables:
+                    row[column[g]] += e
+            except KeyError:
+                undeclared = r.generators() - column.keys()
+                raise ValueError(
+                    f"relator {r} uses undeclared generators {sorted(undeclared)}"
+                ) from None
+            rows.append(tuple(row))
+        object.__setattr__(self, "_rows", tuple(rows))
+
+    def exponent_matrix(self) -> list[list[int]]:
+        """Row ``i`` holds the exponent sums of relator ``i``, as fresh lists
+        copied from the rows built at construction."""
+        return [list(row) for row in self._rows]
 
     def __str__(self) -> str:
         rels = ", ".join(str(r) for r in self.relators)
@@ -136,10 +145,17 @@ class ZMap:
 
 
 def zmap_validate(phi: ZMap, pres: Presentation) -> bool:
-    """True iff ``phi`` is defined on all generators and kills every relator."""
+    """True iff ``phi`` is defined on all generators and kills every relator.
+
+    ``phi(r)`` is read off the exponent-sum row that ``pres`` built for
+    ``r`` at construction, as the row's dot product with phi's values, so
+    each relator costs O(generators) here, not O(syllables).  Values on
+    generators outside ``pres`` are ignored.
+    """
     if any(g not in phi.values for g in pres.generators):
         return False
-    return all(phi(r) == 0 for r in pres.relators)
+    values = [phi.values[g] for g in pres.generators]
+    return not any(sum(map(mul, row, values)) for row in pres._rows)
 
 
 def two_generator_relator(pres: Presentation) -> tuple[str, str, Word]:
@@ -157,9 +173,8 @@ def two_generator_relator(pres: Presentation) -> tuple[str, str, Word]:
 def _exponent_sums(pres: Presentation) -> tuple[str, str, int, int, int]:
     """Generators ``x, y``, the relator's exponent sums ``p, q`` and
     ``m = gcd(p, q) > 0`` of a two-generator one-relator presentation."""
-    x, y, relator = two_generator_relator(pres)
-    p = exponent_sum(relator, x)
-    q = exponent_sum(relator, y)
+    x, y, _ = two_generator_relator(pres)
+    p, q = pres._rows[0]
     m = gcd(p, q)
     if m == 0:
         raise HypothesisError("m = 0, no torsion number")

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from fiberkit.corpus import (
@@ -18,7 +20,8 @@ from fiberkit.links import (
     stallings_report,
 )
 from fiberkit.presentations import Presentation, ZMap, abelianize, canonical_zmap
-from fiberkit.words import Word
+from fiberkit.snf import xgcd
+from fiberkit.words import Word, concat
 from tests_support import (
     cable_fibered,
     is_infinite_cyclic,
@@ -105,6 +108,21 @@ class TestSplice:
             assert phi.values[g] == v
 
 
+class TestTorusKnotData:
+    def test_peripheral_words_match_concat_reference(self):
+        # reference: the meridian x^s y^r through concat, and the longitude
+        # as x^p times the (-pq)th power of that meridian
+        for p in range(2, 25):
+            for q in range(2, 25):
+                if gcd(p, q) != 1:
+                    continue
+                data = torus_knot_data(p, q)
+                _, s, r = xgcd(q, p)
+                meridian = concat(Word.gen("x", s), Word.gen("y", r))
+                longitude = concat(Word.gen("x", p), meridian ** (-p * q))
+                assert (data.meridian, data.longitude) == (meridian, longitude), (p, q)
+
+
 class TestCableGroup:
     def test_unknot_cable_is_torus_group(self):
         cab = cable_group(unknot_data(), 2, 3)
@@ -135,8 +153,6 @@ class TestCableGroup:
             assert cab.phi(cab.longitude) == 0
 
     def test_torus_sweep_alexander(self):
-        from math import gcd
-
         for p in range(2, 8):
             for q in range(p + 1, 8):
                 if gcd(p, q) != 1:

@@ -14,7 +14,12 @@ from fiberkit.presentations import (
 )
 from fiberkit.snf import smith_normal_form
 from fiberkit.words import Word, exponent_sum, reduce_word
-from tests_support import is_infinite_cyclic, is_trivial, minor_gcd
+from tests_support import (
+    is_infinite_cyclic,
+    is_trivial,
+    minor_gcd,
+    reference_zmap_validate,
+)
 
 
 def two_gen(relator_sylls):
@@ -35,9 +40,22 @@ class TestPresentation:
         with pytest.raises(ValueError):
             Presentation(("x",), (Word.gen("y"),))
 
+    def test_undeclared_message_names_every_generator(self):
+        relator = Word.of(("x", 1), ("z", 2), ("y", -1))
+        with pytest.raises(ValueError) as info:
+            Presentation(("x",), (Word.gen("x"), relator))
+        assert str(info.value) == (
+            "relator x z^2 y^-1 uses undeclared generators ['y', 'z']"
+        )
+
     def test_exponent_matrix(self):
         assert SHOWCASE.exponent_matrix() == [[4, 1]]
         assert TREFOIL.exponent_matrix() == [[2, -3]]
+
+    def test_exponent_matrix_is_a_fresh_copy(self):
+        matrix = SHOWCASE.exponent_matrix()
+        matrix[0][0] = 99
+        assert SHOWCASE.exponent_matrix() == [[4, 1]]
 
     @given(st.lists(st.lists(st.tuples(st.sampled_from(("a", "b", "c")),
                                        st.integers(-5, 5).filter(bool)), max_size=8),
@@ -150,7 +168,33 @@ class TestCanonicalZmap:
         assert gcd(*phi.values.values()) == 1
 
 
+GENS = ("a", "b", "c")
+
+
+@st.composite
+def classes_on_relators(draw):
+    """A presentation on ``GENS`` and a class that may miss generators or
+    name extra ones; some relators have every exponent sum 0, so that
+    classes defined everywhere kill them."""
+    syllable = st.tuples(st.sampled_from(GENS), st.integers(-4, 4).filter(bool))
+    relators = []
+    for sylls in draw(st.lists(st.lists(syllable, max_size=6), max_size=4)):
+        if draw(st.booleans()):
+            sylls = sylls + [(g, -e) for g, e in draw(st.permutations(sylls))]
+        relators.append(reduce_word(sylls))
+    values = {g: draw(st.integers(-2, 2)) for g in GENS}
+    for g in draw(st.sets(st.sampled_from(GENS), max_size=1)):
+        del values[g]
+    values.update(draw(st.dictionaries(st.sampled_from(("z", "w")), st.integers(-2, 2))))
+    return Presentation(GENS, tuple(relators)), ZMap(values)
+
+
 class TestZmapValidate:
+    @given(classes_on_relators())
+    def test_matches_syllable_reference(self, case):
+        pres, phi = case
+        assert zmap_validate(phi, pres) == reference_zmap_validate(phi, pres)
+
     def test_showcase_map(self):
         assert zmap_validate(ZMap({"x": -1, "y": 4}), SHOWCASE)
 

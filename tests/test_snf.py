@@ -63,10 +63,12 @@ class TestSmithNormalForm:
         assert check_invariants(matrix) == [1, 1, 1, 1]
 
     def test_reference_1000_random(self):
-        rng = random.Random(20260810)
+        # acceptance 7 compares matrices up to 8 x 8 with sympy; these are
+        # 9 x 9 to 12 x 12, from a seed of their own
+        rng = random.Random(90210)
         for _ in range(1000):
-            rows = rng.randint(1, 8)
-            cols = rng.randint(1, 8)
+            rows = rng.randint(9, 12)
+            cols = rng.randint(9, 12)
             matrix = [
                 [rng.randint(-30, 30) for _ in range(cols)] for _ in range(rows)
             ]

@@ -10,7 +10,8 @@ every hint by heap search, the Alexander reference takes sympy
 determinants of Fox derivatives read off the letters, the word parser
 reference matches and checks every token, repeated or not, the free
 reduction reference merges syllables in place on a stack of lists, the
-exponent data reference makes one pass per quantity, and the Smith
+exponent data reference makes one pass per quantity, the class check
+reference applies phi to every relator syllable by syllable, and the Smith
 normal form oracle takes the gcd of every k x k minor by Bareiss
 elimination.  The small predicates after it (``known``, ``implies``,
 ``is_trivial``, ``cable_fibered`` and the like) are read only by tests,
@@ -162,6 +163,15 @@ def reference_exponent_data(relator, x, y):
         if g == x:
             e = math.gcd(e, exp)
     return RelatorAnalysis(p=p, q=q, m=m, a=p // m, b=q // m, e=abs(e) or 1)
+
+
+def reference_zmap_validate(phi, pres):
+    """Reference for ``presentations.zmap_validate``: phi is defined on every
+    generator and ``phi(r)``, summed over the syllables of ``r``, is 0 for
+    every relator."""
+    if any(g not in phi.values for g in pres.generators):
+        return False
+    return all(phi(r) == 0 for r in pres.relators)
 
 
 def quadratic_cyclic_reduce(word, order=None):
