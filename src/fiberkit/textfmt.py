@@ -26,10 +26,17 @@ Premise files feed the finite-generation inference::
     premise n_fg yes
 
 Blank lines and ``#`` comments are ignored; unknown keywords are parse
-errors, and an error in a line names it as ``<file>:<line>:``.  Every file is read and written here, and a file that cannot be
-read or is not UTF-8, or a path that cannot be written, is a parse error
-too.  ``write_file`` leaves a file that already holds the bytes it would
-write untouched, so its mtime stays as it was.
+errors, and an error in a line names it as ``<file>:<line>:``.  Every file
+is read and written here, and a file that cannot be read or is not UTF-8,
+or a path that cannot be written, is a parse error too.  ``write_file``
+leaves a file that already holds the bytes it would write untouched, so its
+mtime stays as it was.
+
+The words of one file over one generator list share a table from each
+token to its syllable, so a token is matched and checked once per file,
+not once per line; the two sides of a splitting file each have their own.
+A word is its tokens looked up in that table, and ``reduce_word`` runs only
+when two adjacent tokens share a generator.
 """
 
 from __future__ import annotations
@@ -38,14 +45,16 @@ import re
 import stat
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from .errors import ParseError
 from .inference import FLAG_NAMES, FgPremises
 from .links import KnotGroupData
 from .presentations import Presentation, ZMap
 from .splittings import AMALGAM, HNN, Splitting
-from .words import Word, reduce_word
+from .words import Syllable, Word, _word, reduce_word
 
 __all__ = [
     "GroupFile",
@@ -64,16 +73,23 @@ _TOKEN = re.compile(r"^([A-Za-z_][A-Za-z0-9_']*)(?:\^(-?\d+))?$")
 
 def parse_word(text: str, generators=None) -> Word:
     """Parse a word; exponents must be nonzero, and when a generator list
-    is given every name must be declared on it."""
+    is given every name must be declared on it.
+
+    >>> parse_word("x x^-1 y", ("x", "y"))
+    Word('y')
+    """
+    return _read_word({}, None if generators is None else set(generators), text)
+
+
+def _read_word(table: dict[str, Syllable], declared: set[str] | None, text: str) -> Word:
+    """``parse_word`` through ``table``, which maps each token already read
+    over ``declared`` to its syllable and gains every new one."""
     text = text.strip()
     if not text or text == "1":
         return Word()
-    declared = None if generators is None else set(generators)
-    # each distinct token is matched and checked once
-    parsed: dict[str, tuple[str, int]] = {}
     syllables = []
     for token in text.split():
-        syllable = parsed.get(token)
+        syllable = table.get(token)
         if syllable is None:
             match = _TOKEN.match(token)
             if not match:
@@ -84,9 +100,15 @@ def parse_word(text: str, generators=None) -> Word:
                 raise ParseError(f"zero exponent in token {token!r}")
             if declared is not None and gen not in declared:
                 raise ParseError(f"undeclared generator {gen!r}")
-            syllable = parsed[token] = (gen, exp)
+            syllable = table[token] = gen, exp
         syllables.append(syllable)
-    return reduce_word(syllables)
+    last = None
+    for gen, _ in syllables:
+        if gen == last:
+            return reduce_word(syllables)
+        last = gen
+    # checked token by token, and no two adjacent syllables share a generator
+    return _word(tuple(syllables))
 
 
 @dataclass(frozen=True)
@@ -106,7 +128,7 @@ class GroupFile:
 
 def _read(path: Path) -> str:
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_bytes().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
@@ -202,10 +224,10 @@ def _split_keyed_words(args: str, keys: tuple[str, str], where: str) -> tuple[st
     return pieces[0].strip(), pieces[1].strip()
 
 
-def _line_words(where: str, generators, *texts: str) -> list[Word]:
-    """Parse the words of the file line at ``where``, naming it in any error."""
+def _line_words(where: str, read: Callable[[str], Word], *texts: str) -> list[Word]:
+    """Read the words of the file line at ``where``, naming it in any error."""
     try:
-        return [parse_word(text, generators) for text in texts]
+        return [read(text) for text in texts]
     except ParseError as exc:
         raise ParseError(f"{where}: {exc}") from None
 
@@ -252,16 +274,18 @@ def parse_group_text(text: str, source: str = "<string>") -> GroupFile:
 
     if not generators:
         raise ParseError(f"{source}: no generators declared")
+    # one token table for every word of the file
+    read = partial(_read_word, {}, set(generators))
     relators = []
     for where, args in relator_lines:
-        relators += _line_words(where, generators, args)
+        relators += _line_words(where, read, args)
     pres = Presentation(tuple(generators), tuple(relators))
     phi = _phi_map(phi_line, generators)
 
     meridian = longitude = None
     if peripheral_line is not None:
         where, texts = peripheral_line
-        meridian, longitude = _line_words(where, generators, *texts)
+        meridian, longitude = _line_words(where, read, *texts)
 
     return GroupFile(
         name=name or "G",
@@ -350,11 +374,14 @@ def parse_splitting_file(path: str | Path) -> tuple[Splitting, ZMap | None]:
     gens_a = factor_a.generators
     gens_b = factor_b.generators if kind == AMALGAM else gens_a
     all_gens = gens_a + (gens_b if kind == AMALGAM else (stable,))
+    # a token table per side, as each checks against its own generators
+    read_a = partial(_read_word, {}, set(gens_a))
+    read_b = partial(_read_word, {}, set(gens_b))
     edges_a: list[Word] = []
     edges_b: list[Word] = []
     for where, wa, wb in edge_lines:
-        edges_a += _line_words(where, gens_a, wa)
-        edges_b += _line_words(where, gens_b, wb)
+        edges_a += _line_words(where, read_a, wa)
+        edges_b += _line_words(where, read_b, wb)
     try:
         split = Splitting(
             kind, factor_a, factor_b, tuple(edges_a), tuple(edges_b),

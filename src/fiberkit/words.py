@@ -157,7 +157,8 @@ def substitute(word: Word, images: Mapping[str, Word]) -> Word:
 
     Every generator occurring in ``word`` must have an image.  A syllable
     ``g^e`` contributes ``images[g] ** e``, built once per distinct
-    syllable, so a huge exponent costs no more than the power it produces.
+    syllable, so a huge exponent costs no more than the power it produces;
+    the power of a one-syllable image ``h^f`` is written as ``h^(f e)``.
     """
     powers: dict[Syllable, tuple[Syllable, ...]] = {}
     pieces: list[Syllable] = []
@@ -167,7 +168,13 @@ def substitute(word: Word, images: Mapping[str, Word]) -> Word:
             g, e = syllable
             if g not in images:
                 raise ValueError(f"no image given for generator {g!r}")
-            piece = powers[syllable] = (images[g] ** e).syllables
+            image = images[g].syllables
+            if len(image) == 1:
+                h, f = image[0]
+                piece = ((h, f * e),)
+            else:
+                piece = (images[g] ** e).syllables
+            powers[syllable] = piece
         pieces.extend(piece)
     return reduce_word(pieces)
 

@@ -4,7 +4,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from fiberkit.corpus import trefoil_data
 from fiberkit.errors import ParseError
+from fiberkit.links import cable_group
 from fiberkit.presentations import Presentation, ZMap
 from fiberkit.textfmt import (
     GroupFile,
@@ -78,6 +80,34 @@ def test_parse_word_matches_the_per_token_reference(text, generators):
     assert _parse_outcome(parse_word, text, generators) == _parse_outcome(
         reference_parse_word, text, generators
     )
+
+
+@given(
+    st.lists(st.lists(TOKENS, max_size=8).map(" ".join), max_size=5),
+    st.tuples(st.lists(TOKENS, max_size=6), st.lists(TOKENS, max_size=6)),
+    st.sampled_from([("x", "y"), ("x", "y", "z")]),
+)
+def test_words_of_one_file_match_the_per_token_reference(rels, peripheral, generators):
+    # every word of a file goes through one token table; each must still
+    # read as it does alone, and the first error must name its line
+    meridian, longitude = map(" ".join, peripheral)
+    lines = [f"gen {' '.join(generators)}", *(f"rel {text}" for text in rels),
+             f"peripheral meridian={meridian} longitude={longitude}"]
+    # (line number, text) of each word, in the order the file reads them
+    words = [*enumerate(rels, start=2), (len(lines), meridian), (len(lines), longitude)]
+    want = []
+    for lineno, text in words:
+        try:
+            want.append(reference_parse_word(text, generators))
+        except ParseError as exc:
+            want = f"f:{lineno}: {exc}"
+            break
+    try:
+        group = parse_group_text("\n".join(lines), source="f")
+    except ParseError as exc:
+        assert str(exc) == want
+    else:
+        assert (*group.presentation.relators, group.meridian, group.longitude) == tuple(want)
 
 
 class TestGroupFiles:
@@ -261,6 +291,18 @@ class TestSplittingFiles:
             parse_splitting_file(path)
         assert str(info.value) == f"{path}:{message}"
 
+    def test_sides_do_not_share_tokens(self, tmp_path):
+        # the B side reads y^2 first; the A side must still refuse it
+        self.write(tmp_path, "A.grp", "group A\ngen x\n")
+        self.write(tmp_path, "B.grp", "group B\ngen y\n")
+        path = self.write(
+            tmp_path, "t.spl",
+            "amalgam A=A.grp B=B.grp\nedge inA=x inB=y^2\nedge inA=y^2 inB=y\n",
+        )
+        with pytest.raises(ParseError) as info:
+            parse_splitting_file(path)
+        assert str(info.value) == f"{path}:3: undeclared generator 'y'"
+
     @pytest.mark.parametrize("line, key", [
         ("amalgam A=A.grp A=B.grp B=B.grp", "A"),
         ("amalgam A=A.grp B=B.grp B=A.grp", "B"),
@@ -273,6 +315,81 @@ class TestSplittingFiles:
         with pytest.raises(ParseError) as info:
             parse_splitting_file(path)
         assert str(info.value) == f"{path}:2: repeated {key}=..."
+
+
+LINE_ENDINGS = {
+    "crlf": lambda lines: "\r\n".join(lines),
+    "cr": lambda lines: "\r".join(lines),
+    "mixed": lambda lines: "".join(
+        line + ("\r\n", "\r", "\n")[i % 3] for i, line in enumerate(lines)
+    ),
+}
+
+
+class TestReading:
+    LINES = TREFOIL_TEXT.splitlines()
+
+    @pytest.mark.parametrize("ending", sorted(LINE_ENDINGS))
+    def test_line_endings_give_the_same_group(self, tmp_path, ending):
+        path = tmp_path / "g.grp"
+        path.write_bytes(LINE_ENDINGS[ending](self.LINES).encode("utf-8"))
+        assert parse_group_file(path) == parse_group_text(TREFOIL_TEXT)
+
+    @pytest.mark.parametrize("ending", sorted(LINE_ENDINGS))
+    def test_line_endings_keep_line_numbers(self, tmp_path, ending):
+        lines = ["# c", "", "gen x y", "", "rel x y", "rel x^0"]
+        path = tmp_path / "g.grp"
+        path.write_bytes(LINE_ENDINGS[ending](lines).encode("utf-8"))
+        with pytest.raises(ParseError) as info:
+            parse_group_file(path)
+        assert str(info.value) == f"{path}:6: zero exponent in token 'x^0'"
+
+    @pytest.mark.parametrize("ending", sorted(LINE_ENDINGS))
+    def test_line_endings_in_splitting_and_premise_files(self, tmp_path, ending):
+        def write(name, lines):
+            (tmp_path / name).write_bytes(LINE_ENDINGS[ending](lines).encode("utf-8"))
+
+        write("A.grp", ["group A", "gen x"])
+        write("B.grp", ["group B", "gen y"])
+        write("t.spl", ["amalgam A=A.grp B=B.grp", "", "edge inA=x^2 inB=y^3", "phi x=3"])
+        write("p.inf", ["kind hnn", "", "premise n_fg yes", "premise n_fg no"])
+        with pytest.raises(ParseError) as info:
+            parse_splitting_file(tmp_path / "t.spl")
+        assert str(info.value) == f"{tmp_path / 't.spl'}:4: phi misses generator 'y'"
+        with pytest.raises(ParseError) as info:
+            parse_premise_file(tmp_path / "p.inf")
+        assert str(info.value) == f"{tmp_path / 'p.inf'}:4: repeated premise 'n_fg'"
+
+    @pytest.mark.parametrize("data", [
+        b"gen x\nrel x\xff\n", b"\xe2\x82", b"gen x\n\xc3\x28\n",
+    ])
+    def test_bytes_that_are_not_utf8(self, tmp_path, data):
+        path = tmp_path / "g.grp"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as decoding:
+            path.read_text(encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            parse_group_file(path)
+        assert str(info.value) == f"cannot read {path}: {decoding.value}"
+
+    def test_directory(self, tmp_path):
+        with pytest.raises(OSError) as opening:
+            tmp_path.read_text(encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            parse_group_file(tmp_path)
+        assert str(info.value) == f"cannot read {tmp_path}: {opening.value}"
+
+
+def test_cable_tower_round_trips():
+    # the iterated trefoil cables the cable-tower benchmark reports on
+    knot = trefoil_data()
+    for depth, (p, q) in enumerate(((1, 2), (3, 2), (1, 2), (3, 2), (1, 2)), start=1):
+        knot = cable_group(knot, p, q)
+        text = format_group(GroupFile.from_knot(knot))
+        group = parse_group_text(text, source=f"k{depth}.grp")
+        assert group.presentation.relators == knot.presentation.relators
+        assert (group.meridian, group.longitude) == (knot.meridian, knot.longitude)
+        assert format_group(group).encode() == text.encode()
 
 
 class TestPremiseFiles:

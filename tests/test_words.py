@@ -11,7 +11,11 @@ from fiberkit.words import (
     substitute,
 )
 
-from tests_support import quadratic_cyclic_reduce, reference_reduce_word
+from tests_support import (
+    quadratic_cyclic_reduce,
+    reference_reduce_word,
+    reference_substitute,
+)
 
 GENS = ("x", "y", "z")
 
@@ -117,6 +121,18 @@ class TestSubstitute:
     def test_missing_image(self):
         with pytest.raises(ValueError):
             substitute(Word.gen("x"), {"y": Word.gen("y")})
+
+    @settings(max_examples=200)
+    @given(words, st.fixed_dictionaries({g: st.one_of(
+        st.just(Word()),
+        st.tuples(st.sampled_from(GENS), st.integers(-4, 4).filter(bool))
+        .map(lambda s: Word((s,))),
+        words,
+    ) for g in GENS}))
+    def test_matches_the_power_reference(self, word, images):
+        # images empty, of one syllable or longer, on the same generator or
+        # on another one
+        assert substitute(word, images) == reference_substitute(word, images)
 
     @given(words, st.lists(st.tuples(st.sampled_from(GENS), words), max_size=3).map(dict),
            st.lists(st.tuples(st.sampled_from(GENS), words), max_size=3).map(dict))

@@ -10,6 +10,7 @@ every hint by heap search, the Alexander reference takes sympy
 determinants of Fox derivatives read off the letters, the word parser
 reference matches and checks every token, repeated or not, the free
 reduction reference merges syllables in place on a stack of lists, the
+substitution reference takes the full power of every image, the
 exponent data reference makes one pass per quantity, the class check
 reference applies phi to every relator syllable by syllable, and the Smith
 normal form oracle takes the gcd of every k x k minor by Bareiss
@@ -141,6 +142,15 @@ def reference_reduce_word(syllables):
         else:
             stack.append([gen, exp])
     return Word(tuple((g, e) for g, e in stack))
+
+
+def reference_substitute(word, images):
+    """Reference for ``words.substitute``: ``images[g] ** e`` for every
+    syllable ``g^e``, repeated or not, concatenated and then reduced by
+    ``reference_reduce_word``."""
+    return reference_reduce_word(
+        [s for g, e in word.syllables for s in (images[g] ** e).syllables]
+    )
 
 
 def reference_exponent_data(relator, x, y):
