@@ -15,11 +15,24 @@ When a rule's conclusion is refuted but more than one of its antecedents
 is still open, the contrapositive cannot pick a culprit; the engine then
 records a disjunction clause ("at least one of these literals holds")
 instead of guessing.
+
+Every rule's outcome reaches one point of the rule loop as "one of these
+open literals holds": a lone literal sets its flag there, more are kept as
+a clause.  The only other place that sets a flag is clause propagation,
+when a clause has one open literal left.  Only a forward implication can
+clash with an established flag, so it is the one rule outcome checked for
+a clash: a contrapositive names antecedents that are still open, the
+dichotomy (while none of its alternatives holds) those not refuted, and
+clause propagation its open literals, so none of them names a flag that
+is already set.
+``FgConclusions.provenance`` (ROADMAP item 6, not built) would record the
+rule's name, or ``"clause-propagation"``, at those two points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 from .errors import ContradictionError, HypothesisError
@@ -155,9 +168,10 @@ def _masks(literals: str) -> tuple[int, int]:
     return yes, no
 
 
-def _compile(kind: str) -> tuple[tuple[str, int, int, int, int], ...]:
+def _compile(kind: str) -> tuple[tuple[str, int, int, int, int, bool], ...]:
     """The table expanded over the kind's sides, each rule as
-    ``(name, need_yes, need_no, alt_yes, alt_no)``."""
+    ``(name, need_yes, need_no, alt_yes, alt_no, single)``, where ``single``
+    marks a rule with one alternative: an implication."""
     all_sides = ("a", "b") if kind == AMALGAM else ("a",)
     rules = []
     for name, ants, alts in _TABLE:
@@ -165,17 +179,24 @@ def _compile(kind: str) -> tuple[tuple[str, int, int, int, int], ...]:
         for side in all_sides if mirrored else ("",):
             sides = (side,) if mirrored else all_sides
             need = _masks(", ".join(ants.format(s=s) for s in sides))
-            alt = _masks(alts.format(s=side))
-            rules.append((name.format(S=side.upper()), *need, *alt))
+            alt_yes, alt_no = _masks(alts.format(s=side))
+            lits = alt_yes | alt_no
+            single = lits & (lits - 1) == 0
+            rules.append((name.format(S=side.upper()), *need, alt_yes, alt_no, single))
     return tuple(rules)
 
 
 _RULES = {AMALGAM: _compile(AMALGAM), HNN: _compile(HNN)}
 
+# every premise value, in flag order
+_PREMISES = attrgetter(*FLAG_NAMES)
 
-def _one_literal(lit_yes: int, lit_no: int) -> bool:
-    lits = lit_yes | lit_no
-    return lits & (lits - 1) == 0
+# the values of five consecutive flags, indexed by their yes-bits | no-bits << 5
+_FIVE_FLAGS = tuple(
+    tuple(True if y >> i & 1 else False if n >> i & 1 else None for i in range(5))
+    for n in range(32)
+    for y in range(32)
+)
 
 
 def _literals(lit_yes: int, lit_no: int) -> frozenset[tuple[str, bool]]:
@@ -208,8 +229,7 @@ def fg_inference(
             "amalgam inference requires the nontriviality assertion A != C != B"
         )
     yes = no = 0
-    for bit, attr in zip(_BITS, FLAG_NAMES):
-        value = getattr(premises, attr)
+    for bit, value in zip(_BITS, _PREMISES(premises)):
         if value:
             yes |= bit
         elif value is not None:
@@ -217,70 +237,79 @@ def fg_inference(
     # unresolved clauses, each a (yes, no) pair of literal masks of which at
     # least one holds; a dict is a set that keeps insertion order
     clauses: dict[tuple[int, int], None] = {}
+    rules = _RULES[kind]
     changed = True
-
-    def assign(lit_yes: int, lit_no: int, rule: str) -> None:
-        """Set one literal unless its opposite is established."""
-        nonlocal yes, no, changed
-        if lit_yes & no or lit_no & yes:
-            flag = FLAG_NAMES[(lit_yes | lit_no).bit_length() - 1]
-            raise ContradictionError(
-                f"rule {rule!r} derives "
-                f"{DISPLAY[flag]} = {'yes' if lit_yes else 'no'} "
-                f"against the established opposite",
-                rule=rule,
-            )
-        if lit_yes & ~yes or lit_no & ~no:
-            yes |= lit_yes
-            no |= lit_no
-            changed = True
-
-    def record(lit_yes: int, lit_no: int, rule: str) -> None:
-        """One of these open literals holds: assign a lone one, else keep
-        the clause."""
-        nonlocal changed
-        if _one_literal(lit_yes, lit_no):
-            assign(lit_yes, lit_no, rule)
-        elif (lit_yes, lit_no) not in clauses:
-            clauses[lit_yes, lit_no] = None
-            changed = True
-
     while changed:
         changed = False
-        for name, need_yes, need_no, alt_yes, alt_no in _RULES[kind]:
+        for name, need_yes, need_no, alt_yes, alt_no, single in rules:
             if need_yes & no or need_no & yes:
                 continue  # an antecedent fails
             open_yes, open_no = need_yes & ~yes, need_no & ~no
             if open_yes or open_no:
-                if (alt_yes & no or alt_no & yes) and _one_literal(alt_yes, alt_no):
-                    # contrapositive: some open antecedent must fail
-                    record(open_no, open_yes, name + " (contrapositive)")
-            elif _one_literal(alt_yes, alt_no):
-                assign(alt_yes, alt_no, name)
-            elif not (alt_yes & yes or alt_no & no):
-                free_yes, free_no = alt_yes & ~no, alt_no & ~yes
-                if not (free_yes or free_no):
+                if not (single and (alt_yes & no or alt_no & yes)):
+                    continue
+                # contrapositive: some open antecedent must fail
+                lit_yes, lit_no = open_no, open_yes
+            elif single:
+                if alt_yes & no or alt_no & yes:
+                    flag = FLAG_NAMES[(alt_yes | alt_no).bit_length() - 1]
+                    raise ContradictionError(
+                        f"rule {name!r} derives "
+                        f"{DISPLAY[flag]} = {'yes' if alt_yes else 'no'} "
+                        f"against the established opposite",
+                        rule=name,
+                    )
+                if not (alt_yes & ~yes or alt_no & ~no):
+                    continue  # already established
+                lit_yes, lit_no = alt_yes, alt_no
+            elif alt_yes & yes or alt_no & no:
+                continue  # the dichotomy already holds
+            else:
+                lit_yes, lit_no = alt_yes & ~no, alt_no & ~yes
+                if not (lit_yes or lit_no):
                     raise ContradictionError(
                         f"rule {name!r} has both alternatives refuted",
                         rule=name,
                     )
-                record(free_yes, free_no, name)
+            # one of these open literals holds: set a lone one, else keep
+            # the clause
+            lits = lit_yes | lit_no
+            if lits & (lits - 1) == 0:
+                yes |= lit_yes
+                no |= lit_no
+            elif (lit_yes, lit_no) in clauses:
+                continue
+            else:
+                clauses[lit_yes, lit_no] = None
+            changed = True
 
-        for lit_yes, lit_no in list(clauses):
-            open_yes, open_no = lit_yes & ~no, lit_no & ~yes
+        for clause in list(clauses):
+            lit_yes, lit_no = clause
             if lit_yes & yes or lit_no & no:
-                del clauses[lit_yes, lit_no]
+                del clauses[clause]
                 changed = True
-            elif not (open_yes or open_no):
+                continue
+            open_yes, open_no = lit_yes & ~no, lit_no & ~yes
+            lits = open_yes | open_no
+            if not lits:
                 raise ContradictionError(
                     "a recorded disjunction lost all of its alternatives",
                     rule="clause-propagation",
                 )
-            elif _one_literal(open_yes, open_no):
-                del clauses[lit_yes, lit_no]
-                assign(open_yes, open_no, "clause-propagation")
+            if lits & (lits - 1) == 0:
+                del clauses[clause]
+                yes |= open_yes
+                no |= open_no
+                changed = True
 
-    flags = tuple([True if yes & bit else False if no & bit else None for bit in _BITS])
+    # three five-flag blocks cover the 15 flags
+    flags = (
+        _FIVE_FLAGS[yes & 31 | (no & 31) << 5]
+        + _FIVE_FLAGS[yes >> 5 & 31 | (no >> 5 & 31) << 5]
+        + _FIVE_FLAGS[yes >> 10 | no >> 10 << 5]
+    )
+    if not clauses:
+        return FgConclusions(flags=flags, disjunctions=frozenset())
     named = [_literals(*clause) for clause in clauses]
     # drop clauses subsumed by smaller ones
     minimal = frozenset(c for c in named if not any(o < c for o in named))

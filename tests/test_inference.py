@@ -1,12 +1,13 @@
 import hashlib
 import random
+from itertools import islice, product
 
 import pytest
 
 from fiberkit import inference
 from fiberkit.errors import ContradictionError, HypothesisError
 from fiberkit.inference import FLAG_NAMES, FgPremises, fg_inference
-from tests_support import as_premises, implies, known
+from tests_support import as_premises, implies, known, reference_fg_inference
 
 
 class TestForwardRules:
@@ -138,6 +139,25 @@ class TestContrapositives:
         )
         assert c["n_in_c"] is True
 
+    def test_unit_clause_is_set_at_the_end_of_its_pass(self, monkeypatch):
+        """On a four-rule table, a clause left with one open literal sets it
+        before the next pass, so the forward rule that comes first in that
+        pass names the clash.  Left to the rule that recorded the clause,
+        the literal would be set later and the clash named after that rule."""
+        table = (
+            ("free-forces-fg", "n_free", "n_fg"),
+            ("fg-in-edge-forces-finite-index", "n_fg, n_in_c", "nc_finite_index"),
+            ("nontrivial-forces-in-edge", "n_nontrivial", "n_in_c"),
+            ("in-edge-forces-free", "n_in_c", "n_free"),
+        )
+        monkeypatch.setattr(inference, "_TABLE", table)
+        monkeypatch.setitem(inference._RULES, "hnn", inference._compile("hnn"))
+        premises = FgPremises(nc_finite_index=False, n_nontrivial=True)
+        for closure in (fg_inference, reference_fg_inference):
+            with pytest.raises(ContradictionError) as info:
+                closure("hnn", premises)
+            assert info.value.rule == "free-forces-fg"
+
 
 class TestContradictions:
     def test_in_edge_with_finite_index(self):
@@ -195,6 +215,14 @@ class TestClosureShape:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             fg_inference("graph", FgPremises())
+
+    @pytest.mark.parametrize("kind", ["amalgam", "hnn"])
+    def test_premise_values_read_by_truth(self, kind):
+        """1 and 0 close exactly like True and False."""
+        ints = fg_inference(kind, FgPremises(n_fg=1, n_in_c=0))
+        bools = fg_inference(kind, FgPremises(n_fg=True, n_in_c=False))
+        assert ints.flags[:3] == (True, False, True)
+        assert ints == bools
 
     def test_flag_vocabulary(self):
         assert len(FLAG_NAMES) == 15
@@ -284,3 +312,50 @@ class TestPinnedEngine:
             premises = FgPremises(**dict(zip(FLAG_NAMES, values)))
             hasher.update(_entry(kind, premises).encode() + b"\n")
         assert hasher.hexdigest() == self.DIGESTS[kind]
+
+
+def _outcome(closure, kind, premises):
+    """Flags and clauses of a closure, or the rule and message it raised."""
+    try:
+        conclusions = closure(kind, premises)
+    except ContradictionError as exc:
+        return exc.rule, str(exc)
+    return conclusions.flags, conclusions.disjunctions
+
+
+class TestReferenceClosure:
+    """``fg_inference`` against ``tests_support.reference_fg_inference``,
+    the closure with nested helpers that checks every derived literal."""
+
+    SWEEP_FLAGS = {
+        "amalgam": FLAG_NAMES[:11],
+        "hnn": tuple(
+            f for f in FLAG_NAMES[:11] if f not in ("n_and_b_fg", "n_and_b_free")
+        ),
+    }
+
+    @pytest.mark.parametrize("kind, step", [("amalgam", 9), ("hnn", 1)])
+    def test_sweep_states(self, kind, step):
+        """Every ``step``-th state of the benchmark sweep space: 3^11 for an
+        amalgam, 3^9 for an HNN extension, two structure flags pinned."""
+        flags = self.SWEEP_FLAGS[kind]
+        combos = product((None, True, False), repeat=len(flags))
+        for combo in islice(combos, 0, None, step):
+            premises = FgPremises(
+                **dict(zip(flags, combo)), c_free_abelian=True, n_nontrivial=True
+            )
+            assert _outcome(fg_inference, kind, premises) == _outcome(
+                reference_fg_inference, kind, premises
+            ), combo
+
+    @pytest.mark.parametrize("kind", ["amalgam", "hnn"])
+    def test_random_states(self, kind):
+        """20,000 seeded random states over all 15 flags, with ints as well
+        as bools for the definite values."""
+        rng = random.Random(20261019)
+        for _ in range(20_000):
+            values = [rng.choice((None, True, False, 0, 1)) for _ in FLAG_NAMES]
+            premises = FgPremises(**dict(zip(FLAG_NAMES, values)))
+            assert _outcome(fg_inference, kind, premises) == _outcome(
+                reference_fg_inference, kind, premises
+            ), values

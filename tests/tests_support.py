@@ -12,11 +12,13 @@ reference matches and checks every token, repeated or not, the free
 reduction reference merges syllables in place on a stack of lists, the
 substitution reference takes the full power of every image, the
 exponent data reference makes one pass per quantity, the class check
-reference applies phi to every relator syllable by syllable, and the Smith
-normal form oracle takes the gcd of every k x k minor by Bareiss
-elimination.  The small predicates after it (``known``, ``implies``,
-``is_trivial``, ``cable_fibered`` and the like) are read only by tests,
-so they live here rather than in the library.
+reference applies phi to every relator syllable by syllable, the inference
+reference is the closure with nested ``assign``/``record`` helpers that
+checks every derived literal for a clash, and the Smith normal form oracle
+takes the gcd of every k x k minor by Bareiss elimination.  The small
+predicates after it (``known``, ``implies``, ``is_trivial``,
+``cable_fibered`` and the like) are read only by tests, so they live here
+rather than in the library.
 """
 
 import math
@@ -31,9 +33,17 @@ from fiberkit.corpus import (
     torus_knot_data,
     unknot_data,
 )
-from fiberkit.errors import HypothesisError, ParseError
+from fiberkit.errors import ContradictionError, HypothesisError, ParseError
 from fiberkit.fox import LaurentPoly
-from fiberkit.inference import FLAG_NAMES, FgPremises
+from fiberkit.inference import (
+    _BITS,
+    _RULES,
+    DISPLAY,
+    FLAG_NAMES,
+    FgConclusions,
+    FgPremises,
+    _literals,
+)
 from fiberkit.links import cable_group
 from fiberkit.one_relator import (
     RelatorAnalysis,
@@ -43,7 +53,7 @@ from fiberkit.one_relator import (
     rank_transfer,
 )
 from fiberkit.presentations import Presentation, ZMap, canonical_zmap
-from fiberkit.splittings import AMALGAM, Splitting
+from fiberkit.splittings import AMALGAM, HNN, Splitting
 from fiberkit.textfmt import parse_word
 from fiberkit.words import Word, cyclic_reduce, exponent_sum, reduce_word, substitute
 
@@ -110,6 +120,101 @@ def implies(weak, strong):
     """Every definite flag of ``weak`` is also definite, and equal, in
     ``strong``."""
     return all(v is None or v == w for v, w in zip(weak.flags, strong.flags))
+
+
+def _one_literal(lit_yes, lit_no):
+    lits = lit_yes | lit_no
+    return lits & (lits - 1) == 0
+
+
+def reference_fg_inference(kind, premises, *, nontrivial_decomposition=True):
+    """``fg_inference`` as nested ``assign``/``record`` helpers that check
+    every derived literal against the established flags.  It reads the
+    compiled rule masks but not their single-alternative field."""
+    if kind not in (AMALGAM, HNN):
+        raise ValueError(f"unknown splitting kind {kind!r}")
+    if kind == AMALGAM and not nontrivial_decomposition:
+        raise HypothesisError(
+            "amalgam inference requires the nontriviality assertion A != C != B"
+        )
+    yes = no = 0
+    for bit, attr in zip(_BITS, FLAG_NAMES):
+        value = getattr(premises, attr)
+        if value:
+            yes |= bit
+        elif value is not None:
+            no |= bit
+    # unresolved clauses, each a (yes, no) pair of literal masks of which at
+    # least one holds; a dict is a set that keeps insertion order
+    clauses = {}
+    changed = True
+
+    def assign(lit_yes, lit_no, rule):
+        """Set one literal unless its opposite is established."""
+        nonlocal yes, no, changed
+        if lit_yes & no or lit_no & yes:
+            flag = FLAG_NAMES[(lit_yes | lit_no).bit_length() - 1]
+            raise ContradictionError(
+                f"rule {rule!r} derives "
+                f"{DISPLAY[flag]} = {'yes' if lit_yes else 'no'} "
+                f"against the established opposite",
+                rule=rule,
+            )
+        if lit_yes & ~yes or lit_no & ~no:
+            yes |= lit_yes
+            no |= lit_no
+            changed = True
+
+    def record(lit_yes, lit_no, rule):
+        """One of these open literals holds: assign a lone one, else keep
+        the clause."""
+        nonlocal changed
+        if _one_literal(lit_yes, lit_no):
+            assign(lit_yes, lit_no, rule)
+        elif (lit_yes, lit_no) not in clauses:
+            clauses[lit_yes, lit_no] = None
+            changed = True
+
+    while changed:
+        changed = False
+        for name, need_yes, need_no, alt_yes, alt_no, _ in _RULES[kind]:
+            if need_yes & no or need_no & yes:
+                continue  # an antecedent fails
+            open_yes, open_no = need_yes & ~yes, need_no & ~no
+            if open_yes or open_no:
+                if (alt_yes & no or alt_no & yes) and _one_literal(alt_yes, alt_no):
+                    # contrapositive: some open antecedent must fail
+                    record(open_no, open_yes, name + " (contrapositive)")
+            elif _one_literal(alt_yes, alt_no):
+                assign(alt_yes, alt_no, name)
+            elif not (alt_yes & yes or alt_no & no):
+                free_yes, free_no = alt_yes & ~no, alt_no & ~yes
+                if not (free_yes or free_no):
+                    raise ContradictionError(
+                        f"rule {name!r} has both alternatives refuted",
+                        rule=name,
+                    )
+                record(free_yes, free_no, name)
+
+        for lit_yes, lit_no in list(clauses):
+            open_yes, open_no = lit_yes & ~no, lit_no & ~yes
+            if lit_yes & yes or lit_no & no:
+                del clauses[lit_yes, lit_no]
+                changed = True
+            elif not (open_yes or open_no):
+                raise ContradictionError(
+                    "a recorded disjunction lost all of its alternatives",
+                    rule="clause-propagation",
+                )
+            elif _one_literal(open_yes, open_no):
+                del clauses[lit_yes, lit_no]
+                assign(open_yes, open_no, "clause-propagation")
+
+    flags = tuple([True if yes & bit else False if no & bit else None for bit in _BITS])
+    named = [_literals(*clause) for clause in clauses]
+    # drop clauses subsumed by smaller ones
+    minimal = frozenset(c for c in named if not any(o < c for o in named))
+    return FgConclusions(flags=flags, disjunctions=minimal)
 
 
 def is_trivial(abelianization):
