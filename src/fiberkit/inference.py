@@ -27,11 +27,32 @@ clause propagation its open literals, so none of them names a flag that
 is already set.
 ``FgConclusions.provenance`` (ROADMAP item 6, not built) would record the
 rule's name, or ``"clause-propagation"``, at those two points.
+
+On this table the unit step of clause propagation changes no outcome:
+with it disabled, every one of the 3^15 premise states of each kind
+closes to the same flags and clauses, or the same rule and message,
+because the rule that recorded a clause sets its last open literal in
+the next pass.  It stays because on other tables it decides which rule
+names a clash, as the four-rule table in ``tests/test_inference.py``
+shows.
+
+The closure repeats passes, each the rule loop then clause propagation,
+until a pass sets no flag.  Flags are only ever added, so comparing
+``yes | no`` before and after a pass is exact.  Recording or dropping a
+clause sets no flag, and every rule reads only the flags, so after a pass
+that set none the next pass would re-derive only clauses already kept and
+find them as this pass left them.
+
+A clause is named as ``(flag, value)`` literals once per process: its
+literal set is a subset of two or more negated antecedents of one
+implication, or the dichotomy's pair, so the table allows at most 30
+clause masks over both kinds and bounds the ``_literals`` cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from operator import attrgetter
 from typing import Optional
 
@@ -199,6 +220,10 @@ _FIVE_FLAGS = tuple(
 )
 
 
+_NO_CLAUSES: frozenset[frozenset[tuple[str, bool]]] = frozenset()
+
+
+@cache
 def _literals(lit_yes: int, lit_no: int) -> frozenset[tuple[str, bool]]:
     """A clause's ``(flag, value)`` literals."""
     return frozenset(
@@ -238,9 +263,8 @@ def fg_inference(
     # least one holds; a dict is a set that keeps insertion order
     clauses: dict[tuple[int, int], None] = {}
     rules = _RULES[kind]
-    changed = True
-    while changed:
-        changed = False
+    while True:
+        known = yes | no
         for name, need_yes, need_no, alt_yes, alt_no, single in rules:
             if need_yes & no or need_no & yes:
                 continue  # an antecedent fails
@@ -277,17 +301,13 @@ def fg_inference(
             if lits & (lits - 1) == 0:
                 yes |= lit_yes
                 no |= lit_no
-            elif (lit_yes, lit_no) in clauses:
-                continue
             else:
                 clauses[lit_yes, lit_no] = None
-            changed = True
 
         for clause in list(clauses):
             lit_yes, lit_no = clause
             if lit_yes & yes or lit_no & no:
                 del clauses[clause]
-                changed = True
                 continue
             open_yes, open_no = lit_yes & ~no, lit_no & ~yes
             lits = open_yes | open_no
@@ -300,7 +320,8 @@ def fg_inference(
                 del clauses[clause]
                 yes |= open_yes
                 no |= open_no
-                changed = True
+        if yes | no == known:
+            break  # a pass that set no flag: the next would see the same
 
     # three five-flag blocks cover the 15 flags
     flags = (
@@ -309,8 +330,8 @@ def fg_inference(
         + _FIVE_FLAGS[yes >> 10 | no >> 10 << 5]
     )
     if not clauses:
-        return FgConclusions(flags=flags, disjunctions=frozenset())
+        return FgConclusions(flags, _NO_CLAUSES)
     named = [_literals(*clause) for clause in clauses]
     # drop clauses subsumed by smaller ones
     minimal = frozenset(c for c in named if not any(o < c for o in named))
-    return FgConclusions(flags=flags, disjunctions=minimal)
+    return FgConclusions(flags, minimal)

@@ -34,7 +34,6 @@ from .words import (
     Word,
     cancel_ends,
     concat,
-    cyclic_reduce,
     exponent_sum,
     reduce_word,
     substitute,
@@ -238,7 +237,10 @@ def validate_automorphism(
     2x2 matrix must have determinant +-1, then Nielsen's commutator
     criterion (J. Nielsen, Math. Ann. 78, 1917) decides whether the images
     ``(u, v)`` form a basis: they do exactly when ``u v u^-1 v^-1`` is
-    conjugate to ``[x, y]`` or to its inverse ``[y, x]``.
+    conjugate to ``[x, y]`` or to its inverse ``[y, x]``.  A cyclically
+    reduced conjugate of a cyclically reduced word is one of its rotations,
+    so the check is a lookup of the commutator, cancelled across its ends,
+    among the eight rotations of the two.
     """
     unknown = set(images) - {x, y}
     if unknown:
@@ -260,12 +262,12 @@ def validate_automorphism(
             f"hint is not an automorphism: abelianized determinant {det}"
         )
     u, v = images[x], images[y]
-    commutator = cyclic_reduce(concat(u, v, u.inverse(), v.inverse()), order=(x, y))
-    # the least rotations of [x, y] = x y x^-1 y^-1 and [y, x] = y x y^-1 x^-1
-    if commutator.syllables not in (
-        ((x, 1), (y, 1), (x, -1), (y, -1)),
-        ((x, 1), (y, -1), (x, -1), (y, 1)),
-    ):
+    commutator = cancel_ends(concat(u, v, u.inverse(), v.inverse())).syllables
+    # [x, y] = x y x^-1 y^-1 and [y, x] = y x y^-1 x^-1, each twice over so
+    # that its four rotations are the windows of length 4
+    xyxy = ((x, 1), (y, 1), (x, -1), (y, -1)) * 2
+    yxyx = ((y, 1), (x, 1), (y, -1), (x, -1)) * 2
+    if commutator not in {w[i : i + 4] for w in (xyxy, yxyx) for i in range(4)}:
         raise HintError(
             "hint is not an automorphism: images do not form a basis"
         )

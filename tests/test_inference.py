@@ -158,6 +158,56 @@ class TestContrapositives:
                 closure("hnn", premises)
             assert info.value.rule == "free-forces-fg"
 
+    def test_clause_dropped_in_the_last_pass(self, monkeypatch):
+        """On a three-rule table, pass 1 records two clauses and sets
+        ``n_free``, and its clause loop sets ``n_and_a_fg`` false from the
+        second clause.  Pass 2 sets no flag, but only its clause loop drops
+        the first clause, satisfied by that literal, so the closure must not
+        stop before it."""
+        table = (
+            ("a", "n_fg, n_and_a_fg", "nc_finite_index"),
+            ("b", "n_free, n_and_a_fg", "c_over_n_finite"),
+            ("c", "n_nontrivial", "n_free"),
+        )
+        monkeypatch.setattr(inference, "_TABLE", table)
+        monkeypatch.setitem(inference._RULES, "hnn", inference._compile("hnn"))
+        premises = FgPremises(
+            nc_finite_index=False, c_over_n_finite=False, n_nontrivial=True
+        )
+        for closure in (fg_inference, reference_fg_inference):
+            c = closure("hnn", premises)
+            assert c.disjunctions == frozenset()
+            assert c["n_and_a_fg"] is False
+            assert c["n_free"] is True
+
+    def test_literals_cache_is_bounded_by_the_table(self):
+        """Every clause is a subset of two or more negated antecedents of
+        one implication, or the dichotomy's pair, so the clause names the
+        closure caches number at most 30 over both kinds."""
+        allowed = set()
+        for rules in inference._RULES.values():
+            for _, need_yes, need_no, alt_yes, alt_no, single in rules:
+                if not single:
+                    allowed.add((alt_yes, alt_no))
+                    continue
+                need = need_yes | need_no
+                sub = need
+                while sub:  # every nonempty subset of the antecedents
+                    if sub & (sub - 1):
+                        allowed.add((sub & need_no, sub & need_yes))
+                    sub = (sub - 1) & need
+        assert len(allowed) == 30
+        inference._literals.cache_clear()
+        rng = random.Random(2026)
+        for _ in range(5_000):
+            values = [rng.choice((None, None, True, False)) for _ in FLAG_NAMES]
+            for kind in ("amalgam", "hnn"):
+                try:
+                    fg_inference(kind, FgPremises(*values))
+                except ContradictionError:
+                    pass
+        assert 0 < inference._literals.cache_info().currsize <= len(allowed)
+
 
 class TestContradictions:
     def test_in_edge_with_finite_index(self):
