@@ -24,7 +24,6 @@ from .fox import (
 )
 from .inference import FgConclusions, FgPremises, fg_inference
 from .links import (
-    KnotGroupData,
     NOT_APPLICABLE,
     StallingsReport,
     cable_group,
@@ -43,6 +42,7 @@ from .one_relator import (
 )
 from .presentations import (
     AbelianizationResult,
+    GroupFile,
     Presentation,
     ZMap,
     abelianize,

@@ -25,12 +25,13 @@ import argparse
 import functools
 import os
 import sys
+from dataclasses import replace
 
 from . import corpus
 from .errors import ContradictionError, FiberkitError, HypothesisError, ParseError
 from .fox import alexander_poly
 from .inference import FLAG_NAMES, fg_inference
-from .links import KnotGroupData, cable_group, splice, stallings_report
+from .links import cable_group, splice, stallings_report
 from .one_relator import analyze, fiber_rank
 from .presentations import (
     ZMap, abelianize, canonical_zmap, torsion_number, two_generator_relator)
@@ -67,14 +68,9 @@ def _require_phi(group: GroupFile) -> ZMap:
     return canonical_zmap(group.presentation)
 
 
-def _knot_data(group: GroupFile) -> KnotGroupData:
-    return KnotGroupData(
-        presentation=group.presentation,
-        meridian=group.meridian,
-        longitude=group.longitude,
-        phi=_require_phi(group),
-        name=group.name,
-    )
+def _read_knot(path: str) -> GroupFile:
+    group = parse_group_file(path)
+    return replace(group, phi=_require_phi(group))
 
 
 def _emit(text: str, output: str | None):
@@ -184,20 +180,14 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_splice(args) -> int:
-    first = _knot_data(parse_group_file(args.file_a))
-    second = _knot_data(parse_group_file(args.file_b))
-    pres, phi = splice(first, second)
-    out = GroupFile(
-        name=f"{first.name}+{second.name}", presentation=pres, phi=phi
-    )
-    _emit(format_group(out), args.output)
+    spliced = splice(_read_knot(args.file_a), _read_knot(args.file_b))
+    _emit(format_group(spliced), args.output)
     return 0
 
 
 def _cmd_cable(args) -> int:
-    knot = _knot_data(parse_group_file(args.file))
-    out = GroupFile.from_knot(cable_group(knot, args.p, args.q))
-    _emit(format_group(out), args.output)
+    cable = cable_group(_read_knot(args.file), args.p, args.q)
+    _emit(format_group(cable), args.output)
     return 0
 
 

@@ -15,12 +15,12 @@ from math import gcd
 
 from .errors import HypothesisError
 from .fox import alexander_poly
-from .links import KnotGroupData, fibered_splice, splice, stallings_report
+from .links import fibered_splice, splice, stallings_report
 from .one_relator import fiber_rank
-from .presentations import Presentation, ZMap, abelianize, canonical_zmap
+from .presentations import GroupFile, Presentation, ZMap, abelianize, canonical_zmap
 from .snf import xgcd
 from .splittings import AMALGAM, Splitting
-from .textfmt import GroupFile, format_group
+from .textfmt import format_group
 from .words import Word
 
 __all__ = [
@@ -35,11 +35,11 @@ __all__ = [
 ]
 
 
-def unknot_data() -> KnotGroupData:
+def unknot_data() -> GroupFile:
     """Infinite cyclic group; the meridian generates and the longitude
     bounds a disk, so it is the empty word."""
     pres = Presentation(("u",))
-    return KnotGroupData(
+    return GroupFile(
         presentation=pres,
         meridian=Word.gen("u"),
         longitude=Word(),
@@ -48,7 +48,7 @@ def unknot_data() -> KnotGroupData:
     )
 
 
-def torus_knot_data(p: int, q: int) -> KnotGroupData:
+def torus_knot_data(p: int, q: int) -> GroupFile:
     """Group ``<x, y | x^p = y^q>`` with class x -> q, y -> p.
 
     The meridian is ``x^s y^r`` for a Bezout pair ``s*q + r*p = 1``; the
@@ -64,7 +64,7 @@ def torus_knot_data(p: int, q: int) -> KnotGroupData:
     _, s, r = xgcd(q, p)
     meridian = Word((("x", s), ("y", r)))
     longitude = Word((("x", p),) + (("y", -r), ("x", -s)) * (p * q))
-    return KnotGroupData(
+    return GroupFile(
         presentation=pres,
         meridian=meridian,
         longitude=longitude,
@@ -73,7 +73,7 @@ def torus_knot_data(p: int, q: int) -> KnotGroupData:
     )
 
 
-def trefoil_data() -> KnotGroupData:
+def trefoil_data() -> GroupFile:
     return replace(torus_knot_data(2, 3), name="trefoil")
 
 
@@ -119,12 +119,12 @@ def corpus_files() -> list[tuple[str, str]]:
         for q in range(p + 1, 8)
         if gcd(p, q) == 1
     ]
-    files = [(name, format_group(GroupFile.from_knot(data))) for name, data in knots]
+    files = [(name, format_group(data)) for name, data in knots]
 
     showcase = showcase_presentation()
     descended = showcase_descended()
     zero = replace(trefoil, phi=ZMap({g: 0 for g in trefoil.presentation.generators}))
-    spliced, spliced_phi = splice(zero, zero)
+    spliced = splice(zero, zero)
     verdict = fibered_splice(True, True, False, True)
     files += [
         ("showcase.grp",
@@ -138,9 +138,9 @@ def corpus_files() -> list[tuple[str, str]]:
         ("showcase.report.txt",
          stallings_report(showcase, canonical_zmap(showcase), [showcase_hint()]).render()
          + "\n"),
-        ("splice_trefoil_trefoil.grp",
-         format_group(GroupFile("trefoil+trefoil", spliced, spliced_phi))),
-        ("splice_trefoil_trefoil.homology.txt", f"abelianization = {abelianize(spliced)}\n"),
+        ("splice_trefoil_trefoil.grp", format_group(spliced)),
+        ("splice_trefoil_trefoil.homology.txt",
+         f"abelianization = {abelianize(spliced.presentation)}\n"),
         ("splice_without_incompressibility.txt",
          "scenario: fibered exterior spliced with an unknot inside a ball\n"
          "first_fibered = yes\nsecond_fibered = yes\n"

@@ -1,7 +1,9 @@
 """Group-level splice sums, cables, and fiberedness bookkeeping.
 
 Everything here happens at the level of presentations with distinguished
-peripheral words.  Geometric hypotheses that the group cannot see, such
+peripheral words: a knot exterior group is a ``GroupFile`` with a class and
+both peripheral words, which ``splice`` and ``cable_group`` check in one
+place before they glue.  Geometric hypotheses that the group cannot see, such
 as incompressibility of the splicing tori, are arguments of
 ``fibered_splice`` that its caller asserts; without them it refuses to
 answer rather than silently assuming them.
@@ -17,6 +19,7 @@ from .fox import LaurentPoly, alexander_poly, monic_degree_check
 from .one_relator import fiber_rank
 from .presentations import (
     AbelianizationResult,
+    GroupFile,
     Presentation,
     ZMap,
     abelianize,
@@ -26,7 +29,6 @@ from .snf import xgcd
 from .words import Word, concat
 
 __all__ = [
-    "KnotGroupData",
     "splice",
     "cable_group",
     "fibered_splice",
@@ -38,41 +40,21 @@ __all__ = [
 NOT_APPLICABLE = "not applicable"
 
 
-@dataclass(frozen=True)
-class KnotGroupData:
-    """A knot exterior group with its peripheral words and class to Z.
-
-    The empty word is a legitimate longitude (an unknot bounds a disk);
-    None means the peripheral word is genuinely missing, which blocks
-    splicing and cabling.
-    """
-
-    presentation: Presentation
-    meridian: Word | None
-    longitude: Word | None
-    phi: ZMap
-    name: str = "K"
-
-    def __post_init__(self):
-        gens = set(self.presentation.generators)
-        for label, w in (("meridian", self.meridian), ("longitude", self.longitude)):
-            if w is not None and not w.generators() <= gens:
-                raise ValueError(f"{label} is not a word in the group generators")
-        if not zmap_validate(self.phi, self.presentation):
-            raise HypothesisError("the class does not kill every relator")
-
-    def require_peripheral(self) -> tuple[Word, Word]:
-        if self.meridian is None or self.longitude is None:
-            raise HypothesisError(f"missing peripheral data on {self.name}")
-        return self.meridian, self.longitude
-
-    def phi_meridian(self) -> int:
-        meridian, _ = self.require_peripheral()
-        return self.phi(meridian)
-
-    def phi_longitude(self) -> int:
-        _, longitude = self.require_peripheral()
-        return self.phi(longitude)
+def _peripheral_system(knot: GroupFile) -> tuple[Word, Word]:
+    """The meridian and longitude of ``knot``, once its class exists and
+    kills every relator and both words exist and are over its generators;
+    splicing and cabling need all of that."""
+    if knot.phi is None:
+        raise HypothesisError(f"missing class on {knot.name}")
+    if not zmap_validate(knot.phi, knot.presentation):
+        raise HypothesisError("the class does not kill every relator")
+    if knot.meridian is None or knot.longitude is None:
+        raise HypothesisError(f"missing peripheral data on {knot.name}")
+    gens = set(knot.presentation.generators)
+    for label, w in (("meridian", knot.meridian), ("longitude", knot.longitude)):
+        if not w.generators() <= gens:
+            raise ValueError(f"{label} is not a word in the group generators")
+    return knot.meridian, knot.longitude
 
 
 def _freshen(generators, taken: set[str]) -> dict[str, str]:
@@ -93,23 +75,25 @@ def _rename_word(w: Word, renaming: dict[str, str]) -> Word:
     return Word(tuple((renaming[g], e) for g, e in w.syllables))
 
 
-def splice(first: KnotGroupData, second: KnotGroupData) -> tuple[Presentation, ZMap]:
+def splice(first: GroupFile, second: GroupFile) -> GroupFile:
     """Glue two knot exteriors along their boundary tori, exchanging
     meridian and longitude.
 
-    The result keeps all generators and relators (second's renamed away
-    from collisions) and adds the two exchange relators.  The classes must
-    agree across the gluing: first's meridian value must equal second's
-    longitude value and vice versa; otherwise no combined class restricts
-    to both and the construction refuses.
+    The result, named ``first+second``, keeps all generators and relators
+    (second's renamed away from collisions) and adds the two exchange
+    relators; it has no peripheral words.  The classes must agree across
+    the gluing: first's meridian value must equal second's longitude value
+    and vice versa; otherwise no combined class restricts to both and the
+    construction refuses.
     """
-    first_meridian, first_longitude = first.require_peripheral()
-    second.require_peripheral()
-    if first.phi_meridian() != second.phi_longitude() or first.phi_longitude() != second.phi_meridian():
+    first_meridian, first_longitude = _peripheral_system(first)
+    second_meridian, second_longitude = _peripheral_system(second)
+    m1, l1 = first.phi(first_meridian), first.phi(first_longitude)
+    m2, l2 = second.phi(second_meridian), second.phi(second_longitude)
+    if m1 != l2 or l1 != m2:
         raise HypothesisError(
             "classes are incompatible across the gluing: need "
-            f"phi(m')={first.phi_meridian()} == phi(l'')={second.phi_longitude()} and "
-            f"phi(l')={first.phi_longitude()} == phi(m'')={second.phi_meridian()}"
+            f"phi(m')={m1} == phi(l'')={l2} and phi(l')={l1} == phi(m'')={m2}"
         )
 
     taken = set(first.presentation.generators)
@@ -117,8 +101,8 @@ def splice(first: KnotGroupData, second: KnotGroupData) -> tuple[Presentation, Z
     second_rels = tuple(
         _rename_word(r, renaming) for r in second.presentation.relators
     )
-    second_meridian = _rename_word(second.meridian, renaming)
-    second_longitude = _rename_word(second.longitude, renaming)
+    second_meridian = _rename_word(second_meridian, renaming)
+    second_longitude = _rename_word(second_longitude, renaming)
 
     gens = first.presentation.generators + tuple(
         renaming[g] for g in second.presentation.generators
@@ -134,10 +118,12 @@ def splice(first: KnotGroupData, second: KnotGroupData) -> tuple[Presentation, Z
     values = dict(first.phi.values)
     for g, v in second.phi.values.items():
         values[renaming[g]] = v
-    return Presentation(gens, relators), ZMap(values)
+    return GroupFile(
+        f"{first.name}+{second.name}", Presentation(gens, relators), ZMap(values)
+    )
 
 
-def cable_group(knot: KnotGroupData, p: int, q: int) -> KnotGroupData:
+def cable_group(knot: GroupFile, p: int, q: int) -> GroupFile:
     """Group of the cable knot running ``p`` times around the meridian and
     ``q`` times along the longitude of ``knot``.
 
@@ -152,11 +138,11 @@ def cable_group(knot: KnotGroupData, p: int, q: int) -> KnotGroupData:
     longitude is ``meridian^p longitude^q`` corrected by a meridian power
     to value 0.
     """
+    meridian, longitude = _peripheral_system(knot)
     if q == 0:
         raise HypothesisError("cable needs q != 0")
     if gcd(p, q) != 1:
         raise HypothesisError(f"cable needs coprime framing, gcd({p}, {q}) != 1")
-    meridian, longitude = knot.require_peripheral()
 
     taken = set(knot.presentation.generators)
     t_name = "t"
@@ -169,8 +155,7 @@ def cable_group(knot: KnotGroupData, p: int, q: int) -> KnotGroupData:
         knot.presentation.generators + (t_name,),
         knot.presentation.relators + (cable_relator,),
     )
-    phi_m = knot.phi_meridian()
-    phi_l = knot.phi_longitude()
+    phi_m, phi_l = knot.phi(meridian), knot.phi(longitude)
     values = {g: q * v for g, v in knot.phi.values.items()}
     values[t_name] = p * phi_m + q * phi_l
     phi = ZMap(values)
@@ -186,7 +171,7 @@ def cable_group(knot: KnotGroupData, p: int, q: int) -> KnotGroupData:
     core = concat(meridian ** p, longitude ** q)
     new_longitude = concat(core, new_meridian ** (-(phi(core) // unit)))
 
-    return KnotGroupData(
+    return GroupFile(
         presentation=pres,
         meridian=new_meridian,
         longitude=new_longitude,

@@ -2,7 +2,9 @@
 
 The abelianization is computed from the Smith normal form of the relator
 exponent matrix (rows = relators, columns = generators in declaration
-order).
+order).  ``GroupFile`` is a named presentation with an optional class to Z
+and optional peripheral words: what a group file holds, and the knot
+exterior group that ``links`` splices and cables.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .words import Word
 
 __all__ = [
     "Presentation",
+    "GroupFile",
     "AbelianizationResult",
     "ZMap",
     "abelianize",
@@ -156,6 +159,23 @@ def zmap_validate(phi: ZMap, pres: Presentation) -> bool:
         return False
     values = [phi.values[g] for g in pres.generators]
     return not any(sum(map(mul, row, values)) for row in pres._rows)
+
+
+@dataclass(frozen=True)
+class GroupFile:
+    """A named presentation with its class to Z and peripheral words.
+
+    The empty word is a legitimate longitude (an unknot bounds a disk);
+    None means the class or a peripheral word is missing.  Nothing is
+    checked here: ``textfmt`` checks what it reads, and ``links`` checks
+    what it glues.
+    """
+
+    name: str
+    presentation: Presentation
+    phi: ZMap | None = None
+    meridian: Word | None = None
+    longitude: Word | None = None
 
 
 def two_generator_relator(pres: Presentation) -> tuple[str, str, Word]:

@@ -9,7 +9,6 @@ bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from math import gcd
 
@@ -29,8 +28,6 @@ __all__ = [
 
 AMALGAM = "amalgam"
 HNN = "hnn"
-
-INFINITE = math.inf
 
 
 @dataclass(frozen=True)
@@ -102,16 +99,6 @@ class Splitting:
         return Presentation(gens, tuple(rels))
 
 
-def _subgroup_index(phi: ZMap, words: list[Word]) -> int | float:
-    """Index in Z of the subgroup generated by the phi-values of ``words``,
-    assuming phi is already surjective.  The zero subgroup has infinite
-    index."""
-    d = 0
-    for w in words:
-        d = gcd(d, phi(w))
-    return d if d else INFINITE
-
-
 def _normalized_indices(split: Splitting, phi: ZMap):
     """phi validated and rescaled to be onto, then the three indices."""
     pres = split.assembled()
@@ -122,26 +109,21 @@ def _normalized_indices(split: Splitting, phi: ZMap):
     if phi.image_gcd() == 0:
         raise HypothesisError("N = G, indices undefined")
     phi = phi.normalized()
-    a_idx = _subgroup_index(
-        phi, [Word.gen(g) for g in split.factor_a.generators]
-    )
-    c_idx = _subgroup_index(phi, list(split.edges_a))
+    a_idx = gcd(*(phi.values[g] for g in split.factor_a.generators))
+    c_idx = gcd(*map(phi, split.edges_a))
     b_idx = None
     if split.kind == AMALGAM:
-        b_idx = _subgroup_index(
-            phi, [Word.gen(g) for g in split.factor_b.generators]
-        )
+        b_idx = gcd(*(phi.values[g] for g in split.factor_b.generators))
     return phi, a_idx, b_idx, c_idx
 
 
-def kernel_indices(
-    split: Splitting, phi: ZMap
-) -> tuple[int | float, int | float | None, int | float]:
+def kernel_indices(split: Splitting, phi: ZMap) -> tuple[int, int | None, int]:
     """Indices ``([G:NA], [G:NB], [G:NC])`` for ``N = ker(phi)``.
 
     Each equals the index in Z of the phi-image of the corresponding
-    subgroup, once phi is rescaled to be onto.  An index is ``math.inf``
-    when the image collapses to 0; the middle entry is None for an HNN
+    subgroup, once phi is rescaled to be onto: the gcd of the phi-values
+    of its generators.  An index is 0 when the image collapses to 0, which
+    stands for an infinite index; the middle entry is None for an HNN
     splitting.
     """
     return _normalized_indices(split, phi)[1:]
@@ -189,21 +171,20 @@ class CosetGraph:
 def coset_graph(split: Splitting, phi: ZMap) -> CosetGraph:
     """Build the coset graph of ``ker(phi)``; all indices must be finite."""
     phi, a_idx, b_idx, c_idx = _normalized_indices(split, phi)
-    if INFINITE in (a_idx, b_idx, c_idx):
+    if 0 in (a_idx, b_idx, c_idx):
         raise HypothesisError(
             "graph is infinite; the kernel is not finitely generated "
             "unless it lies in a factor"
         )
-    a_idx, c_idx = int(a_idx), int(c_idx)
     # c is a multiple of lcm(a, b) (of a for HNN), so the edges join every
     # pair of residues that agree mod gcd(a, b) (mod gcd(a, step)): the
     # graph is connected exactly when that gcd is 1
     if split.kind == AMALGAM:
-        b_idx, step = int(b_idx), None
+        step = None
         linked = gcd(a_idx, b_idx)
         chi = a_idx + b_idx - c_idx
     else:
-        step = phi(Word.gen(split.stable_letter))
+        step = phi.values[split.stable_letter]
         linked = gcd(a_idx, step)
         chi = a_idx - c_idx
     if linked != 1:
@@ -227,7 +208,7 @@ def free_kernel_rank(
     HNN: ``a*rank_a + 1 + c - a``.
     """
     for idx in (a_idx, b_idx, c_idx):
-        if idx is not None and (idx == INFINITE or idx < 1):
+        if idx is not None and idx < 1:
             raise HypothesisError("ranks need finite positive indices")
     if kind == AMALGAM:
         if b_idx is None or rank_b is None:

@@ -9,7 +9,9 @@ Group file::
     peripheral meridian=x y^-1 longitude=x^2 x y^-1 ...
 
 Words are whitespace-separated ``<id>^<int>`` tokens with ``^1`` omitted
-and ``1`` for the empty word.  Splitting files name their factor files::
+and ``1`` for the empty word.  A group file reads into the
+``presentations.GroupFile`` that ``links`` splices and cables; the phi and
+peripheral lines are optional.  Splitting files name their factor files::
 
     amalgam A=a.grp B=b.grp
     edge inA=x^2 inB=y^3
@@ -44,15 +46,13 @@ from __future__ import annotations
 import re
 import stat
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Callable
 
 from .errors import ParseError
 from .inference import FLAG_NAMES, FgPremises
-from .links import KnotGroupData
-from .presentations import Presentation, ZMap
+from .presentations import GroupFile, Presentation, ZMap
 from .splittings import AMALGAM, HNN, Splitting
 from .words import Syllable, Word, _word, reduce_word
 
@@ -109,21 +109,6 @@ def _read_word(table: dict[str, Syllable], declared: set[str] | None, text: str)
         last = gen
     # checked token by token, and no two adjacent syllables share a generator
     return _word(tuple(syllables))
-
-
-@dataclass(frozen=True)
-class GroupFile:
-    """Parsed contents of a group file."""
-
-    name: str
-    presentation: Presentation
-    phi: ZMap | None = None
-    meridian: Word | None = None
-    longitude: Word | None = None
-
-    @classmethod
-    def from_knot(cls, knot: KnotGroupData) -> "GroupFile":
-        return cls(knot.name, knot.presentation, knot.phi, knot.meridian, knot.longitude)
 
 
 def _read(path: Path) -> str:

@@ -7,6 +7,7 @@ Timing bounds are asserted where the criterion states one.
 
 import random
 import time
+from dataclasses import replace
 from itertools import product
 from math import gcd
 
@@ -26,7 +27,6 @@ from fiberkit.errors import ContradictionError
 from fiberkit.fox import LaurentPoly, alexander_poly, fox_derivative, monic_degree_check
 from fiberkit.inference import FLAG_NAMES, FgConclusions, FgPremises, fg_inference
 from fiberkit.links import (
-    KnotGroupData,
     NOT_APPLICABLE,
     cable_group,
     fibered_splice,
@@ -312,14 +312,9 @@ def test_acceptance_7_property_suites():
     # cabled presentations
     cases = list(corpus_presentations())
     trefoil = trefoil_data()
-    zero = KnotGroupData(
-        presentation=trefoil.presentation,
-        meridian=trefoil.meridian,
-        longitude=trefoil.longitude,
-        phi=ZMap({g: 0 for g in trefoil.presentation.generators}),
-    )
-    spliced, spliced_phi = splice(zero, zero)
-    cases.append(("spliced", spliced, spliced_phi))
+    zero = replace(trefoil, phi=ZMap({g: 0 for g in trefoil.presentation.generators}))
+    spliced = splice(zero, zero)
+    cases.append(("spliced", spliced.presentation, spliced.phi))
     cab = cable_group(trefoil, 2, 3)
     cases.append(("cabled", cab.presentation, cab.phi))
     for name, pres, phi in cases:
@@ -359,21 +354,15 @@ def test_acceptance_7_property_suites():
 
 def test_acceptance_8_splice_homology_and_gate():
     def zero_class(data):
-        return KnotGroupData(
-            presentation=data.presentation,
-            meridian=data.meridian,
-            longitude=data.longitude,
-            phi=ZMap({g: 0 for g in data.presentation.generators}),
-            name=data.name,
-        )
+        return replace(data, phi=ZMap({g: 0 for g in data.presentation.generators}))
 
-    first, _ = splice(zero_class(trefoil_data()), zero_class(trefoil_data()))
-    assert is_trivial(abelianize(first))
+    first = splice(zero_class(trefoil_data()), zero_class(trefoil_data()))
+    assert is_trivial(abelianize(first.presentation))
 
-    second, _ = splice(
+    second = splice(
         zero_class(trefoil_data()), zero_class(torus_knot_data(2, 5))
     )
-    assert is_trivial(abelianize(second))
+    assert is_trivial(abelianize(second.presentation))
 
     assert fibered_splice(True, True, False, True) == NOT_APPLICABLE
     report(8, "spliced groups abelianize to nothing; missing assertion gates")

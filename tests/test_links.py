@@ -1,3 +1,4 @@
+from dataclasses import replace
 from math import gcd
 
 import pytest
@@ -12,14 +13,19 @@ from fiberkit.corpus import (
 from fiberkit.errors import HypothesisError
 from fiberkit.fox import alexander_poly, monic_degree_check
 from fiberkit.links import (
-    KnotGroupData,
     NOT_APPLICABLE,
     cable_group,
     fibered_splice,
     splice,
     stallings_report,
 )
-from fiberkit.presentations import Presentation, ZMap, abelianize, canonical_zmap
+from fiberkit.presentations import (
+    GroupFile,
+    Presentation,
+    ZMap,
+    abelianize,
+    canonical_zmap,
+)
 from fiberkit.snf import xgcd
 from fiberkit.words import Word, concat
 from tests_support import (
@@ -34,36 +40,41 @@ def w(*sylls):
     return Word.of(*sylls)
 
 
-def zero_class(data: KnotGroupData) -> KnotGroupData:
-    return KnotGroupData(
-        presentation=data.presentation,
-        meridian=data.meridian,
-        longitude=data.longitude,
-        phi=ZMap({g: 0 for g in data.presentation.generators}),
-        name=data.name,
-    )
+def zero_class(data: GroupFile) -> GroupFile:
+    return replace(data, phi=ZMap({g: 0 for g in data.presentation.generators}))
+
+
+# knots that splice and cable refuse, with the error each raises
+UNUSABLE_KNOTS = [
+    (GroupFile("stray", Presentation(("z",)), ZMap({"z": 0}), Word.gen("y"), Word()),
+     ValueError, "meridian is not a word in the group generators"),
+    (GroupFile("stray", Presentation(("z",)), ZMap({"z": 0}), Word(), Word.gen("y")),
+     ValueError, "longitude is not a word in the group generators"),
+    (GroupFile("classless", Presentation(("z",)), None, Word.gen("z"), Word()),
+     HypothesisError, "missing class on classless"),
+]
 
 
 class TestSplice:
     def test_generator_and_relator_counts(self):
         first = zero_class(trefoil_data())
         second = zero_class(torus_knot_data(2, 5))
-        pres, phi = splice(first, second)
-        assert len(pres.generators) == 4
-        assert len(pres.relators) == 4
-        assert set(phi.values) == set(pres.generators)
+        spliced = splice(first, second)
+        assert len(spliced.presentation.generators) == 4
+        assert len(spliced.presentation.relators) == 4
+        assert set(spliced.phi.values) == set(spliced.presentation.generators)
 
     def test_renaming_on_collision(self):
-        pres, _ = splice(zero_class(trefoil_data()), zero_class(trefoil_data()))
-        assert pres.generators == ("x", "y", "x_2", "y_2")
+        spliced = splice(zero_class(trefoil_data()), zero_class(trefoil_data()))
+        assert spliced.presentation.generators == ("x", "y", "x_2", "y_2")
 
     def test_trefoil_trefoil_homology_trivial(self):
-        pres, _ = splice(zero_class(trefoil_data()), zero_class(trefoil_data()))
-        assert is_trivial(abelianize(pres))
+        spliced = splice(zero_class(trefoil_data()), zero_class(trefoil_data()))
+        assert is_trivial(abelianize(spliced.presentation))
 
     def test_trefoil_cinqfoil_homology_trivial(self):
-        pres, _ = splice(zero_class(trefoil_data()), zero_class(torus_knot_data(2, 5)))
-        assert is_trivial(abelianize(pres))
+        spliced = splice(zero_class(trefoil_data()), zero_class(torus_knot_data(2, 5)))
+        assert is_trivial(abelianize(spliced.presentation))
 
     def test_homology_trivial_for_corpus_pairs(self):
         knots = [
@@ -74,38 +85,45 @@ class TestSplice:
         ]
         for first in knots:
             for second in knots:
-                pres, _ = splice(zero_class(first), zero_class(second))
-                assert is_trivial(abelianize(pres)), (first.name, second.name)
+                spliced = splice(zero_class(first), zero_class(second))
+                assert is_trivial(abelianize(spliced.presentation)), (first.name, second.name)
 
     def test_unknot_splice_forces_meridian(self):
         trefoil = zero_class(trefoil_data())
         unknot = zero_class(unknot_data())
-        pres, _ = splice(trefoil, unknot)
+        spliced = splice(trefoil, unknot)
         # the exchange relator identifies the trefoil meridian with the
         # empty longitude, literally killing it
-        assert trefoil.meridian in pres.relators
+        assert trefoil.meridian in spliced.presentation.relators
 
     def test_class_incompatibility_rejected(self):
         with pytest.raises(HypothesisError, match="incompatible"):
             splice(trefoil_data(), trefoil_data())
 
     def test_missing_peripheral_rejected(self):
-        bare = KnotGroupData(
-            presentation=Presentation(("z",)),
-            meridian=None,
-            longitude=None,
-            phi=ZMap({"z": 0}),
-            name="bare",
-        )
+        bare = GroupFile("bare", Presentation(("z",)), ZMap({"z": 0}))
         with pytest.raises(HypothesisError, match="peripheral"):
             splice(bare, zero_class(unknot_data()))
+
+    @pytest.mark.parametrize("knot, error, message", UNUSABLE_KNOTS)
+    def test_unusable_knot_rejected(self, knot, error, message):
+        unknot = zero_class(unknot_data())
+        for first, second in ((knot, unknot), (unknot, knot)):
+            with pytest.raises(error) as info:
+                splice(first, second)
+            assert str(info.value) == message
 
     def test_compatible_classes_restrict(self):
         first = zero_class(trefoil_data())
         second = zero_class(unknot_data())
-        _, phi = splice(first, second)
+        spliced = splice(first, second)
         for g, v in first.phi.values.items():
-            assert phi.values[g] == v
+            assert spliced.phi.values[g] == v
+
+    def test_result_is_named_and_has_no_peripheral_words(self):
+        spliced = splice(zero_class(trefoil_data()), zero_class(torus_knot_data(2, 5)))
+        assert spliced.name == "trefoil+T(2,5)"
+        assert (spliced.meridian, spliced.longitude) == (None, None)
 
 
 class TestTorusKnotData:
@@ -176,14 +194,15 @@ class TestCableGroup:
             cable_group(unknot_data(), 1, 0)
 
     def test_requires_peripheral(self):
-        bare = KnotGroupData(
-            presentation=Presentation(("z",)),
-            meridian=None,
-            longitude=None,
-            phi=ZMap({"z": 1}),
-        )
+        bare = GroupFile("K", Presentation(("z",)), ZMap({"z": 1}))
         with pytest.raises(HypothesisError, match="peripheral"):
             cable_group(bare, 2, 3)
+
+    @pytest.mark.parametrize("knot, error, message", UNUSABLE_KNOTS)
+    def test_unusable_knot_rejected(self, knot, error, message):
+        with pytest.raises(error) as info:
+            cable_group(knot, 2, 3)
+        assert str(info.value) == message
 
 
 class TestFiberedPredicates:

@@ -385,7 +385,7 @@ def test_cable_tower_round_trips():
     knot = trefoil_data()
     for depth, (p, q) in enumerate(((1, 2), (3, 2), (1, 2), (3, 2), (1, 2)), start=1):
         knot = cable_group(knot, p, q)
-        text = format_group(GroupFile.from_knot(knot))
+        text = format_group(knot)
         group = parse_group_text(text, source=f"k{depth}.grp")
         assert group.presentation.relators == knot.presentation.relators
         assert (group.meridian, group.longitude) == (knot.meridian, knot.longitude)
