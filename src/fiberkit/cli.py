@@ -40,26 +40,15 @@ from .textfmt import (
     GroupFile,
     format_group,
     parse_group_file,
+    parse_hints,
     parse_premise_file,
     parse_splitting_file,
-    parse_word,
     write_file,
     writing,
 )
-from .words import Word, cyclic_reduce
+from .words import cyclic_reduce
 
 __all__ = ["main", "entry"]
-
-
-def _parse_nielsen(text: str) -> dict[str, Word]:
-    if "->" not in text:
-        raise ParseError(f"bad hint {text!r}, expected 'gen->word'")
-    gen, _, image = text.partition("->")
-    gen = gen.strip()
-    if not gen or any(ch.isspace() for ch in gen):
-        raise ParseError(f"bad hint generator in {text!r}")
-    word = parse_word(image.strip(), None)
-    return {gen: word}
 
 
 def _require_phi(group: GroupFile) -> ZMap:
@@ -110,7 +99,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_fiber_rank(args) -> int:
     group = parse_group_file(args.file)
-    hints = [_parse_nielsen(h) for h in args.nielsen]
+    hints = parse_hints(args.nielsen)
     rank = fiber_rank(group.presentation, hints)
     print(f"rank = {rank if rank is not None else 'unknown'}")
     return 0
@@ -193,7 +182,7 @@ def _cmd_cable(args) -> int:
 
 def _cmd_report(args) -> int:
     group = parse_group_file(args.file)
-    hints = [_parse_nielsen(h) for h in args.nielsen]
+    hints = parse_hints(args.nielsen)
     report = stallings_report(group.presentation, _require_phi(group), hints)
     print(report.render())
     return 0

@@ -12,7 +12,9 @@ comes straight out of the coset graph of the obvious cyclic-edge amalgam.
 ``fiber_rank`` runs this recursion as one loop.  When neither the base case
 nor a descent applies, it consumes a caller-supplied basis change of the
 free group (a Nielsen move) and retries, and reports unknown once the hints
-run out.
+run out.  It reads the exponent sums once, from the presentation, and
+carries them through each hint and descent, so a stage walks the relator
+only to substitute the hint and to find the ``x``-divisor.
 
 ``invert_automorphism`` with its helpers ``_compose`` and
 ``_signed_basis_fix`` is not on that path: it is the heap-search oracle the
@@ -24,6 +26,7 @@ change to the benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
 from typing import Mapping, Sequence
 
@@ -89,13 +92,31 @@ def analyze(relator: Word, x: str, y: str) -> RelatorAnalysis:
         else:
             extra = sorted(relator.generators() - {x, y})
             raise HypothesisError(f"relator uses unexpected generators {extra}")
+    return _analysis(p, q, e or 1)
+
+
+def _analysis(p: int, q: int, e: int) -> RelatorAnalysis:
+    """``RelatorAnalysis`` of the exponent sums ``p, q`` and the
+    ``x``-divisor ``e``; refuses ``q = 0``."""
     if q == 0:
         raise HypothesisError(
             "exponent sum in the second generator is zero; "
             "the descent hypothesis fails"
         )
     m = gcd(p, q)
-    return RelatorAnalysis(p=p, q=q, m=m, a=p // m, b=q // m, e=abs(e) or 1)
+    return RelatorAnalysis(p, q, m, p // m, q // m, e)
+
+
+def _x_divisor(relator: Word, x: str) -> int:
+    """The ``e`` of ``analyze``: the gcd of the ``x``-exponents, 1 when ``x``
+    does not occur; the walk stops once the gcd reaches 1."""
+    e = 0
+    for g, exp in relator.syllables:
+        if g == x:
+            e = gcd(e, exp)
+            if e == 1:
+                break
+    return e or 1
 
 
 def descend(relator: Word, e: int, x: str, y: str, new_x: str) -> Word:
@@ -136,10 +157,28 @@ def rank_transfer(ell: int, a: int, b: int, e: int) -> int:
 # ---------------------------------------------------------------------------
 # Nielsen moves
 
-def _abelianized_determinant(images: Mapping[str, Word], x: str, y: str) -> int:
-    return exponent_sum(images[x], x) * exponent_sum(images[y], y) - exponent_sum(
-        images[x], y
-    ) * exponent_sum(images[y], x)
+_Matrix = tuple[int, int, int, int]
+
+
+def _abelianized(images: Mapping[str, Word], x: str, y: str) -> _Matrix:
+    """The abelianized 2x2 matrix of ``x -> u, y -> v`` as
+    ``(eps_x(u), eps_y(u), eps_x(v), eps_y(v))``, ``eps_g`` the exponent sum
+    in ``g``: a relator's sums ``(p, q)`` become
+    ``(p eps_x(u) + q eps_x(v), p eps_y(u) + q eps_y(v))``."""
+    u, v = images[x], images[y]
+    return (exponent_sum(u, x), exponent_sum(u, y),
+            exponent_sum(v, x), exponent_sum(v, y))
+
+
+@cache
+def _commutator_rotations(x: str, y: str) -> frozenset:
+    """The eight rotations of ``[x, y]`` and ``[y, x]`` as syllable tuples,
+    built once per generator pair."""
+    # [x, y] = x y x^-1 y^-1 and [y, x] = y x y^-1 x^-1, each twice over so
+    # that its four rotations are the windows of length 4
+    xyxy = ((x, 1), (y, 1), (x, -1), (y, -1)) * 2
+    yxyx = ((y, 1), (x, 1), (y, -1), (x, -1)) * 2
+    return frozenset(w[i : i + 4] for w in (xyxy, yxyx) for i in range(4))
 
 
 def _compose(first: dict[str, Word], then: Mapping[str, Word], gens) -> dict[str, Word]:
@@ -256,18 +295,15 @@ def validate_automorphism(
         raise HintError(
             f"hint uses generators {sorted(bad)} outside {x!r}, {y!r}"
         )
-    det = _abelianized_determinant(images, x, y)
+    ux, uy, vx, vy = _abelianized(images, x, y)
+    det = ux * vy - uy * vx
     if det not in (1, -1):
         raise HintError(
             f"hint is not an automorphism: abelianized determinant {det}"
         )
     u, v = images[x], images[y]
     commutator = cancel_ends(concat(u, v, u.inverse(), v.inverse())).syllables
-    # [x, y] = x y x^-1 y^-1 and [y, x] = y x y^-1 x^-1, each twice over so
-    # that its four rotations are the windows of length 4
-    xyxy = ((x, 1), (y, 1), (x, -1), (y, -1)) * 2
-    yxyx = ((y, 1), (x, 1), (y, -1), (x, -1)) * 2
-    if commutator not in {w[i : i + 4] for w in (xyxy, yxyx) for i in range(4)}:
+    if commutator not in _commutator_rotations(x, y):
         raise HintError(
             "hint is not an automorphism: images do not form a basis"
         )
@@ -298,8 +334,9 @@ def fiber_rank(
 ) -> int | None:
     """Rank of the free kernel of the infinite cyclic quotient, or None.
 
-    One loop over stages, each read off one ``analyze`` of the relator
-    over the stage's generators ``(x, y)``:
+    One loop over stages, each decided by the exponent sums ``p, q`` of
+    the relator over the stage's generators ``(x, y)`` and its
+    ``x``-divisor ``e``, the data ``analyze`` reads off a relator:
 
     * two syllables ``x^alpha y^beta`` with coprime exponents: rank
       ``(|alpha| - 1)(|beta| - 1)`` straight from the coset graph, carried
@@ -309,30 +346,38 @@ def fiber_rank(
       in use;
     * otherwise consume the next hint as a basis change and retry.
 
-    The relator is kept cyclically reduced (``cancel_ends``) but never
-    rotated: every step depends on it only up to conjugacy.  Each distinct
-    hint is checked once per stage, against that stage's generators, when
-    first consumed; the hints still pending are checked wherever the loop
-    stops, at the base case or on a stage ``analyze`` refuses.
+    ``p, q`` are read off the presentation's exponent-sum rows and then
+    carried: a hint maps them through its abelianized matrix, kept beside
+    its checked images, and a descent by ``e`` divides ``p`` by ``e``; ``e``
+    is found by a walk that stops once it reaches 1.  The relator is kept
+    cyclically reduced (``cancel_ends``, which keeps the exponent sums) but
+    never rotated: every step depends on it only up to conjugacy.  Each
+    distinct hint is checked once per stage, against that stage's
+    generators, when first consumed; the hints still pending are checked
+    wherever the loop stops, at the base case or on a stage with a zero
+    ``y``-sum, which is refused with the message of ``analyze``.
 
     None means the recursion ran out of rules and hints, not that the
     kernel is infinitely generated.
     """
     x, y, relator = two_generator_relator(pres)
     relator = cancel_ends(relator)
+    p, q = pres.exponent_matrix()[0]
     pending = list(hints)
     descents: list[tuple[int, int, int]] = []
-    checked: dict[frozenset, dict[str, Word]] = {}
+    checked: dict[frozenset, tuple[dict[str, Word], _Matrix]] = {}
 
-    def images(hint: Mapping[str, Word]) -> dict[str, Word]:
+    def images(hint: Mapping[str, Word]) -> tuple[dict[str, Word], _Matrix]:
         key = frozenset(hint.items())
         if key not in checked:
-            checked[key] = validate_automorphism(hint, x, y)
+            full = validate_automorphism(hint, x, y)
+            checked[key] = full, _abelianized(full, x, y)
         return checked[key]
 
     while True:
+        e = _x_divisor(relator, x)
         try:
-            data = analyze(relator, x, y)
+            data = _analysis(p, q, e)
         except HypothesisError:
             for hint in pending:
                 images(hint)
@@ -341,19 +386,22 @@ def fiber_rank(
             for hint in pending:
                 images(hint)
             break
-        if data.e > 1:
-            descents.append((data.a, data.b, data.e))
+        if e > 1:
+            descents.append((data.a, data.b, e))
             new_x = next(name for name in _DESCENT_NAMES if name not in (x, y))
             # descend keeps the syllable pattern, so no cancel_ends is needed
-            relator = descend(relator, data.e, x, y, new_x)
+            relator = descend(relator, e, x, y, new_x)
             x = new_x
+            p //= e
             checked.clear()
         elif pending:
-            relator = cancel_ends(substitute(relator, images(pending.pop(0))))
+            full, (ux, uy, vx, vy) = images(pending.pop(0))
+            relator = cancel_ends(substitute(relator, full))
+            p, q = p * ux + q * vx, p * uy + q * vy
         else:
             return None
 
-    rank = _two_syllable_rank(data.p, data.q)
+    rank = _two_syllable_rank(p, q)
     for a, b, e in reversed(descents):
         rank = rank_transfer(rank, a, b, e)
     return rank

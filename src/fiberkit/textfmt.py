@@ -27,6 +27,9 @@ Premise files feed the finite-generation inference::
     nontrivial yes
     premise n_fg yes
 
+Nielsen hints, the ``--nielsen`` values of ``fiber-rank`` and ``report``,
+read ``GEN->WORD``: the image of one generator, over no declared list.
+
 Blank lines and ``#`` comments are ignored; unknown keywords are parse
 errors, and an error in a line names it as ``<file>:<line>:``.  Every file
 is read and written here, and a file that cannot be read or is not UTF-8,
@@ -36,9 +39,10 @@ mtime stays as it was.
 
 The words of one file over one generator list share a table from each
 token to its syllable, so a token is matched and checked once per file,
-not once per line; the two sides of a splitting file each have their own.
-A word is its tokens looked up in that table, and ``reduce_word`` runs only
-when two adjacent tokens share a generator.
+not once per line; the two sides of a splitting file each have their own,
+and the hints of one call share one.  A word is its tokens looked up in
+that table, and ``reduce_word`` runs only when two adjacent tokens share a
+generator.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ import stat
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import ParseError
 from .inference import FLAG_NAMES, FgPremises
@@ -59,6 +63,7 @@ from .words import Syllable, Word, _word, reduce_word
 __all__ = [
     "GroupFile",
     "parse_word",
+    "parse_hints",
     "parse_group_text",
     "parse_group_file",
     "format_group",
@@ -79,6 +84,27 @@ def parse_word(text: str, generators=None) -> Word:
     Word('y')
     """
     return _read_word({}, None if generators is None else set(generators), text)
+
+
+def parse_hints(texts: Iterable[str]) -> list[dict[str, Word]]:
+    """Parse Nielsen hints ``GEN->WORD`` in order, each into ``{GEN: WORD}``;
+    the images of one call share one token table, as the words of a group
+    file do.
+
+    >>> parse_hints(["x->x y", "y -> y^-1"])
+    [{'x': Word('x y')}, {'y': Word('y^-1')}]
+    """
+    table: dict[str, Syllable] = {}
+    hints = []
+    for text in texts:
+        if "->" not in text:
+            raise ParseError(f"bad hint {text!r}, expected 'gen->word'")
+        gen, _, image = text.partition("->")
+        gen = gen.strip()
+        if not gen or any(ch.isspace() for ch in gen):
+            raise ParseError(f"bad hint generator in {text!r}")
+        hints.append({gen: _read_word(table, None, image)})
+    return hints
 
 
 def _read_word(table: dict[str, Syllable], declared: set[str] | None, text: str) -> Word:

@@ -196,6 +196,30 @@ ELEMENTARY_MOVES = [
     {"x": Word.gen("x", -1), "y": Word.gen("y")},
 ]
 
+# the elementary moves on the generators (a, y), for any name a
+MOVE_TEMPLATES = [
+    lambda a: {a: w((a, 1), ("y", 1))},
+    lambda a: {a: w(("y", -1), (a, 1))},
+    lambda a: {"y": w(("y", 1), (a, -1))},
+    lambda a: {"y": w((a, 1), ("y", 1))},
+    lambda a: {a: Word.gen("y"), "y": Word.gen(a)},
+    lambda a: {a: Word.gen(a, -1)},
+    lambda a: {"y": Word.gen("y", -1)},
+]
+
+# how reference_fiber_rank names a bad hint
+REFERENCE_HINT_REFUSALS = ("hint moves other generators", "hint is not an automorphism")
+
+
+def rank_outcome(rank_fn, pres, hints):
+    """The rank, "bad hint" for a refused hint, or the refusal's message."""
+    try:
+        return rank_fn(pres, hints)
+    except HintError:
+        return "bad hint"
+    except HypothesisError as exc:
+        return "bad hint" if str(exc) in REFERENCE_HINT_REFUSALS else str(exc)
+
 
 def composite(moves):
     """Images of ``(x, y)`` under the composite of elementary moves."""
@@ -439,16 +463,60 @@ class TestFiberRank:
     )
     def test_random_relators_match_the_reference(self, sylls, hints):
         # no rotation, descent included: both recursions stop at the same
-        # place with the same answer, or both refuse the relator
+        # place with the same answer, or both refuse a hint, or both refuse
+        # the relator with the same message
         pres = Presentation(("x", "y"), (w(*sylls),))
+        assert rank_outcome(fiber_rank, pres, hints) == rank_outcome(
+            reference_fiber_rank, pres, hints
+        )
 
-        def outcome(rank_fn):
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from("xy"), st.integers(-4, 4).filter(bool)),
+            min_size=1,
+            max_size=8,
+        ),
+        st.sampled_from((1, 2, 3)),
+        st.lists(
+            st.tuples(st.sampled_from("xxuv"), st.integers(0, len(MOVE_TEMPLATES) - 1)),
+            max_size=5,
+        ),
+    )
+    def test_carried_exponent_data_matches_analyze(self, sylls, factor, moves):
+        # the (p, q, e) fiber_rank carries into each stage equals analyze on
+        # that stage's relator; x-exponents scaled by factor force descents,
+        # and hints on u and v reach the stages below them
+        relator = w(*((g, exp * factor if g == "x" else exp) for g, exp in sylls))
+        pres = Presentation(("x", "y"), (relator,))
+        hints = [MOVE_TEMPLATES[i](a) for a, i in moves]
+        stages, carried = [], []
+
+        def divisor(relator, x):
+            stages.append((relator, x))
+            return x_divisor(relator, x)
+
+        def analysis(p, q, e):
+            carried.append((p, q, e))
+            return exponent_analysis(p, q, e)
+
+        x_divisor, exponent_analysis = one_relator._x_divisor, one_relator._analysis
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(one_relator, "_x_divisor", divisor)
+            patch.setattr(one_relator, "_analysis", analysis)
+            got = rank_outcome(fiber_rank, pres, hints)
+        assert got == rank_outcome(reference_fiber_rank, pres, hints)
+        assert len(stages) == len(carried) >= 1
+
+        def analysis_or_refusal(data_fn, *args):
             try:
-                return rank_fn(pres, hints)
-            except HypothesisError:
-                return "refused"
+                return data_fn(*args)
+            except HypothesisError as exc:
+                return str(exc)
 
-        assert outcome(fiber_rank) == outcome(reference_fiber_rank)
+        assert [analysis_or_refusal(analyze, r, x, "y") for r, x in stages] == [
+            analysis_or_refusal(exponent_analysis, *data) for data in carried
+        ]
 
     def test_needs_two_generator_one_relator(self):
         with pytest.raises(HypothesisError) as info:
@@ -564,6 +632,22 @@ class TestHintChecks:
         assert "exponent sum in the second generator is zero" in str(info.value)
         with pytest.raises(HypothesisError, match="not an automorphism"):
             reference_fiber_rank(pres, hints_of("x->x^2"))
+
+    def test_zero_y_sum_after_a_hint(self):
+        # x^2 y^2 x^-1 y^-1 has (p, q) = (1, 1); x->x y^-1 carries them to
+        # (1, 0) on the second stage, which is refused after the pending
+        # hints are checked
+        pres = Presentation(("x", "y"), (parse_word("x^2 y^2 x^-1 y^-1", None),))
+        with pytest.raises(HypothesisError) as info:
+            fiber_rank(pres, hints_of("x->x y^-1"))
+        assert type(info.value) is HypothesisError
+        assert str(info.value) == (
+            "exponent sum in the second generator is zero; "
+            "the descent hypothesis fails"
+        )
+        with pytest.raises(HintError) as info:
+            fiber_rank(pres, hints_of("x->x y^-1", "x->x^2"))
+        assert str(info.value) == "hint is not an automorphism: abelianized determinant 2"
 
     def test_leftover_hints_are_checked_on_the_last_stage(self):
         # x^2 y^2 descends to the base case u y^2: a leftover hint on x

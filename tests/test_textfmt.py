@@ -13,12 +13,13 @@ from fiberkit.textfmt import (
     format_group,
     parse_group_file,
     parse_group_text,
+    parse_hints,
     parse_premise_file,
     parse_splitting_file,
     parse_word,
 )
 from fiberkit.words import Word, reduce_word
-from tests_support import reference_parse_word
+from tests_support import parse_hint, reference_parse_word
 
 TREFOIL_TEXT = """\
 group trefoil
@@ -474,3 +475,25 @@ def test_only_textfmt_writes_files():
              for path in sorted(SRC.glob("*.py"))}
     assert found.pop("textfmt.py")
     assert found == {name: [] for name in found}
+
+
+class TestParseHints:
+    """``--nielsen`` hints: one image per hint, in order, through one token
+    table per call; the first bad hint is the one reported."""
+
+    def test_images_in_order(self):
+        texts = ["x->x y", " y -> y^-1 x ", "x->1", "x->x x^-1 y", "x->x y"]
+        assert parse_hints(texts) == [parse_hint(text) for text in texts]
+        assert parse_hints([]) == []
+
+    @pytest.mark.parametrize("texts, message", [
+        (["x y"], "bad hint 'x y', expected 'gen->word'"),
+        (["->x"], "bad hint generator in '->x'"),
+        (["x z->x"], "bad hint generator in 'x z->x'"),
+        (["x->x^0"], "zero exponent in token 'x^0'"),
+        (["x->x", "y->y^", "z"], "bad word token 'y^'"),
+    ])
+    def test_refusals(self, texts, message):
+        with pytest.raises(ParseError) as info:
+            parse_hints(texts)
+        assert str(info.value) == message
