@@ -25,7 +25,6 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import replace
 
 from . import corpus
 from .errors import ContradictionError, FiberkitError, HypothesisError, ParseError
@@ -59,7 +58,7 @@ def _require_phi(group: GroupFile) -> ZMap:
 
 def _read_knot(path: str) -> GroupFile:
     group = parse_group_file(path)
-    return replace(group, phi=_require_phi(group))
+    return group._replace(phi=_require_phi(group))
 
 
 def _emit(text: str, output: str | None):

@@ -10,7 +10,6 @@ constructed, never read from disk.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from math import gcd
 
 from .errors import HypothesisError
@@ -74,7 +73,7 @@ def torus_knot_data(p: int, q: int) -> GroupFile:
 
 
 def trefoil_data() -> GroupFile:
-    return replace(torus_knot_data(2, 3), name="trefoil")
+    return torus_knot_data(2, 3)._replace(name="trefoil")
 
 
 def showcase_presentation() -> Presentation:
@@ -123,7 +122,7 @@ def corpus_files() -> list[tuple[str, str]]:
 
     showcase = showcase_presentation()
     descended = showcase_descended()
-    zero = replace(trefoil, phi=ZMap({g: 0 for g in trefoil.presentation.generators}))
+    zero = trefoil._replace(phi=ZMap({g: 0 for g in trefoil.presentation.generators}))
     spliced = splice(zero, zero)
     verdict = fibered_splice(True, True, False, True)
     files += [

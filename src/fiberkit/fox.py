@@ -16,8 +16,8 @@ benchmark.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from typing import NamedTuple
 
 from .errors import HypothesisError
 from .presentations import Presentation, ZMap, zmap_validate
@@ -33,8 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
+class LaurentPoly(NamedTuple):
     """Integer Laurent polynomial, stored as sorted (exponent, coeff) pairs
     with no zero coefficients."""
 
@@ -166,8 +165,7 @@ class LaurentPoly:
 # ---------------------------------------------------------------------------
 # Group ring and Fox derivatives
 
-@dataclass(frozen=True)
-class GroupRingElement:
+class GroupRingElement(NamedTuple):
     """Finite integer combination of freely reduced words."""
 
     terms: tuple[tuple[Word, int], ...] = ()

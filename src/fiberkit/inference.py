@@ -51,10 +51,9 @@ clause masks over both kinds and bounds the ``_literals`` cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from operator import attrgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ContradictionError, HypothesisError
 from .splittings import AMALGAM, HNN
@@ -94,8 +93,7 @@ _BITS = tuple(1 << i for i in range(len(_FLAGS)))
 TriBool = Optional[bool]
 
 
-@dataclass(frozen=True)
-class FgPremises:
+class FgPremises(NamedTuple):
     """Caller-asserted flags; None means unknown.
 
     The structural flags ``factors_have_no_fg_normal``, ``c_free_abelian``
@@ -121,8 +119,7 @@ class FgPremises:
     n_free: TriBool = None
 
 
-@dataclass(frozen=True)
-class FgConclusions:
+class FgConclusions(NamedTuple):
     """Closure of a premise set: definite flags plus disjunction clauses.
 
     Each clause is a frozenset of ``(attribute, bool)`` literals, meaning at

@@ -11,8 +11,8 @@ answer rather than silently assuming them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .errors import HintError, HypothesisError
 from .fox import LaurentPoly, alexander_poly, monic_degree_check
@@ -201,8 +201,7 @@ def fibered_splice(
 # ---------------------------------------------------------------------------
 # Consistency report
 
-@dataclass(frozen=True)
-class StallingsReport:
+class StallingsReport(NamedTuple):
     """Everything the group can say about whether the class fibers."""
 
     image_gcd: int

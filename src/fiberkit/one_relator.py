@@ -25,10 +25,9 @@ change to the benchmark.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import gcd
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import HintError, HypothesisError
 from .presentations import Presentation, two_generator_relator
@@ -53,8 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RelatorAnalysis:
+class RelatorAnalysis(NamedTuple):
     """Exponent data of a cyclically reduced relator over ``(x, y)``.
 
     ``p = m*a`` and ``q = m*b`` are the exponent sums, ``m = gcd(p, q)``,

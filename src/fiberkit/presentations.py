@@ -4,14 +4,15 @@ The abelianization is computed from the Smith normal form of the relator
 exponent matrix (rows = relators, columns = generators in declaration
 order).  ``GroupFile`` is a named presentation with an optional class to Z
 and optional peripheral words: what a group file holds, and the knot
-exterior group that ``links`` splices and cables.
+exterior group that ``links`` splices and cables.  It is a ``NamedTuple``,
+so a copy with some fields changed is ``group._replace(phi=...)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 from operator import mul
+from typing import NamedTuple
 
 from .errors import HypothesisError
 from .snf import smith_normal_form
@@ -30,7 +31,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Presentation:
     """Generators (ordered, named) and freely reduced relator words.
 
@@ -38,23 +38,22 @@ class Presentation:
     exponent sums, one column per generator in declaration order; a
     syllable on a generator outside the columns is the undeclared-generator
     error.  ``exponent_matrix``, ``abelianize`` and ``zmap_validate`` read
-    these rows and never walk the relators again.
+    these rows and never walk the relators again.  Equality, hash and repr
+    ignore the rows, which follow from the relators.
     """
 
-    generators: tuple[str, ...]
-    relators: tuple[Word, ...] = ()
-    _rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("generators", "relators", "_rows")
 
-    def __post_init__(self):
+    def __init__(self, generators: tuple[str, ...], relators: tuple[Word, ...] = ()):
         column: dict[str, int] = {}
-        for g in self.generators:
+        for g in generators:
             if not g:
                 raise ValueError("empty generator name")
             if g in column:
                 raise ValueError(f"duplicate generator {g!r}")
             column[g] = len(column)
         rows = []
-        for r in self.relators:
+        for r in relators:
             row = [0] * len(column)
             try:
                 for g, e in r.syllables:
@@ -65,7 +64,29 @@ class Presentation:
                     f"relator {r} uses undeclared generators {sorted(undeclared)}"
                 ) from None
             rows.append(tuple(row))
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relators", relators)
         object.__setattr__(self, "_rows", tuple(rows))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.generators, self.relators) == (other.generators, other.relators)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.generators, self.relators))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Presentation, (self.generators, self.relators)
+
+    def __repr__(self) -> str:
+        return f"Presentation(generators={self.generators!r}, relators={self.relators!r})"
 
     def exponent_matrix(self) -> list[list[int]]:
         """Row ``i`` holds the exponent sums of relator ``i``, as fresh lists
@@ -77,8 +98,7 @@ class Presentation:
         return f"<{', '.join(self.generators)} | {rels}>"
 
 
-@dataclass(frozen=True)
-class AbelianizationResult:
+class AbelianizationResult(NamedTuple):
     """Outcome of diagonalizing the relator exponent matrix.
 
     ``torsion_coefficients`` are the diagonal entries >= 2 in divisor order
@@ -110,11 +130,10 @@ def abelianize(pres: Presentation) -> AbelianizationResult:
     )
 
 
-@dataclass(frozen=True)
-class ZMap:
+class ZMap(NamedTuple):
     """Homomorphism to Z given by integer values on generators."""
 
-    values: dict[str, int] = field(default_factory=dict)
+    values: dict[str, int]
 
     def __call__(self, word: Word) -> int:
         total = 0
@@ -161,8 +180,7 @@ def zmap_validate(phi: ZMap, pres: Presentation) -> bool:
     return not any(sum(map(mul, row, values)) for row in pres._rows)
 
 
-@dataclass(frozen=True)
-class GroupFile:
+class GroupFile(NamedTuple):
     """A named presentation with its class to Z and peripheral words.
 
     The empty word is a legitimate longitude (an unknot bounds a disk);

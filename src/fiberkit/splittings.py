@@ -9,8 +9,8 @@ bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .errors import HypothesisError
 from .presentations import Presentation, ZMap, zmap_validate
@@ -30,7 +30,6 @@ AMALGAM = "amalgam"
 HNN = "hnn"
 
 
-@dataclass(frozen=True)
 class Splitting:
     """An amalgamated product ``A *_C B`` or HNN extension ``A *_C``.
 
@@ -40,43 +39,73 @@ class Splitting:
     ``edges_a[i]`` to ``edges_b[i]``.
     """
 
-    kind: str
-    factor_a: Presentation
-    factor_b: Presentation | None = None
-    edges_a: tuple[Word, ...] = ()
-    edges_b: tuple[Word, ...] = ()
-    stable_letter: str | None = None
+    __slots__ = ("kind", "factor_a", "factor_b", "edges_a", "edges_b", "stable_letter")
 
-    def __post_init__(self):
-        if self.kind not in (AMALGAM, HNN):
-            raise ValueError(f"unknown splitting kind {self.kind!r}")
-        if len(self.edges_a) != len(self.edges_b):
+    def __init__(
+        self,
+        kind: str,
+        factor_a: Presentation,
+        factor_b: Presentation | None = None,
+        edges_a: tuple[Word, ...] = (),
+        edges_b: tuple[Word, ...] = (),
+        stable_letter: str | None = None,
+    ):
+        if kind not in (AMALGAM, HNN):
+            raise ValueError(f"unknown splitting kind {kind!r}")
+        if len(edges_a) != len(edges_b):
             raise ValueError("edge word lists must have equal length")
-        gens_a = set(self.factor_a.generators)
-        if self.kind == AMALGAM:
-            if self.factor_b is None or self.stable_letter is not None:
+        gens_a = set(factor_a.generators)
+        if kind == AMALGAM:
+            if factor_b is None or stable_letter is not None:
                 raise ValueError("amalgam needs factor B and no stable letter")
-            gens_b = set(self.factor_b.generators)
+            gens_b = set(factor_b.generators)
             if gens_a & gens_b:
                 raise ValueError(
                     f"factor generators must be disjoint: {sorted(gens_a & gens_b)}"
                 )
-            for w in self.edges_a:
+            for w in edges_a:
                 if not w.generators() <= gens_a:
                     raise ValueError(f"edge word {w} not over factor A")
-            for w in self.edges_b:
+            for w in edges_b:
                 if not w.generators() <= gens_b:
                     raise ValueError(f"edge word {w} not over factor B")
         else:
-            if self.factor_b is not None:
+            if factor_b is not None:
                 raise ValueError("HNN extension has a single factor")
-            if not self.stable_letter:
+            if not stable_letter:
                 raise ValueError("HNN extension needs a stable letter")
-            if self.stable_letter in gens_a:
+            if stable_letter in gens_a:
                 raise ValueError("stable letter collides with a factor generator")
-            for w in self.edges_a + self.edges_b:
+            for w in edges_a + edges_b:
                 if not w.generators() <= gens_a:
                     raise ValueError(f"edge word {w} not over the factor")
+        values = (kind, factor_a, factor_b, edges_a, edges_b, stable_letter)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Splitting, self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"Splitting({fields})"
 
     def assembled(self) -> Presentation:
         """The presentation of the whole group.
@@ -129,8 +158,7 @@ def kernel_indices(split: Splitting, phi: ZMap) -> tuple[int, int | None, int]:
     return _normalized_indices(split, phi)[1:]
 
 
-@dataclass(frozen=True)
-class CosetGraph:
+class CosetGraph(NamedTuple):
     """The finite graph underlying the subgroup decomposition of the kernel.
 
     Vertices are NA-coset residues (and NB-coset residues for an amalgam);

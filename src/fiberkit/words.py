@@ -7,7 +7,6 @@ and hashable, so they can serve as keys in group-ring elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -23,7 +22,6 @@ __all__ = [
 Syllable = tuple[str, int]
 
 
-@dataclass(frozen=True)
 class Word:
     """A freely reduced word.
 
@@ -33,14 +31,32 @@ class Word:
     Word('x^2')
     """
 
-    syllables: tuple[Syllable, ...] = ()
+    __slots__ = ("syllables",)
 
-    def __post_init__(self):
-        for i, (gen, exp) in enumerate(self.syllables):
+    def __init__(self, syllables: tuple[Syllable, ...] = ()):
+        for i, (gen, exp) in enumerate(syllables):
             if exp == 0:
                 raise ValueError(f"zero exponent on generator {gen!r}")
-            if i > 0 and self.syllables[i - 1][0] == gen:
+            if i > 0 and syllables[i - 1][0] == gen:
                 raise ValueError(f"word not freely reduced at syllable {i}")
+        object.__setattr__(self, "syllables", syllables)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.syllables == other.syllables
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.syllables,))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Word, (self.syllables,)
 
     @classmethod
     def of(cls, *syllables: Syllable) -> "Word":

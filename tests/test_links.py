@@ -1,4 +1,3 @@
-from dataclasses import replace
 from math import gcd
 
 import pytest
@@ -41,7 +40,7 @@ def w(*sylls):
 
 
 def zero_class(data: GroupFile) -> GroupFile:
-    return replace(data, phi=ZMap({g: 0 for g in data.presentation.generators}))
+    return data._replace(phi=ZMap({g: 0 for g in data.presentation.generators}))
 
 
 # knots that splice and cable refuse, with the error each raises

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from math import gcd
 
 import pytest
@@ -66,6 +68,43 @@ class TestPresentation:
         assert pres.exponent_matrix() == [
             [exponent_sum(r, g) for g in gens] for r in pres.relators
         ]
+
+
+class TestPresentationValueContract:
+    """Equal by class, generators and relators; the exponent-sum rows built
+    at construction take no part in equality, hash or repr."""
+
+    def test_assignment_and_deletion_raise(self):
+        for attr in ("generators", "relators", "_rows", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(TREFOIL, attr, ())
+        for attr in ("generators", "relators", "_rows"):
+            with pytest.raises(AttributeError):
+                delattr(TREFOIL, attr)
+        assert TREFOIL.exponent_matrix() == [[2, -3]]
+
+    def test_hash_is_hash_of_compared_fields(self):
+        for pres in (SHOWCASE, TREFOIL, COMMUTATOR, Presentation(("x",))):
+            assert hash(pres) == hash((pres.generators, pres.relators))
+
+    def test_equality_ignores_rows(self):
+        twin = two_gen((("x", 2), ("y", -3)))
+        object.__setattr__(twin, "_rows", ((0, 0),))
+        assert twin == TREFOIL
+        assert hash(twin) == hash(TREFOIL)
+        assert TREFOIL != two_gen((("x", 3), ("y", -2)))
+        assert TREFOIL != (TREFOIL.generators, TREFOIL.relators)
+
+    def test_repr(self):
+        assert repr(TREFOIL) == (
+            "Presentation(generators=('x', 'y'), relators=(Word('x^2 y^-3'),))"
+        )
+
+    def test_copy_and_pickle_rebuild_the_rows(self):
+        for twin in (copy.copy(SHOWCASE), copy.deepcopy(SHOWCASE),
+                     pickle.loads(pickle.dumps(SHOWCASE))):
+            assert twin == SHOWCASE
+            assert twin.exponent_matrix() == [[4, 1]]
 
 
 class TestAbelianize:

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import time
 
@@ -82,6 +84,51 @@ class TestSplittingValidation:
         assert assembled.relators == (
             Word.of(("t", 1), ("x", 2), ("t", -1), ("x", -2)),
         )
+
+
+HNN_SPLIT = Splitting(
+    HNN, Presentation(("a",)), None, (Word.gen("a", 2),), (Word.gen("a", 3),), "t"
+)
+SPLIT_FIELDS = ("kind", "factor_a", "factor_b", "edges_a", "edges_b", "stable_letter")
+
+
+class TestSplittingValueContract:
+    def test_assignment_and_deletion_raise(self):
+        for attr in SPLIT_FIELDS:
+            with pytest.raises(AttributeError):
+                setattr(TREFOIL_SPLIT, attr, None)
+            with pytest.raises(AttributeError):
+                delattr(TREFOIL_SPLIT, attr)
+        with pytest.raises(AttributeError):
+            TREFOIL_SPLIT.extra = 1
+        assert TREFOIL_SPLIT == torus_splitting(2, 3)
+
+    def test_hash_is_hash_of_compared_fields(self):
+        for split in (TREFOIL_SPLIT, SHOWCASE_SPLIT, HNN_SPLIT):
+            assert hash(split) == hash(tuple(getattr(split, f) for f in SPLIT_FIELDS))
+
+    def test_equality(self):
+        assert TREFOIL_SPLIT == torus_splitting(2, 3)
+        assert TREFOIL_SPLIT != torus_splitting(3, 2)
+        assert TREFOIL_SPLIT != tuple(getattr(TREFOIL_SPLIT, f) for f in SPLIT_FIELDS)
+
+    def test_repr(self):
+        assert repr(TREFOIL_SPLIT) == (
+            "Splitting(kind='amalgam', factor_a=Presentation(generators=('x',), "
+            "relators=()), factor_b=Presentation(generators=('y',), relators=()), "
+            "edges_a=(Word('x^2'),), edges_b=(Word('y^3'),), stable_letter=None)"
+        )
+        assert repr(HNN_SPLIT) == (
+            "Splitting(kind='hnn', factor_a=Presentation(generators=('a',), "
+            "relators=()), factor_b=None, edges_a=(Word('a^2'),), "
+            "edges_b=(Word('a^3'),), stable_letter='t')"
+        )
+
+    def test_copy_and_pickle_rebuild_an_equal_splitting(self):
+        for split in (SHOWCASE_SPLIT, HNN_SPLIT):
+            for twin in (copy.copy(split), copy.deepcopy(split),
+                         pickle.loads(pickle.dumps(split))):
+                assert twin == split
 
 
 class TestKernelIndices:

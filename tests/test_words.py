@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -269,3 +272,40 @@ class TestFormatting:
         for _ in range(abs(n)):
             expected = concat(expected, base)
         assert u ** n == expected
+
+
+class TestValueContract:
+    """A ``Word`` is an immutable value: equal by class and syllables, hashed
+    as the tuple of its syllables, and rebuilt by copy and pickle."""
+
+    def test_constructor_messages(self):
+        with pytest.raises(ValueError, match="^zero exponent on generator 'y'$"):
+            Word((("x", 1), ("y", 0)))
+        with pytest.raises(ValueError, match="^word not freely reduced at syllable 2$"):
+            Word((("x", 1), ("y", 2), ("y", 1)))
+
+    def test_assignment_and_deletion_raise(self):
+        word = w(("x", 2))
+        with pytest.raises(AttributeError):
+            word.syllables = (("y", 1),)
+        with pytest.raises(AttributeError):
+            word.extra = 1
+        with pytest.raises(AttributeError):
+            del word.syllables
+        assert word == w(("x", 2))
+
+    @given(words)
+    def test_hash_is_hash_of_compared_fields(self, u):
+        assert hash(u) == hash((u.syllables,))
+
+    def test_never_equal_to_a_bare_tuple(self):
+        word = w(("x", 2), ("y", -1))
+        assert word != word.syllables
+        assert word != (word.syllables,)
+        assert Word() != ()
+        assert Word() == Word()
+
+    @given(words)
+    def test_copy_and_pickle_rebuild_an_equal_word(self, u):
+        for twin in (copy.copy(u), copy.deepcopy(u), pickle.loads(pickle.dumps(u))):
+            assert type(twin) is Word and twin == u
