@@ -176,10 +176,6 @@ class GroupRingElement(NamedTuple):
         items.sort(key=lambda item: (len(item[0]), str(item[0])))
         return cls(tuple(items))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
         out = {w: c for w, c in self.terms}
         for w, c in other.terms:
@@ -189,16 +185,6 @@ class GroupRingElement(NamedTuple):
     def __neg__(self) -> "GroupRingElement":
         return GroupRingElement(tuple((w, -c) for w, c in self.terms))
 
-    def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
-        return self + (-other)
-
-    def left_mul(self, word: Word, c: int = 1) -> "GroupRingElement":
-        out: dict[Word, int] = {}
-        for w, k in self.terms:
-            prod = word * w
-            out[prod] = out.get(prod, 0) + c * k
-        return GroupRingElement.from_dict(out)
-
     def specialize(self, phi: ZMap) -> LaurentPoly:
         """Send each word w to t^phi(w)."""
         out: dict[int, int] = {}
@@ -206,11 +192,6 @@ class GroupRingElement(NamedTuple):
             e = phi(w)
             out[e] = out.get(e, 0) + c
         return LaurentPoly.from_dict(out)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{c}*[{w}]" for w, c in self.terms)
 
 
 def fox_derivative(word: Word, gen: str) -> GroupRingElement:

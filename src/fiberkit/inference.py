@@ -25,7 +25,7 @@ a clash: a contrapositive names antecedents that are still open, the
 dichotomy (while none of its alternatives holds) those not refuted, and
 clause propagation its open literals, so none of them names a flag that
 is already set.
-``FgConclusions.provenance`` (ROADMAP item 6, not built) would record the
+``FgConclusions.provenance`` (ROADMAP item 8, not built) would record the
 rule's name, or ``"clause-propagation"``, at those two points.
 
 On this table the unit step of clause propagation changes no outcome:

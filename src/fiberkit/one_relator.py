@@ -217,7 +217,7 @@ def invert_automorphism(
 
     gens = (x, y)
     start = (images[x], images[y])
-    if any(w.is_empty for w in start):
+    if not all(start):
         return None
 
     identity = {x: Word.gen(x), y: Word.gen(y)}
@@ -239,7 +239,7 @@ def invert_automorphism(
                 other = pair[j] if sign > 0 else pair[j].inverse()
                 for left in (False, True):
                     cand = other * pair[i] if left else pair[i] * other
-                    if cand.is_empty or len(cand) > len(pair[i]):
+                    if not cand or len(cand) > len(pair[i]):
                         continue
                     new_pair = (cand, pair[j]) if i == 0 else (pair[j], cand)
                     if new_pair in seen_states:

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .errors import HypothesisError
 from .snf import smith_normal_form
-from .words import Word
+from .words import Word, _Value
 
 __all__ = [
     "Presentation",
@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 
-class Presentation:
+class Presentation(_Value):
     """Generators (ordered, named) and freely reduced relator words.
 
     Construction walks each relator's syllables once and keeps its row of
@@ -43,6 +43,7 @@ class Presentation:
     """
 
     __slots__ = ("generators", "relators", "_rows")
+    _fields = ("generators", "relators")
 
     def __init__(self, generators: tuple[str, ...], relators: tuple[Word, ...] = ()):
         column: dict[str, int] = {}
@@ -68,34 +69,13 @@ class Presentation:
         object.__setattr__(self, "relators", relators)
         object.__setattr__(self, "_rows", tuple(rows))
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.generators, self.relators) == (other.generators, other.relators)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.generators, self.relators))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return Presentation, (self.generators, self.relators)
-
-    def __repr__(self) -> str:
-        return f"Presentation(generators={self.generators!r}, relators={self.relators!r})"
+    def _key(self) -> tuple:
+        return (self.generators, self.relators)
 
     def exponent_matrix(self) -> list[list[int]]:
         """Row ``i`` holds the exponent sums of relator ``i``, as fresh lists
         copied from the rows built at construction."""
         return [list(row) for row in self._rows]
-
-    def __str__(self) -> str:
-        rels = ", ".join(str(r) for r in self.relators)
-        return f"<{', '.join(self.generators)} | {rels}>"
 
 
 class AbelianizationResult(NamedTuple):

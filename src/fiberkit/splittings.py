@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .errors import HypothesisError
 from .presentations import Presentation, ZMap, zmap_validate
-from .words import Word, concat
+from .words import Word, _Value, concat
 
 __all__ = [
     "AMALGAM",
@@ -30,7 +30,7 @@ AMALGAM = "amalgam"
 HNN = "hnn"
 
 
-class Splitting:
+class Splitting(_Value):
     """An amalgamated product ``A *_C B`` or HNN extension ``A *_C``.
 
     The edge group C is given by its inclusion words: for an amalgam,
@@ -39,7 +39,9 @@ class Splitting:
     ``edges_a[i]`` to ``edges_b[i]``.
     """
 
-    __slots__ = ("kind", "factor_a", "factor_b", "edges_a", "edges_b", "stable_letter")
+    __slots__ = _fields = (
+        "kind", "factor_a", "factor_b", "edges_a", "edges_b", "stable_letter"
+    )
 
     def __init__(
         self,
@@ -83,29 +85,9 @@ class Splitting:
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return Splitting, self._values()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
-        return f"Splitting({fields})"
+    def _key(self) -> tuple:
+        return (self.kind, self.factor_a, self.factor_b, self.edges_a, self.edges_b,
+                self.stable_letter)
 
     def assembled(self) -> Presentation:
         """The presentation of the whole group.

@@ -3,6 +3,10 @@
 A word is stored as a tuple of syllables ``(generator, exponent)`` with
 nonzero exponents and distinct adjacent generators.  Words are immutable
 and hashable, so they can serve as keys in group-ring elements.
+
+``_Value`` is the one home of the immutable-value protocol that ``Word``,
+``Presentation`` and ``Splitting`` share: equality by class and compared
+fields, hash, refused assignment and deletion, copy and pickle, and repr.
 """
 
 from __future__ import annotations
@@ -22,7 +26,39 @@ __all__ = [
 Syllable = tuple[str, int]
 
 
-class Word:
+class _Value:
+    """An immutable value.  A subclass names its compared fields in
+    ``_fields`` and returns them as a tuple from ``_key``, which its
+    constructor takes positionally in the same order.  It is equal only to
+    its own class with an equal key, hashed as the key, rebuilt by copy and
+    pickle from the key, and shown as ``Class(field=value, ...)``.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._key()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._key()))
+        return f"{self.__class__.__name__}({fields})"
+
+
+class Word(_Value):
     """A freely reduced word.
 
     >>> Word.of(("x", 2), ("y", -1))
@@ -31,7 +67,7 @@ class Word:
     Word('x^2')
     """
 
-    __slots__ = ("syllables",)
+    __slots__ = _fields = ("syllables",)
 
     def __init__(self, syllables: tuple[Syllable, ...] = ()):
         for i, (gen, exp) in enumerate(syllables):
@@ -41,22 +77,8 @@ class Word:
                 raise ValueError(f"word not freely reduced at syllable {i}")
         object.__setattr__(self, "syllables", syllables)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.syllables == other.syllables
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.syllables,))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return Word, (self.syllables,)
+    def _key(self) -> tuple:
+        return (self.syllables,)
 
     @classmethod
     def of(cls, *syllables: Syllable) -> "Word":
@@ -97,10 +119,6 @@ class Word:
 
     def __bool__(self) -> bool:
         return bool(self.syllables)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.syllables
 
     def generators(self) -> set[str]:
         return {g for g, _ in self.syllables}

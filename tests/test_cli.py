@@ -148,6 +148,13 @@ class TestBasicVerbs:
         assert "verdict = consistent with fibered" in out
         assert "degree = 4" in out
 
+    def test_cable_of_a_trivial_class(self, workdir, capsys):
+        path = workdir / "zero.grp"
+        path.write_text(TREFOIL.replace("phi x=3 y=2", "phi x=0 y=0"), encoding="utf-8")
+        assert run(capsys, "cable", path, "-p", 1, "-q", 2) == (
+            2, "", "error: cable class is trivial; no peripheral system\n"
+        )
+
 
 BAD_HINTS = [
     ("y->y x y x^-1 y^-1", "images do not form a basis"),

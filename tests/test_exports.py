@@ -4,8 +4,9 @@ Every name a ``fiberkit`` module lists in ``__all__`` must resolve, so a
 deleted function or class cannot linger as an export that fails only on
 ``from fiberkit.<module> import *``.  The plain records are ``NamedTuple``
 classes whose fields and defaults are pinned here, since callers build them
-positionally and by keyword.  Importing the package pulls in neither
-``dataclasses`` nor ``inspect``.
+positionally and by keyword.  ``Word``, ``Presentation`` and ``Splitting``
+take their value protocol from the one base in ``words``.  Importing the
+package pulls in neither ``dataclasses`` nor ``inspect``.
 """
 
 import importlib
@@ -69,6 +70,20 @@ def test_record_fields_and_defaults(path):
     fields, defaults = RECORDS[path]
     assert record._fields == fields
     assert record._field_defaults == defaults
+
+
+@pytest.mark.parametrize("path", ["words.Word", "presentations.Presentation",
+                                  "splittings.Splitting"])
+def test_value_protocol_has_one_home(path):
+    from fiberkit.words import Word, _Value
+
+    module_name, name = path.split(".")
+    cls = getattr(importlib.import_module(f"fiberkit.{module_name}"), name)
+    methods = ("__eq__", "__hash__", "__setattr__", "__delattr__", "__reduce__")
+    # a Word shows its letters, not its syllable tuple
+    for method in methods + (() if cls is Word else ("__repr__",)):
+        assert getattr(cls, method) is getattr(_Value, method), method
+        assert method not in vars(cls), method
 
 
 def test_import_pulls_in_neither_dataclasses_nor_inspect():

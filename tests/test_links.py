@@ -250,6 +250,15 @@ class TestStallingsReport:
         assert report.alexander_degree == 4
         assert report.fiber_rank == 4
 
+    def test_rank_that_disagrees_with_degree_is_inconclusive(self, monkeypatch):
+        monkeypatch.setattr("fiberkit.links.fiber_rank", lambda pres, hints: 99)
+        pres = showcase_presentation()
+        report = stallings_report(pres, canonical_zmap(pres), [showcase_hint()])
+        assert report.render().endswith(
+            "degree = 4\nfiber-rank = 99\n"
+            "note: rank 99 disagrees with degree 4\nverdict = inconclusive"
+        )
+
     def test_commutator_inconclusive_with_diagnostic(self):
         pres = Presentation(
             ("x", "y"), (w(("x", 1), ("y", 1), ("x", -1), ("y", -1)),)

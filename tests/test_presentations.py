@@ -74,6 +74,15 @@ class TestPresentationValueContract:
     """Equal by class, generators and relators; the exponent-sum rows built
     at construction take no part in equality, hash or repr."""
 
+    @pytest.mark.parametrize("generators, message", [
+        (("x", ""), "empty generator name"),
+        (("x", "y", "x"), "duplicate generator 'x'"),
+    ])
+    def test_constructor_messages(self, generators, message):
+        with pytest.raises(ValueError) as info:
+            Presentation(generators)
+        assert str(info.value) == message
+
     def test_assignment_and_deletion_raise(self):
         for attr in ("generators", "relators", "_rows", "extra"):
             with pytest.raises(AttributeError):

@@ -92,7 +92,26 @@ HNN_SPLIT = Splitting(
 SPLIT_FIELDS = ("kind", "factor_a", "factor_b", "edges_a", "edges_b", "stable_letter")
 
 
+X, Y = Presentation(("x",)), Presentation(("y",))
+
+
 class TestSplittingValueContract:
+    @pytest.mark.parametrize("args, message", [
+        (("free", X), "unknown splitting kind 'free'"),
+        ((AMALGAM, X), "amalgam needs factor B and no stable letter"),
+        ((AMALGAM, X, Y, (), (), "t"), "amalgam needs factor B and no stable letter"),
+        ((AMALGAM, X, Y, (Word.gen("x"),), (Word.gen("x"),)),
+         "edge word x not over factor B"),
+        ((HNN, X, Y, (), (), "t"), "HNN extension has a single factor"),
+        ((HNN, X), "HNN extension needs a stable letter"),
+        ((HNN, X, None, (Word.gen("y"),), (Word.gen("x"),), "t"),
+         "edge word y not over the factor"),
+    ])
+    def test_constructor_messages(self, args, message):
+        with pytest.raises(ValueError) as info:
+            Splitting(*args)
+        assert str(info.value) == message
+
     def test_assignment_and_deletion_raise(self):
         for attr in SPLIT_FIELDS:
             with pytest.raises(AttributeError):

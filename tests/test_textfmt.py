@@ -318,6 +318,41 @@ class TestSplittingFiles:
         assert str(info.value) == f"{path}:2: repeated {key}=..."
 
 
+PARSERS = {".grp": parse_group_file, ".spl": parse_splitting_file, ".inf": parse_premise_file}
+
+# file text and the message after "<path>:<line>: " for each line the
+# parsers refuse; the splitting files read A.grp = <x> and B.grp = <y>
+PARSE_ERRORS = [
+    ("g.grp", "gen x\nphi x\n", "2: bad phi assignment 'x'"),
+    ("g.grp", "gen x\nphi x=one\n", "2: bad phi value in 'x=one'"),
+    ("g.grp", "gen x\nphi\n", "2: empty phi line"),
+    ("g.grp", "group g\ngen x\ngroup h\n", "3: repeated group line"),
+    ("g.grp", "group\ngen x\n", "1: group needs a name"),
+    ("g.grp", "group g\ngen\n", "2: gen needs at least one name"),
+    ("g.grp", "gen x\nphi x=1\nphi x=1\n", "3: repeated phi line"),
+    ("g.grp", "gen x\nperipheral meridian=x longitude=1\n"
+              "peripheral meridian=x longitude=1\n", "3: repeated peripheral line"),
+    ("t.spl", "amalgam A=A.grp C=B.grp\n", "1: expected A/B assignments"),
+    ("t.spl", "hnn A=A.grp\n", "1: missing stable=..."),
+    ("t.spl", "amalgam A=A.grp B=B.grp\nhnn A=A.grp stable=t\n",
+     "2: repeated splitting line"),
+    ("t.spl", "amalgam A=A.grp B=B.grp\nphi x=3 y=2\nphi x=3 y=2\n",
+     "3: repeated phi line"),
+    ("p.inf", "kind hnn\npremise n_tame yes\n", "2: unknown flag 'n_tame'"),
+]
+
+
+@pytest.mark.parametrize("name, text, message", PARSE_ERRORS)
+def test_parse_errors_name_file_and_line(tmp_path, name, text, message):
+    (tmp_path / "A.grp").write_text("group A\ngen x\n", encoding="utf-8")
+    (tmp_path / "B.grp").write_text("group B\ngen y\n", encoding="utf-8")
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        PARSERS[path.suffix](path)
+    assert str(info.value) == f"{path}:{message}"
+
+
 LINE_ENDINGS = {
     "crlf": lambda lines: "\r\n".join(lines),
     "cr": lambda lines: "\r".join(lines),
