@@ -18,30 +18,21 @@ instead of guessing.
 
 Every rule's outcome reaches one point of the rule loop as "one of these
 open literals holds": a lone literal sets its flag there, more are kept as
-a clause.  The only other place that sets a flag is clause propagation,
-when a clause has one open literal left.  Only a forward implication can
-clash with an established flag, so it is the one rule outcome checked for
-a clash: a contrapositive names antecedents that are still open, the
-dichotomy (while none of its alternatives holds) those not refuted, and
-clause propagation its open literals, so none of them names a flag that
-is already set.
+a clause.  That is the only point that sets a derived flag, and
 ``FgConclusions.provenance`` (ROADMAP item 8, not built) would record the
-rule's name, or ``"clause-propagation"``, at those two points.
+rule's name there.  Only a forward implication can clash with an
+established flag, so it is the one rule outcome checked for a clash: a
+contrapositive names antecedents that are still open, and the dichotomy
+(while none of its alternatives holds) those not refuted, so neither names
+a flag that is already set.
 
-On this table the unit step of clause propagation changes no outcome:
-with it disabled, every one of the 3^15 premise states of each kind
-closes to the same flags and clauses, or the same rule and message,
-because the rule that recorded a clause sets its last open literal in
-the next pass.  It stays because on other tables it decides which rule
-names a clash, as the four-rule table in ``tests/test_inference.py``
-shows.
-
-The closure repeats passes, each the rule loop then clause propagation,
-until a pass sets no flag.  Flags are only ever added, so comparing
-``yes | no`` before and after a pass is exact.  Recording or dropping a
-clause sets no flag, and every rule reads only the flags, so after a pass
-that set none the next pass would re-derive only clauses already kept and
-find them as this pass left them.
+The closure repeats passes of the rule loop until a pass sets no flag.
+Flags are only ever added, so comparing ``yes | no`` before and after a
+pass is exact.  Recording a clause sets no flag, and every rule reads only
+the flags, so after a pass that set none the next pass would re-derive
+only clauses already kept.  Clauses are settled once, after that last
+pass: a clause that some flag now satisfies is dropped, and the rest are
+reported.
 
 A clause is named as ``(flag, value)`` literals once per process: its
 literal set is a subset of two or more negated antecedents of one
@@ -300,23 +291,6 @@ def fg_inference(
                 no |= lit_no
             else:
                 clauses[lit_yes, lit_no] = None
-
-        for clause in list(clauses):
-            lit_yes, lit_no = clause
-            if lit_yes & yes or lit_no & no:
-                del clauses[clause]
-                continue
-            open_yes, open_no = lit_yes & ~no, lit_no & ~yes
-            lits = open_yes | open_no
-            if not lits:
-                raise ContradictionError(
-                    "a recorded disjunction lost all of its alternatives",
-                    rule="clause-propagation",
-                )
-            if lits & (lits - 1) == 0:
-                del clauses[clause]
-                yes |= open_yes
-                no |= open_no
         if yes | no == known:
             break  # a pass that set no flag: the next would see the same
 
@@ -326,6 +300,14 @@ def fg_inference(
         + _FIVE_FLAGS[yes >> 5 & 31 | (no >> 5 & 31) << 5]
         + _FIVE_FLAGS[yes >> 10 | no >> 10 << 5]
     )
+    if clauses:
+        # Settle the clauses: drop those that some flag satisfies.  None of
+        # the rest has lost all of its literals.  Each is the negated open
+        # antecedents of an implication whose conclusion is refuted, or the
+        # dichotomy's unrefuted alternatives, recorded while the rule's
+        # other antecedents held; were all its literals refuted, its rule
+        # would have raised in the last pass, which runs every rule.
+        clauses = [(y, n) for y, n in clauses if not (y & yes or n & no)]
     if not clauses:
         return FgConclusions(flags, _NO_CLAUSES)
     named = [_literals(*clause) for clause in clauses]

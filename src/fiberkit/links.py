@@ -242,7 +242,8 @@ def stallings_report(
     when it is not monic (a fibering would force a unit leading
     coefficient), "inconclusive" otherwise.  A rank recursion that cannot
     run is a diagnostic; a hint that is not an automorphism raises
-    ``HintError``, as it does in ``fiber_rank``.
+    ``HintError``, as it does in ``fiber_rank``, and so do hints for a
+    group that is not two-generator one-relator.
     """
     if not zmap_validate(phi, pres):
         raise HypothesisError("map to Z does not kill every relator")
@@ -252,6 +253,11 @@ def stallings_report(
 
     rank: int | None = None
     two_gen_one_rel = len(pres.generators) == 2 and len(pres.relators) == 1
+    if hints and not two_gen_one_rel:
+        raise HintError(
+            "hints need a two-generator one-relator presentation, got "
+            f"{len(pres.generators)} generators and {len(pres.relators)} relators"
+        )
     # <x, y ; r> abelianizes to Z^2 exactly when both exponent sums vanish
     m_zero = two_gen_one_rel and ab.free_rank == 2
     if m_zero:

@@ -220,6 +220,8 @@ def free_kernel_rank(
     for idx in (a_idx, b_idx, c_idx):
         if idx is not None and idx < 1:
             raise HypothesisError("ranks need finite positive indices")
+    if rank_a < 0 or (rank_b is not None and rank_b < 0):
+        raise HypothesisError("factor ranks must be nonnegative")
     if kind == AMALGAM:
         if b_idx is None or rank_b is None:
             raise HypothesisError("amalgam rank needs the B-side index and rank")

@@ -215,6 +215,19 @@ class TestBadHints:
         assert out == ""
         assert err == "error: hint moves generators ['z'], expected 'x', 'y'\n"
 
+    def test_report_refuses_hints_for_another_shape(self, workdir, capsys):
+        # the (1,2) cable of the trefoil: report used to drop the hint and
+        # print a full report
+        cable = workdir / "k1.grp"
+        code, _, _ = run(capsys, "cable", workdir / "trefoil.grp", "-p", 1, "-q", 2, "-o", cable)
+        assert code == 0
+        assert run(capsys, "report", cable, "--nielsen", "x->z^5 q") == (
+            2,
+            "",
+            "error: hints need a two-generator one-relator presentation, got "
+            "3 generators and 2 relators\n",
+        )
+
     @pytest.fixture(params=Q0_REPORTS, ids=["x^2", "commutator"])
     def q0(self, workdir, request):
         relator, report = request.param
@@ -645,6 +658,18 @@ class TestExitCodes:
         assert err == (
             "error: needs a two-generator one-relator presentation, got 1 "
             "generators and 0 relators\n"
+        )
+
+    @pytest.mark.parametrize("text, ranks", [
+        ("amalgam A=A.grp B=B.grp\nedge inA=x^2 inB=y^3\nphi x=3 y=2\n",
+         ["--rank-a", "-1", "--rank-b", "5"]),
+        ("hnn A=A.grp stable=t\nedge inC=x^2 inD=x^2\nphi x=1 t=1\n", ["--rank-a", "-1"]),
+    ], ids=["amalgam", "hnn"])
+    def test_negative_factor_rank(self, workdir, capsys, text, ranks):
+        # these used to print rank = 9 and rank = 1 and exit 0
+        (workdir / "s.spl").write_text(text, encoding="utf-8")
+        assert run(capsys, "rank", workdir / "s.spl", *ranks) == (
+            2, "", "error: factor ranks must be nonnegative\n"
         )
 
     def test_missing_file(self, workdir, capsys):

@@ -139,31 +139,11 @@ class TestContrapositives:
         )
         assert c["n_in_c"] is True
 
-    def test_unit_clause_is_set_at_the_end_of_its_pass(self, monkeypatch):
-        """On a four-rule table, a clause left with one open literal sets it
-        before the next pass, so the forward rule that comes first in that
-        pass names the clash.  Left to the rule that recorded the clause,
-        the literal would be set later and the clash named after that rule."""
-        table = (
-            ("free-forces-fg", "n_free", "n_fg"),
-            ("fg-in-edge-forces-finite-index", "n_fg, n_in_c", "nc_finite_index"),
-            ("nontrivial-forces-in-edge", "n_nontrivial", "n_in_c"),
-            ("in-edge-forces-free", "n_in_c", "n_free"),
-        )
-        monkeypatch.setattr(inference, "_TABLE", table)
-        monkeypatch.setitem(inference._RULES, "hnn", inference._compile("hnn"))
-        premises = FgPremises(nc_finite_index=False, n_nontrivial=True)
-        for closure in (fg_inference, reference_fg_inference):
-            with pytest.raises(ContradictionError) as info:
-                closure("hnn", premises)
-            assert info.value.rule == "free-forces-fg"
-
     def test_clause_dropped_in_the_last_pass(self, monkeypatch):
         """On a three-rule table, pass 1 records two clauses and sets
-        ``n_free``, and its clause loop sets ``n_and_a_fg`` false from the
-        second clause.  Pass 2 sets no flag, but only its clause loop drops
-        the first clause, satisfied by that literal, so the closure must not
-        stop before it."""
+        ``n_free``.  Pass 2 sets ``n_and_a_fg`` false by rule b, which
+        satisfies both clauses, and pass 3 sets no flag.  The clauses are
+        settled after that last pass, so neither is reported."""
         table = (
             ("a", "n_fg, n_and_a_fg", "nc_finite_index"),
             ("b", "n_free, n_and_a_fg", "c_over_n_finite"),
@@ -179,6 +159,28 @@ class TestContrapositives:
             assert c.disjunctions == frozenset()
             assert c["n_and_a_fg"] is False
             assert c["n_free"] is True
+
+    def test_hnn_clause_settled_by_a_later_pass(self):
+        """Pass 1 refutes NC finite index and records the clause of
+        ``trivial-edge-fg-forces-finite-index``; pass 2 refutes ``n_fg``,
+        which satisfies it."""
+        c = fg_inference(
+            "hnn",
+            FgPremises(n_in_c=False, c_over_n_finite=True, g_over_n_finite=False),
+        )
+        assert c["n_fg"] is False
+        assert c.disjunctions == frozenset()
+
+    def test_amalgam_clause_settled_by_a_later_pass(self):
+        """Pass 1 records ``n_fg`` no or ``n_in_c`` yes from the A-part
+        rule, then refutes ``n_in_c``; pass 2 refutes ``n_fg``, which
+        satisfies the clause."""
+        c = fg_inference(
+            "amalgam",
+            FgPremises(nc_finite_index=True, n_and_a_fg=False, n_and_c_fg=True),
+        )
+        assert c["n_fg"] is False
+        assert c.disjunctions == frozenset()
 
     def test_literals_cache_is_bounded_by_the_table(self):
         """Every clause is a subset of two or more negated antecedents of

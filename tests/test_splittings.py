@@ -283,6 +283,16 @@ class TestFreeKernelRank:
         with pytest.raises(HypothesisError, match="inconsistent"):
             free_kernel_rank(AMALGAM, 5, 5, 1, 0, 0)
 
+    def test_negative_factor_rank_rejected(self):
+        # each total (9, 15, 1) is nonnegative and would pass as a rank
+        for args in (
+            (AMALGAM, 3, 2, 6, -1, 5),
+            (AMALGAM, 3, 2, 6, 5, -1),
+            (HNN, 1, None, 2, -1),
+        ):
+            with pytest.raises(HypothesisError, match="factor ranks must be nonnegative"):
+                free_kernel_rank(*args)
+
     def test_infinite_rejected(self):
         with pytest.raises(HypothesisError):
             free_kernel_rank(AMALGAM, 0, 2, 6, 0, 0)
