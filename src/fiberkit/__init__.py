@@ -1,10 +1,11 @@
 """fiberkit: exact computations with kernels of maps to the integers.
 
 Free-group words and finite presentations, Smith normal form
-abelianization, amalgam/HNN coset graphs with a free-kernel rank formula,
-a rank recursion for two-generator one-relator groups, Fox calculus as an
-independent order-polynomial oracle, and group-level splice and cable
-constructions with fiberedness bookkeeping.
+abelianization, splittings as finite graphs of groups (amalgams and HNN
+extensions are the one-edge cases) with the coset graph of a kernel and a
+free-kernel rank formula, a rank recursion for two-generator one-relator
+groups, Fox calculus as an independent order-polynomial oracle, and
+group-level splice and cable constructions with fiberedness bookkeeping.
 """
 
 from .errors import (
@@ -22,7 +23,7 @@ from .fox import (
     fox_derivative,
     monic_degree_check,
 )
-from .inference import FgConclusions, FgPremises, fg_inference
+from .inference import AMALGAM, HNN, FgConclusions, FgPremises, fg_inference
 from .links import (
     NOT_APPLICABLE,
     StallingsReport,
@@ -52,9 +53,8 @@ from .presentations import (
 )
 from .snf import smith_normal_form, xgcd
 from .splittings import (
-    AMALGAM,
-    HNN,
     CosetGraph,
+    Edge,
     Splitting,
     coset_graph,
     free_kernel_rank,

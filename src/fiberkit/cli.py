@@ -29,7 +29,7 @@ import sys
 from . import corpus
 from .errors import ContradictionError, FiberkitError, HypothesisError, ParseError
 from .fox import alexander_poly
-from .inference import FLAG_NAMES, fg_inference
+from .inference import AMALGAM, FLAG_NAMES, HNN, fg_inference
 from .links import cable_group, splice, stallings_report
 from .one_relator import analyze, fiber_rank
 from .presentations import (
@@ -120,11 +120,11 @@ def _splitting_with_phi(path: str) -> tuple[Splitting, ZMap]:
 def _cmd_graph(args) -> int:
     split, phi = _splitting_with_phi(args.file)
     graph = coset_graph(split, phi)
-    print(f"kind = {graph.kind}")
-    print(f"a_idx = {graph.a_idx}")
-    if graph.b_idx is not None:
-        print(f"b_idx = {graph.b_idx}")
-    print(f"c_idx = {graph.c_idx}")
+    (c_idx,) = graph.edge_indices  # a splitting file holds one edge
+    print(f"kind = {HNN if split.edges[0].stable else AMALGAM}")
+    for name, idx in zip("ab", graph.vertex_indices):
+        print(f"{name}_idx = {idx}")
+    print(f"c_idx = {c_idx}")
     print(f"vertices = {graph.vertex_count}")
     print(f"edges = {graph.edge_count}")
     print(f"chi = {graph.euler_characteristic}")
@@ -135,15 +135,13 @@ def _cmd_graph(args) -> int:
 
 def _cmd_rank(args) -> int:
     split, phi = _splitting_with_phi(args.file)
+    ranks = [args.rank_a]
+    if len(split.vertices) > 1:
+        ranks.append(args.rank_b or 0)
+    elif args.rank_b is not None:
+        raise HypothesisError("--rank-b is the rank of factor B; an HNN splitting has none")
     graph = coset_graph(split, phi)
-    rank = free_kernel_rank(
-        split.kind,
-        graph.a_idx,
-        graph.b_idx,
-        graph.c_idx,
-        args.rank_a,
-        args.rank_b if split.kind == "amalgam" else None,
-    )
+    rank = free_kernel_rank(graph, ranks)
     print(f"chi = {graph.euler_characteristic}")
     print(f"rank = {rank}")
     return 0
@@ -219,7 +217,7 @@ _VERBS = {
     "rank": (_cmd_rank, "free kernel rank over a splitting", (
         _FILE,
         _arg("--rank-a", type=int, default=0),
-        _arg("--rank-b", type=int, default=0),
+        _arg("--rank-b", type=int, default=None),
     )),
     "splice": (_cmd_splice, "splice two knot group files",
                (_arg("file_a"), _arg("file_b"), _OUTPUT)),

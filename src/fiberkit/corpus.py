@@ -18,7 +18,7 @@ from .links import fibered_splice, splice, stallings_report
 from .one_relator import fiber_rank
 from .presentations import GroupFile, Presentation, ZMap, abelianize, canonical_zmap
 from .snf import xgcd
-from .splittings import AMALGAM, Splitting
+from .splittings import Edge, Splitting
 from .textfmt import format_group
 from .words import Word
 
@@ -98,11 +98,8 @@ def showcase_hint() -> dict[str, Word]:
 def torus_knot_splitting(p: int, q: int) -> tuple[Splitting, ZMap]:
     """``<x> *_{x^p = y^q} <y>`` with the standard class."""
     split = Splitting(
-        AMALGAM,
-        Presentation(("x",)),
-        Presentation(("y",)),
-        (Word.gen("x", p),),
-        (Word.gen("y", q),),
+        (Presentation(("x",)), Presentation(("y",))),
+        (Edge(0, 1, (Word.gen("x", p),), (Word.gen("y", q),)),),
     )
     return split, ZMap({"x": q, "y": p})
 

@@ -47,14 +47,19 @@ from operator import attrgetter
 from typing import NamedTuple, Optional
 
 from .errors import ContradictionError, HypothesisError
-from .splittings import AMALGAM, HNN
 
 __all__ = [
+    "AMALGAM",
+    "HNN",
     "FgPremises",
     "FgConclusions",
     "fg_inference",
     "FLAG_NAMES",
 ]
+
+# the kinds of splitting the rules speak about, as premise files name them
+AMALGAM = "amalgam"
+HNN = "hnn"
 
 # flag index -> (attribute, display name)
 _FLAGS: tuple[tuple[str, str], ...] = (

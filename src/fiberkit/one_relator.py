@@ -31,7 +31,6 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .errors import HintError, HypothesisError
 from .presentations import Presentation, two_generator_relator
-from .splittings import AMALGAM, free_kernel_rank
 from .words import (
     Word,
     cancel_ends,
@@ -314,18 +313,6 @@ def validate_automorphism(
 _DESCENT_NAMES = ("u", "v", "w")
 
 
-def _two_syllable_rank(alpha: int, beta: int) -> int:
-    """Base case ``x^alpha y^beta`` with coprime exponents.
-
-    The group splits as an amalgam of two infinite cyclic groups over the
-    cyclic subgroup generated by the relator's two halves; the kernel meets
-    both factors trivially, so its rank is the free part of the coset
-    graph.
-    """
-    a_idx, b_idx, c_idx = abs(beta), abs(alpha), abs(alpha * beta)
-    return free_kernel_rank(AMALGAM, a_idx, b_idx, c_idx, 0, 0)
-
-
 def fiber_rank(
     pres: Presentation,
     hints: Sequence[Mapping[str, Word]] = (),
@@ -399,7 +386,9 @@ def fiber_rank(
         else:
             return None
 
-    rank = _two_syllable_rank(p, q)
+    # x^p y^q is <x> *_{x^p = y^-q} <y>, whose kernel meets both factors
+    # trivially: rank 1 - chi with indices |q|, |p| and |p q|
+    rank = (abs(p) - 1) * (abs(q) - 1)
     for a, b, e in reversed(descents):
         rank = rank_transfer(rank, a, b, e)
     return rank

@@ -1,235 +1,221 @@
-"""Amalgam and HNN splittings and the coset graph of a kernel.
+"""Splittings as finite graphs of groups, and the coset graph of a kernel.
 
-For ``N = ker(phi: G -> Z)`` the cosets of ``N*A``, ``N*B``, ``N*C`` inside
-``G`` are classified by residues of phi-values, which makes the subgroup
-graph a finite, explicitly enumerable object whenever the indices are
-finite.  Residue labels run ``0..index-1`` so the graph is reproducible
-bit for bit.
+A splitting is a finite graph of groups (J.-P. Serre, *Trees*, 1980): a
+presentation per vertex, and per edge the words that include its edge group
+at its two ends.  Edges without a stable letter form a spanning tree.  An
+amalgam ``A *_C B`` is two vertices and a tree edge, an HNN extension
+``A *_C`` one vertex and a loop.
+
+For ``N = ker(phi: G -> Z)``, phi onto, the cosets of ``N*G_v`` are the
+residues mod ``i_v``, the gcd of phi on vertex v's generators, and those of
+``N*G_e`` the residues mod ``i_e``, the gcd of phi on edge e's words.  The
+k-th coset of e joins residue ``k mod i_src`` to ``(k + s_e) mod i_dst``,
+with ``s_e`` phi of its stable letter, 0 on a tree edge: the quotient of
+the Bass-Serre tree by N, with Euler characteristic ``sum(i_v) - sum(i_e)``.
+Residues run ``0..index-1``, so the graph is reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import NamedTuple
+from operator import mul
+from typing import NamedTuple, Sequence
 
 from .errors import HypothesisError
 from .presentations import Presentation, ZMap, zmap_validate
-from .words import Word, _Value, concat
+from .words import Word, _Value
 
 __all__ = [
-    "AMALGAM",
-    "HNN",
+    "Edge",
     "Splitting",
     "CosetGraph",
+    "vertex_name",
     "kernel_indices",
     "coset_graph",
     "free_kernel_rank",
 ]
 
-AMALGAM = "amalgam"
-HNN = "hnn"
+
+class Edge(NamedTuple):
+    """An edge from vertex ``src`` to vertex ``dst``: ``words_src[i]`` is
+    identified with ``words_dst[i]``, after conjugation by the stable letter
+    (``stable words_src[i] stable^-1 = words_dst[i]``) when it has one."""
+
+    src: int
+    dst: int
+    words_src: tuple[Word, ...]
+    words_dst: tuple[Word, ...]
+    stable: str | None = None
+
+
+def vertex_name(v: int) -> str:
+    """``A``, ``B``, ... for the first 26 vertices, then ``V26``, ``V27``, ..."""
+    return chr(65 + v) if v < 26 else f"V{v}"
 
 
 class Splitting(_Value):
-    """An amalgamated product ``A *_C B`` or HNN extension ``A *_C``.
+    """A finite graph of groups: a presentation per vertex, and edges whose
+    tree edges (those with no stable letter) form a spanning tree.
 
-    The edge group C is given by its inclusion words: for an amalgam,
-    ``edges_a[i]`` in A is identified with ``edges_b[i]`` in B; for an HNN
-    extension both lists are words over A and the stable letter conjugates
-    ``edges_a[i]`` to ``edges_b[i]``.
+    ``generators`` lists every vertex generator, in vertex order, then
+    every stable letter, in edge order: the generators of the whole group.
     """
 
-    __slots__ = _fields = (
-        "kind", "factor_a", "factor_b", "edges_a", "edges_b", "stable_letter"
-    )
+    __slots__ = ("vertices", "edges", "generators")
+    _fields = ("vertices", "edges")
 
-    def __init__(
-        self,
-        kind: str,
-        factor_a: Presentation,
-        factor_b: Presentation | None = None,
-        edges_a: tuple[Word, ...] = (),
-        edges_b: tuple[Word, ...] = (),
-        stable_letter: str | None = None,
-    ):
-        if kind not in (AMALGAM, HNN):
-            raise ValueError(f"unknown splitting kind {kind!r}")
-        if len(edges_a) != len(edges_b):
-            raise ValueError("edge word lists must have equal length")
-        gens_a = set(factor_a.generators)
-        if kind == AMALGAM:
-            if factor_b is None or stable_letter is not None:
-                raise ValueError("amalgam needs factor B and no stable letter")
-            gens_b = set(factor_b.generators)
-            if gens_a & gens_b:
-                raise ValueError(
-                    f"factor generators must be disjoint: {sorted(gens_a & gens_b)}"
-                )
-            for w in edges_a:
-                if not w.generators() <= gens_a:
-                    raise ValueError(f"edge word {w} not over factor A")
-            for w in edges_b:
-                if not w.generators() <= gens_b:
-                    raise ValueError(f"edge word {w} not over factor B")
-        else:
-            if factor_b is not None:
-                raise ValueError("HNN extension has a single factor")
-            if not stable_letter:
-                raise ValueError("HNN extension needs a stable letter")
-            if stable_letter in gens_a:
+    def __init__(self, vertices: tuple[Presentation, ...], edges: tuple[Edge, ...]):
+        n = len(vertices)
+        if not n:
+            raise ValueError("a splitting needs a vertex")
+        gens: tuple[str, ...] = ()
+        for pres in vertices:
+            gens += pres.generators
+        stables = tuple([e.stable for e in edges if e.stable is not None])
+        if len(set(gens + stables)) < len(gens) + len(stables):
+            if len(set(gens)) < len(gens):
+                shared = sorted({g for g in gens if gens.count(g) > 1})
+                raise ValueError(f"factor generators must be disjoint: {shared}")
+            if not set(gens).isdisjoint(stables):
                 raise ValueError("stable letter collides with a factor generator")
-            for w in edges_a + edges_b:
-                if not w.generators() <= gens_a:
-                    raise ValueError(f"edge word {w} not over the factor")
-        values = (kind, factor_a, factor_b, edges_a, edges_b, stable_letter)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+            raise ValueError("stable letters must be distinct")
+        if "" in stables:
+            raise ValueError("HNN extension needs a stable letter")
+        root = list(range(n))  # union-find over the tree edges
+        for src, dst, words_src, words_dst, stable in edges:
+            if not (0 <= src < n and 0 <= dst < n):
+                raise ValueError(f"edge ends {src}, {dst} are not both vertices")
+            if len(words_src) != len(words_dst):
+                raise ValueError("edge word lists must have equal length")
+            for end, words in ((src, words_src), (dst, words_dst)):
+                own = vertices[end].generators
+                for w in words:
+                    if not w.generators().issubset(own):
+                        raise ValueError(f"edge word {w} not over factor {vertex_name(end)}")
+            if stable is None:
+                while root[src] != src:
+                    src = root[src]
+                while root[dst] != dst:
+                    dst = root[dst]
+                if src == dst:
+                    raise ValueError("tree edges close a cycle")
+                root[src] = dst
+        if n - len(edges) + len(stables) != 1:
+            raise ValueError("tree edges leave a vertex out")
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "generators", gens + stables)
 
     def _key(self) -> tuple:
-        return (self.kind, self.factor_a, self.factor_b, self.edges_a, self.edges_b,
-                self.stable_letter)
-
-    def assembled(self) -> Presentation:
-        """The presentation of the whole group.
-
-        Amalgam: generators of both factors, relators of both factors plus
-        one identification relator per edge word pair.  HNN: factor
-        generators plus the stable letter, plus the conjugation relators.
-        """
-        if self.kind == AMALGAM:
-            gens = self.factor_a.generators + self.factor_b.generators
-            rels = list(self.factor_a.relators) + list(self.factor_b.relators)
-            for wa, wb in zip(self.edges_a, self.edges_b):
-                rels.append(concat(wa, wb.inverse()))
-            return Presentation(gens, tuple(rels))
-        t = Word.gen(self.stable_letter)
-        gens = self.factor_a.generators + (self.stable_letter,)
-        rels = list(self.factor_a.relators)
-        for wc, wd in zip(self.edges_a, self.edges_b):
-            rels.append(concat(t, wc, t.inverse(), wd.inverse()))
-        return Presentation(gens, tuple(rels))
+        return (self.vertices, self.edges)
 
 
 def _normalized_indices(split: Splitting, phi: ZMap):
-    """phi validated and rescaled to be onto, then the three indices."""
-    pres = split.assembled()
-    if not zmap_validate(phi, pres):
+    """phi validated and rescaled to be onto, then the vertex indices and
+    the edge indices.
+
+    The whole group's relators are the vertices' and ``t u t^-1 v^-1`` for
+    each pair of edge words ``u, v``, with ``t`` the stable letter or empty:
+    phi kills them when it kills each vertex's and gives ``u`` and ``v`` one
+    value, so the whole group is never assembled.
+    """
+    values = phi.values
+    if not (
+        all([g in values for g in split.generators])
+        and all([zmap_validate(phi, pres) for pres in split.vertices])
+        and all([phi(u) == phi(v) for e in split.edges
+                 for u, v in zip(e.words_src, e.words_dst)])
+    ):
         raise HypothesisError(
             "map to Z does not kill the assembled relators or misses a generator"
         )
     if phi.image_gcd() == 0:
         raise HypothesisError("N = G, indices undefined")
     phi = phi.normalized()
-    a_idx = gcd(*(phi.values[g] for g in split.factor_a.generators))
-    c_idx = gcd(*map(phi, split.edges_a))
-    b_idx = None
-    if split.kind == AMALGAM:
-        b_idx = gcd(*(phi.values[g] for g in split.factor_b.generators))
-    return phi, a_idx, b_idx, c_idx
+    values = phi.values
+    vertex_indices = tuple([
+        gcd(*[values[g] for g in pres.generators]) for pres in split.vertices
+    ])
+    edge_indices = tuple([gcd(*map(phi, e.words_src)) for e in split.edges])
+    return phi, vertex_indices, edge_indices
 
 
-def kernel_indices(split: Splitting, phi: ZMap) -> tuple[int, int | None, int]:
-    """Indices ``([G:NA], [G:NB], [G:NC])`` for ``N = ker(phi)``.
-
-    Each equals the index in Z of the phi-image of the corresponding
-    subgroup, once phi is rescaled to be onto: the gcd of the phi-values
-    of its generators.  An index is 0 when the image collapses to 0, which
-    stands for an infinite index; the middle entry is None for an HNN
-    splitting.
-    """
+def kernel_indices(split: Splitting, phi: ZMap) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Indices ``[G:NG_v]`` per vertex and ``[G:NG_e]`` per edge, for
+    ``N = ker(phi)``: the index in Z of the subgroup's phi-image once phi
+    is rescaled to be onto, with 0 for an infinite index."""
     return _normalized_indices(split, phi)[1:]
 
 
 class CosetGraph(NamedTuple):
-    """The finite graph underlying the subgroup decomposition of the kernel.
+    """The quotient of the Bass-Serre tree by the kernel.
 
-    Vertices are NA-coset residues (and NB-coset residues for an amalgam);
-    edges are NC-coset residues.  Edge ``k`` joins ``A(k mod a)`` to
-    ``B(k mod b)`` in the amalgam case and ``A(k mod a)`` to
-    ``A(k + step mod a)`` in the HNN case, where ``step`` is the stable
-    letter's phi-value (None for an amalgam).
+    Vertex v of the splitting gives the vertices ``(v, r)`` for ``r`` in
+    ``range(vertex_indices[v])``.  Edge e gives ``edge_indices[e]`` edges,
+    the k-th joining ``(src, k mod i_src)`` to ``(dst, (k + step) mod
+    i_dst)``, where ``ends[e] == (src, dst, step)``.
     """
 
-    kind: str
-    a_idx: int
-    b_idx: int | None
-    c_idx: int
-    step: int | None
+    vertex_indices: tuple[int, ...]
+    edge_indices: tuple[int, ...]
+    ends: tuple[tuple[int, int, int], ...]
     euler_characteristic: int
 
     @property
     def vertex_count(self) -> int:
-        return self.a_idx + (self.b_idx if self.kind == AMALGAM else 0)
+        return sum(self.vertex_indices)
 
     @property
     def edge_count(self) -> int:
-        return self.c_idx
+        return sum(self.edge_indices)
 
     @property
     def edges(self) -> tuple[tuple[int, tuple[str, int], tuple[str, int]], ...]:
-        """Every edge as ``(k, end, end)``, built on each read."""
-        a = self.a_idx
-        if self.kind == AMALGAM:
-            return tuple(
-                (k, ("A", k % a), ("B", k % self.b_idx)) for k in range(self.c_idx)
-            )
-        return tuple(
-            (k, ("A", k % a), ("A", (k + self.step) % a)) for k in range(self.c_idx)
-        )
+        """Every edge as ``(k, (name, residue), (name, residue))``, with the
+        vertices named by ``vertex_name`` and ``k`` counting on through the
+        splitting's edges in turn; built on each read."""
+        out: list = []
+        for count, (src, dst, step) in zip(self.edge_indices, self.ends):
+            i, j = self.vertex_indices[src], self.vertex_indices[dst]
+            u, v, first = vertex_name(src), vertex_name(dst), len(out)
+            out += [(first + k, (u, k % i), (v, (k + step) % j)) for k in range(count)]
+        return tuple(out)
 
 
 def coset_graph(split: Splitting, phi: ZMap) -> CosetGraph:
     """Build the coset graph of ``ker(phi)``; all indices must be finite."""
-    phi, a_idx, b_idx, c_idx = _normalized_indices(split, phi)
-    if 0 in (a_idx, b_idx, c_idx):
+    phi, vertex_indices, edge_indices = _normalized_indices(split, phi)
+    if 0 in vertex_indices or 0 in edge_indices:
         raise HypothesisError(
             "graph is infinite; the kernel is not finitely generated "
             "unless it lies in a factor"
         )
-    # c is a multiple of lcm(a, b) (of a for HNN), so the edges join every
-    # pair of residues that agree mod gcd(a, b) (mod gcd(a, step)): the
-    # graph is connected exactly when that gcd is 1
-    if split.kind == AMALGAM:
-        step = None
-        linked = gcd(a_idx, b_idx)
-        chi = a_idx + b_idx - c_idx
-    else:
-        step = phi.values[split.stable_letter]
-        linked = gcd(a_idx, step)
-        chi = a_idx - c_idx
-    if linked != 1:
-        # cannot happen once phi is surjective: the factor images generate Z
+    values = phi.values
+    ends = tuple([
+        (e.src, e.dst, 0 if e.stable is None else values[e.stable]) for e in split.edges
+    ])
+    # i_e is a multiple of lcm(i_src, i_dst), so edge e joins every pair of
+    # end residues that differ by s_e mod gcd(i_src, i_dst): the graph is
+    # connected exactly when the gcd of every i_v and every s_e is 1
+    if gcd(*vertex_indices, *[step for _, _, step in ends]) != 1:
+        # cannot happen once phi is surjective: the generators' images generate Z
         raise RuntimeError("coset graph fell apart; phi was not normalized")
-    return CosetGraph(split.kind, a_idx, b_idx, c_idx, step, chi)
+    chi = sum(vertex_indices) - sum(edge_indices)
+    return CosetGraph(vertex_indices, edge_indices, ends, chi)
 
 
-def free_kernel_rank(
-    kind: str,
-    a_idx: int,
-    b_idx: int | None,
-    c_idx: int,
-    rank_a: int,
-    rank_b: int | None = None,
-) -> int:
+def free_kernel_rank(graph: CosetGraph, ranks: Sequence[int]) -> int:
     """Rank of the kernel as a free product of vertex groups and a free
-    group, assuming trivial edge groups and finite indices.
-
-    Amalgam: ``a*rank_a + b*rank_b + 1 + c - a - b``.
-    HNN: ``a*rank_a + 1 + c - a``.
+    group, assuming trivial edge groups and finite indices:
+    ``1 - chi + sum(i_v * ranks[v])``, with one rank per vertex.
     """
-    for idx in (a_idx, b_idx, c_idx):
-        if idx is not None and idx < 1:
-            raise HypothesisError("ranks need finite positive indices")
-    if rank_a < 0 or (rank_b is not None and rank_b < 0):
+    if min(graph.vertex_indices + graph.edge_indices, default=1) < 1:
+        raise HypothesisError("ranks need finite positive indices")
+    if len(ranks) != len(graph.vertex_indices):
+        raise ValueError("needs one factor rank per vertex")
+    if min(ranks, default=0) < 0:
         raise HypothesisError("factor ranks must be nonnegative")
-    if kind == AMALGAM:
-        if b_idx is None or rank_b is None:
-            raise HypothesisError("amalgam rank needs the B-side index and rank")
-        rank = a_idx * rank_a + b_idx * rank_b + 1 + c_idx - a_idx - b_idx
-    elif kind == HNN:
-        rank = a_idx * rank_a + 1 + c_idx - a_idx
-    else:
-        raise ValueError(f"unknown splitting kind {kind!r}")
+    rank = 1 - graph.euler_characteristic + sum(map(mul, graph.vertex_indices, ranks))
     if rank < 0:
         raise HypothesisError("premises inconsistent: negative rank")
     return rank

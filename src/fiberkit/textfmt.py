@@ -11,7 +11,10 @@ Group file::
 Words are whitespace-separated ``<id>^<int>`` tokens with ``^1`` omitted
 and ``1`` for the empty word.  A group file reads into the
 ``presentations.GroupFile`` that ``links`` splices and cables; the phi and
-peripheral lines are optional.  Splitting files name their factor files::
+peripheral lines are optional.  A splitting file names its factor files and
+reads into a ``splittings.Splitting`` with one edge: a tree edge from A to
+B, or a loop at A with its stable letter.  Each edge line adds one word at
+either end::
 
     amalgam A=a.grp B=b.grp
     edge inA=x^2 inB=y^3
@@ -39,10 +42,10 @@ mtime stays as it was.
 
 The words of one file over one generator list share a table from each
 token to its syllable, so a token is matched and checked once per file,
-not once per line; the two sides of a splitting file each have their own,
-and the hints of one call share one.  A word is its tokens looked up in
-that table, and ``reduce_word`` runs only when two adjacent tokens share a
-generator.
+not once per line; the two ends of a splitting file's edge each have their
+own, and the hints of one call share one.  A word is its tokens looked up
+in that table, and ``reduce_word`` runs only when two adjacent tokens share
+a generator.
 """
 
 from __future__ import annotations
@@ -55,9 +58,9 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from .errors import ParseError
-from .inference import FLAG_NAMES, FgPremises
+from .inference import AMALGAM, FLAG_NAMES, HNN, FgPremises
 from .presentations import GroupFile, Presentation, ZMap
-from .splittings import AMALGAM, HNN, Splitting
+from .splittings import Edge, Splitting
 from .words import Syllable, Word, _word, reduce_word
 
 __all__ = [
@@ -343,11 +346,19 @@ def _split_assignments(args: str, keys: tuple[str, ...], where: str) -> dict[str
     return values
 
 
+# splitting line -> (its keys, the keys of its edge lines)
+_SPLITTING_LINES = {
+    AMALGAM: (("A", "B"), ("inA", "inB")),
+    HNN: (("A", "stable"), ("inC", "inD")),
+}
+
+
 def parse_splitting_file(path: str | Path) -> tuple[Splitting, ZMap | None]:
-    """Parse a splitting file; factor file paths resolve relative to it."""
+    """Parse a splitting file into its ``Splitting`` and its class; factor
+    file paths resolve relative to it."""
     path = Path(path)
-    kind = None
-    factor_a = factor_b = None
+    edge_keys = None
+    vertices: list[Presentation] = []
     stable = None
     edge_lines: list[tuple[str, str, str]] = []
     phi_line = None
@@ -355,23 +366,18 @@ def parse_splitting_file(path: str | Path) -> tuple[Splitting, ZMap | None]:
     for where, line in _lines(_read(path), str(path)):
         keyword, _, args = line.partition(" ")
         args = args.strip()
-        if keyword in (AMALGAM, HNN):
-            if kind is not None:
+        if keyword in _SPLITTING_LINES:
+            if edge_keys is not None:
                 raise ParseError(f"{where}: repeated splitting line")
-            kind = keyword
-            if keyword == AMALGAM:
-                parts = _split_assignments(args, ("A", "B"), where)
-                factor_a = parse_group_file(path.parent / parts["A"]).presentation
-                factor_b = parse_group_file(path.parent / parts["B"]).presentation
-            else:
-                parts = _split_assignments(args, ("A", "stable"), where)
-                factor_a = parse_group_file(path.parent / parts["A"]).presentation
-                stable = parts["stable"]
+            keys, edge_keys = _SPLITTING_LINES[keyword]
+            parts = _split_assignments(args, keys, where)
+            vertices = [parse_group_file(path.parent / parts[k]).presentation
+                        for k in ("A", "B") if k in parts]
+            stable = parts.get("stable")
         elif keyword == "edge":
-            keys = ("inA", "inB") if kind == AMALGAM else ("inC", "inD")
-            if kind is None:
+            if edge_keys is None:
                 raise ParseError(f"{where}: edge before the splitting line")
-            edge_lines.append((where, *_split_keyed_words(args, keys, where)))
+            edge_lines.append((where, *_split_keyed_words(args, edge_keys, where)))
         elif keyword == "phi":
             if phi_line is not None:
                 raise ParseError(f"{where}: repeated phi line")
@@ -379,28 +385,24 @@ def parse_splitting_file(path: str | Path) -> tuple[Splitting, ZMap | None]:
         else:
             raise ParseError(f"{where}: unknown keyword {keyword!r}")
 
-    if kind is None:
+    if edge_keys is None:
         raise ParseError(f"{path}: no amalgam or hnn line")
 
-    gens_a = factor_a.generators
-    gens_b = factor_b.generators if kind == AMALGAM else gens_a
-    all_gens = gens_a + (gens_b if kind == AMALGAM else (stable,))
-    # a token table per side, as each checks against its own generators
-    read_a = partial(_read_word, {}, set(gens_a))
-    read_b = partial(_read_word, {}, set(gens_b))
-    edges_a: list[Word] = []
-    edges_b: list[Word] = []
-    for where, wa, wb in edge_lines:
-        edges_a += _line_words(where, read_a, wa)
-        edges_b += _line_words(where, read_b, wb)
+    dst = len(vertices) - 1  # B, or A again for the loop
+    # a token table per end, as each checks against its own generators
+    read_src = partial(_read_word, {}, set(vertices[0].generators))
+    read_dst = partial(_read_word, {}, set(vertices[dst].generators))
+    words_src: list[Word] = []
+    words_dst: list[Word] = []
+    for where, u, v in edge_lines:
+        words_src += _line_words(where, read_src, u)
+        words_dst += _line_words(where, read_dst, v)
+    edge = Edge(0, dst, tuple(words_src), tuple(words_dst), stable)
     try:
-        split = Splitting(
-            kind, factor_a, factor_b, tuple(edges_a), tuple(edges_b),
-            stable_letter=stable,
-        )
+        split = Splitting(tuple(vertices), (edge,))
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    return split, _phi_map(phi_line, all_gens)
+    return split, _phi_map(phi_line, split.generators)
 
 
 def _yes_no(value: str, what: str) -> bool:

@@ -35,16 +35,12 @@ from fiberkit.links import (
 from fiberkit.one_relator import fiber_rank, rank_transfer
 from fiberkit.presentations import Presentation, ZMap, abelianize, canonical_zmap
 from fiberkit.snf import smith_normal_form
-from fiberkit.splittings import (
-    AMALGAM,
-    HNN,
-    Splitting,
-    coset_graph,
-    free_kernel_rank,
-    kernel_indices,
-)
+from fiberkit.inference import AMALGAM, HNN
+from fiberkit.splittings import coset_graph, free_kernel_rank, kernel_indices
 from fiberkit.words import Word
 from tests_support import (
+    amalgam_graph,
+    amalgam_splitting,
     as_premises,
     corpus_presentations,
     is_connected,
@@ -77,34 +73,32 @@ def test_acceptance_2_rank_transfer_instances():
 
     # the showcase group split as <x> *_{x^2 = u} <u, y | u y^2 u y^-1>
     # has index triple (|b|, gcd(a, e), |b| e) = (1, 2, 2)
-    split = Splitting(
-        AMALGAM,
-        Presentation(("x",)),
+    split = amalgam_splitting(
+        Word.gen("x", 2),
+        Word.gen("u", 1),
         Presentation(
             ("u", "y"), (Word.of(("u", 1), ("y", 2), ("u", 1), ("y", -1)),)
         ),
-        (Word.gen("x", 2),),
-        (Word.gen("u", 1),),
     )
     phi = ZMap({"x": -1, "u": -2, "y": 4})
     indices = kernel_indices(split, phi)
-    assert indices == (1, 2, 2)
-    assert free_kernel_rank(AMALGAM, 1, 2, 2, 0, 2) == rank_transfer(2, 4, 1, 2)
+    assert indices == ((1, 2), (2,))
+    graph = coset_graph(split, phi)
+    assert free_kernel_rank(graph, (0, 2)) == rank_transfer(2, 4, 1, 2)
 
     # the straightened relator u^2 y^3 splits with indices (3, 2, 6)
-    assert free_kernel_rank(AMALGAM, 3, 2, 6, 0, 0) == rank_transfer(0, 2, 3, 2)
+    assert free_kernel_rank(amalgam_graph(3, 2, 6), (0, 0)) == rank_transfer(0, 2, 3, 2)
     report(2, "transfer formula agrees with the splitting rank on both instances")
 
 
 def test_acceptance_3_trefoil_triangle():
     started = time.perf_counter()
     split, phi = torus_knot_splitting(2, 3)
-    a_idx, b_idx, c_idx = kernel_indices(split, phi)
-    assert (a_idx, b_idx, c_idx) == (3, 2, 6)
-    rank = free_kernel_rank(AMALGAM, a_idx, b_idx, c_idx, 0, 0)
+    assert kernel_indices(split, phi) == ((3, 2), (6,))
+    graph = coset_graph(split, phi)
+    rank = free_kernel_rank(graph, (0, 0))
     assert rank == 2
 
-    graph = coset_graph(split, phi)
     assert graph.euler_characteristic == -1
     assert 1 - graph.euler_characteristic == 2
 
@@ -133,8 +127,7 @@ def test_acceptance_4_torus_knot_sweep():
             assert delta.span == expected
 
             split, phi = torus_knot_splitting(p, q)
-            a_idx, b_idx, c_idx = kernel_indices(split, phi)
-            assert free_kernel_rank(AMALGAM, a_idx, b_idx, c_idx, 0, 0) == expected
+            assert free_kernel_rank(coset_graph(split, phi), (0, 0)) == expected
             checked += 1
     assert checked == 11
     report(4, f"{checked} coprime pairs match the closed form exactly")

@@ -53,6 +53,38 @@ def workdir(tmp_path):
     return tmp_path
 
 
+# HNN extensions of <x> over x^2 = t x^2 t^-1, beside the workdir's trefoil.spl
+HNN_PHIS = {"h.spl": "x=1 t=1", "h2.spl": "x=2 t=1"}
+
+# the full stdout of graph and of rank on each splitting file
+GRAPHS = {
+    "trefoil.spl": "kind = amalgam\na_idx = 3\nb_idx = 2\nc_idx = 6\nvertices = 5\n"
+    "edges = 6\nchi = -1\nedge 0: A0 - B0\nedge 1: A1 - B1\nedge 2: A2 - B0\n"
+    "edge 3: A0 - B1\nedge 4: A1 - B0\nedge 5: A2 - B1\n",
+    "h.spl": "kind = hnn\na_idx = 1\nc_idx = 2\nvertices = 1\nedges = 2\nchi = -1\n"
+    "edge 0: A0 - A0\nedge 1: A0 - A0\n",
+    "h2.spl": "kind = hnn\na_idx = 2\nc_idx = 4\nvertices = 2\nedges = 4\nchi = -2\n"
+    "edge 0: A0 - A1\nedge 1: A1 - A0\nedge 2: A0 - A1\nedge 3: A1 - A0\n",
+}
+RANKS = [
+    ("trefoil.spl", [], "chi = -1\nrank = 2\n"),
+    ("trefoil.spl", ["--rank-a", "1", "--rank-b", "2"], "chi = -1\nrank = 9\n"),
+    ("h.spl", [], "chi = -1\nrank = 2\n"),
+    ("h.spl", ["--rank-a", "2"], "chi = -1\nrank = 4\n"),
+    ("h2.spl", [], "chi = -2\nrank = 3\n"),
+]
+
+
+def splitting_file(workdir, name):
+    """``workdir / name``, written first when it is one of ``HNN_PHIS``."""
+    if name in HNN_PHIS:
+        (workdir / name).write_text(
+            f"hnn A=A.grp stable=t\nedge inC=x^2 inD=x^2\nphi {HNN_PHIS[name]}\n",
+            encoding="utf-8",
+        )
+    return workdir / name
+
+
 def run(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
@@ -130,15 +162,14 @@ class TestBasicVerbs:
         assert "p = 4" in out and "q = 1" in out and "e = 2" in out
 
     def test_graph(self, workdir, capsys):
-        code, out, _ = run(capsys, "graph", workdir / "trefoil.spl")
-        assert code == 0
-        assert "chi = -1" in out
-        assert "edge 5: A2 - B1" in out
+        for name, expected in GRAPHS.items():
+            assert run(capsys, "graph", splitting_file(workdir, name)) == (0, expected, "")
 
     def test_rank(self, workdir, capsys):
-        code, out, _ = run(capsys, "rank", workdir / "trefoil.spl")
-        assert code == 0
-        assert "rank = 2" in out
+        for name, options, expected in RANKS:
+            assert run(capsys, "rank", splitting_file(workdir, name), *options) == (
+                0, expected, ""
+            )
 
     def test_report(self, workdir, capsys):
         code, out, _ = run(
@@ -670,6 +701,13 @@ class TestExitCodes:
         (workdir / "s.spl").write_text(text, encoding="utf-8")
         assert run(capsys, "rank", workdir / "s.spl", *ranks) == (
             2, "", "error: factor ranks must be nonnegative\n"
+        )
+
+    @pytest.mark.parametrize("value", ["-7", "0", "3"])
+    def test_rank_b_on_an_hnn_splitting(self, workdir, capsys, value):
+        # --rank-b -7 used to be ignored: rank = 2, exit 0
+        assert run(capsys, "rank", splitting_file(workdir, "h.spl"), "--rank-b", value) == (
+            2, "", "error: --rank-b is the rank of factor B; an HNN splitting has none\n"
         )
 
     def test_missing_file(self, workdir, capsys):

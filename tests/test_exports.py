@@ -50,7 +50,10 @@ RECORDS = {
         {"phi": None, "meridian": None, "longitude": None},
     ),
     "splittings.CosetGraph": (
-        ("kind", "a_idx", "b_idx", "c_idx", "step", "euler_characteristic"), {},
+        ("vertex_indices", "edge_indices", "ends", "euler_characteristic"), {},
+    ),
+    "splittings.Edge": (
+        ("src", "dst", "words_src", "words_dst", "stable"), {"stable": None},
     ),
     "inference.FgPremises": (PREMISE_FLAGS, dict.fromkeys(PREMISE_FLAGS)),
     "inference.FgConclusions": (("flags", "disjunctions"), {}),

@@ -8,6 +8,7 @@ from fiberkit.corpus import trefoil_data
 from fiberkit.errors import ParseError
 from fiberkit.links import cable_group
 from fiberkit.presentations import Presentation, ZMap
+from fiberkit.splittings import Edge
 from fiberkit.textfmt import (
     GroupFile,
     format_group,
@@ -19,7 +20,7 @@ from fiberkit.textfmt import (
     parse_word,
 )
 from fiberkit.words import Word, reduce_word
-from tests_support import parse_hint, reference_parse_word
+from tests_support import assembled, parse_hint, reference_parse_word
 
 TREFOIL_TEXT = """\
 group trefoil
@@ -224,13 +225,12 @@ class TestSplittingFiles:
             "amalgam A=A.grp B=B.grp\nedge inA=x^2 inB=y^3\nphi x=3 y=2\n",
         )
         split, phi = parse_splitting_file(path)
-        assert split.kind == "amalgam"
-        assert split.edges_a == (Word.of(("x", 2)),)
-        assert split.edges_b == (Word.of(("y", 3)),)
+        assert split.vertices == (Presentation(("x",)), Presentation(("y",)))
+        assert split.edges == (Edge(0, 1, (Word.of(("x", 2)),), (Word.of(("y", 3)),)),)
         assert phi.values == {"x": 3, "y": 2}
-        assembled = split.assembled()
-        assert assembled.generators == ("x", "y")
-        assert assembled.relators == (Word.of(("x", 2), ("y", -3)),)
+        whole = assembled(split)
+        assert whole.generators == ("x", "y")
+        assert whole.relators == (Word.of(("x", 2), ("y", -3)),)
 
     def test_hnn(self, tmp_path):
         self.write(tmp_path, "A.grp", "group A\ngen x\n")
@@ -240,11 +240,11 @@ class TestSplittingFiles:
             "hnn A=A.grp stable=t\nedge inC=x^2 inD=x^2\nphi x=1 t=0\n",
         )
         split, phi = parse_splitting_file(path)
-        assert split.kind == "hnn"
-        assert split.stable_letter == "t"
-        assembled = split.assembled()
-        assert assembled.generators == ("x", "t")
-        assert assembled.relators == (
+        assert split.vertices == (Presentation(("x",)),)
+        assert split.edges == (Edge(0, 0, (Word.of(("x", 2)),), (Word.of(("x", 2)),), "t"),)
+        whole = assembled(split)
+        assert whole.generators == ("x", "t")
+        assert whole.relators == (
             Word.of(("t", 1), ("x", 2), ("t", -1), ("x", -2)),
         )
 

@@ -4,7 +4,8 @@ The oracles here deliberately avoid the code paths they check: the torus
 closed form is divided out by sympy, never by ``LaurentPoly.exact_div``,
 the rational-function reference below never touches the Fox machinery,
 the rotation reference compares every letter rotation in full, the
-connectivity reference walks the explicit coset graph edges, the rank
+connectivity reference walks the explicit coset graph edges, the amalgam
+and HNN closed forms check ``free_kernel_rank`` term for term, the rank
 recursion reference rotates to canonical form at every stage and checks
 every hint by heap search, the Alexander reference takes sympy
 determinants of Fox derivatives read off the letters, the word parser
@@ -37,6 +38,8 @@ from fiberkit.errors import ContradictionError, HypothesisError, ParseError
 from fiberkit.fox import LaurentPoly
 from fiberkit.inference import (
     _BITS,
+    AMALGAM,
+    HNN,
     _RULES,
     DISPLAY,
     FLAG_NAMES,
@@ -53,9 +56,9 @@ from fiberkit.one_relator import (
     rank_transfer,
 )
 from fiberkit.presentations import Presentation, ZMap, canonical_zmap
-from fiberkit.splittings import AMALGAM, HNN, Splitting
+from fiberkit.splittings import CosetGraph, Edge, Splitting, vertex_name
 from fiberkit.textfmt import parse_word
-from fiberkit.words import Word, cyclic_reduce, exponent_sum, reduce_word, substitute
+from fiberkit.words import Word, concat, cyclic_reduce, exponent_sum, reduce_word, substitute
 
 
 def int_det(matrix):
@@ -490,14 +493,17 @@ def sympy_alexander_polys(pres, phi):
 
 def torus_splitting_with_phi(p, q):
     """``<x> *_{x^p = y^q} <y>`` plus the class killing the edge relation."""
-    split = Splitting(
-        AMALGAM,
-        Presentation(("x",)),
-        Presentation(("y",)),
-        (Word.gen("x", p),),
-        (Word.gen("y", q),),
-    )
-    return split, ZMap({"x": q, "y": p})
+    return amalgam_splitting(Word.gen("x", p), Word.gen("y", q)), ZMap({"x": q, "y": p})
+
+
+def amalgam_splitting(u, v, factor_b=Presentation(("y",))):
+    """``<x> *_{u = v} factor_b``, one edge word on each side."""
+    return Splitting((Presentation(("x",)), factor_b), (Edge(0, 1, (u,), (v,)),))
+
+
+def hnn_splitting(u, v, factor=Presentation(("x",)), stable="t"):
+    """``factor *_{stable u stable^-1 = v}``, one loop at one vertex."""
+    return Splitting((factor,), (Edge(0, 0, (u,), (v,), stable),))
 
 
 def t_power_minus_one(n):
@@ -519,11 +525,11 @@ def torus_alexander_closed_form(p, q):
 
 
 def vertices(graph):
-    """Every vertex of a coset graph: the A residues, then the B residues."""
-    verts = [("A", i) for i in range(graph.a_idx)]
-    if graph.kind == AMALGAM:
-        verts += [("B", j) for j in range(graph.b_idx)]
-    return tuple(verts)
+    """Every vertex of a coset graph: each vertex's residues in turn."""
+    return tuple(
+        (vertex_name(v), r) for v, index in enumerate(graph.vertex_indices)
+        for r in range(index)
+    )
 
 
 def is_connected(graph):
@@ -545,36 +551,99 @@ def is_connected(graph):
     return seen == verts
 
 
+def amalgam_graph(a, b, c):
+    """The coset graph of an amalgam with indices ``a``, ``b`` and ``c``."""
+    return CosetGraph((a, b), (c,), ((0, 1, 0),), a + b - c)
+
+
+def hnn_graph(a, c, step=1):
+    """The coset graph of an HNN extension with indices ``a`` and ``c``."""
+    return CosetGraph((a,), (c,), ((0, 0, step),), a - c)
+
+
+def amalgam_rank(a, b, c, rank_a, rank_b):
+    """The amalgam's closed form, the oracle for ``free_kernel_rank``."""
+    return a * rank_a + b * rank_b + 1 + c - a - b
+
+
+def hnn_rank(a, c, rank_a):
+    """The HNN extension's closed form, the oracle for ``free_kernel_rank``."""
+    return a * rank_a + 1 + c - a
+
+
+def assembled(split):
+    """The presentation of the whole group of a splitting: its generators,
+    then the vertex relators and ``t u t^-1 v^-1`` for each pair of edge
+    words ``u, v``, where ``t`` is the edge's stable letter or empty on a
+    tree edge.  The oracle for the class check of ``kernel_indices``, which
+    never assembles the group."""
+    rels = [r for pres in split.vertices for r in pres.relators]
+    for e in split.edges:
+        t = Word() if e.stable is None else Word.gen(e.stable)
+        for u, v in zip(e.words_src, e.words_dst):
+            rels.append(concat(t, u, t.inverse(), v.inverse()))
+    return Presentation(split.generators, tuple(rels))
+
+
+def random_coset_graph(rng):
+    """A coset graph on 1-4 vertices, possibly disconnected: a random
+    spanning tree of tree edges plus up to two edges with a step, each
+    edge index a multiple of the lcm of its ends' indices.  Half of the
+    graphs scale every vertex index and step by 2 or 3."""
+    scale = rng.choice((1, 1, 2, 3))
+    n = rng.randint(1, 4)
+    vertex_indices = tuple(scale * rng.randint(1, 6) for _ in range(n))
+    ends = [(rng.randrange(v), v, 0) for v in range(1, n)]
+    ends += [
+        (rng.randrange(n), rng.randrange(n), scale * rng.randint(-5, 5))
+        for _ in range(rng.randint(0, 2))
+    ]
+    rng.shuffle(ends)
+    edge_indices = tuple(
+        math.lcm(vertex_indices[src], vertex_indices[dst]) * rng.randint(1, 3)
+        for src, dst, _ in ends
+    )
+    chi = sum(vertex_indices) - sum(edge_indices)
+    return CosetGraph(vertex_indices, edge_indices, tuple(ends), chi)
+
+
 def random_realizable_splitting(rng):
     """A random splitting plus a valid class, built class-first so every
     index triple is realizable."""
-    from fiberkit.splittings import HNN
-
     if rng.random() < 0.5:
         u = rng.choice([i for i in range(-9, 10) if i])
         v = rng.choice([i for i in range(-9, 10) if i])
         k = rng.randint(1, 3)
         d = math.gcd(u, v)
-        split = Splitting(
-            AMALGAM,
-            Presentation(("x",)),
-            Presentation(("y",)),
-            (Word.gen("x", k * v // d),),
-            (Word.gen("y", k * u // d),),
-        )
+        split = amalgam_splitting(Word.gen("x", k * v // d), Word.gen("y", k * u // d))
         return split, ZMap({"x": u, "y": v})
     j = rng.randint(1, 6)
     x_val = rng.choice([i for i in range(-6, 7) if i])
     t_val = rng.randint(-6, 6)
-    split = Splitting(
-        HNN,
-        Presentation(("x",)),
-        None,
-        (Word.gen("x", j),),
-        (Word.gen("x", j),),
-        stable_letter="t",
-    )
+    split = hnn_splitting(Word.gen("x", j), Word.gen("x", j))
     return split, ZMap({"x": x_val, "t": t_val})
+
+
+def random_graph_of_groups(rng):
+    """A splitting of 1-4 infinite cyclic vertex groups ``<x0>, <x1>, ...``
+    along a random spanning tree, plus up to two edges with stable letters,
+    and a class that is onto: each edge identifies the powers of its ends'
+    generators with equal phi-values."""
+    n = rng.randint(1, 4)
+    values = [rng.choice([i for i in range(-6, 7) if i]) for _ in range(n)]
+    ends = [(rng.randrange(v), v, None) for v in range(1, n)]
+    ends += [(rng.randrange(n), rng.randrange(n), f"t{i}") for i in range(rng.randint(0, 2))]
+    edges = []
+    for src, dst, stable in ends:
+        d = math.gcd(values[src], values[dst])
+        k = rng.randint(1, 3)
+        u = Word.gen(f"x{src}", k * values[dst] // d)
+        v = Word.gen(f"x{dst}", k * values[src] // d)
+        edges.append(Edge(src, dst, (u,), (v,), stable))
+    split = Splitting(tuple(Presentation((f"x{v}",)) for v in range(n)), tuple(edges))
+    phi = {f"x{v}": values[v] for v in range(n)}
+    phi.update({e.stable: rng.randint(-6, 6) for e in edges if e.stable})
+    return split, ZMap(phi)
 
 
 def corpus_presentations() -> list[tuple[str, Presentation, ZMap]]:
