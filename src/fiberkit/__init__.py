@@ -21,7 +21,6 @@ from .fox import (
     alexander_matrix,
     alexander_poly,
     fox_derivative,
-    monic_degree_check,
 )
 from .inference import AMALGAM, HNN, FgConclusions, FgPremises, fg_inference
 from .links import (

@@ -11,12 +11,15 @@ parser is built once per process and reused by every later ``main`` call
 that names it, so callers that run ``main`` many times in one process
 (tests, scripts, the benchmark) no longer rebuild it; a one-shot ``python
 -m fiberkit.cli`` builds one parser either way.  The full tree is built
-afresh whenever it is needed.  ``main`` maps the toolkit's errors onto exit
-codes: 0 on success, 1 on parse errors, 2 on hypothesis violations, 3 on
-inference contradictions.  Files are written through ``textfmt.write_file``,
-which leaves a file that already holds the same bytes untouched, so a
-repeated ``corpus`` or ``-o`` keeps the files' mtimes.  ``entry`` exits 1
-without a traceback when stdout is closed early, as in ``| head -1``.
+afresh whenever it is needed.  The texts ``corpus`` writes are likewise
+built once per process, by ``corpus.corpus_files``, so a later ``corpus``
+call only checks and writes files.  ``main`` maps the toolkit's errors onto
+exit codes: 0 on success, 1 on parse errors, 2 on hypothesis violations, 3
+on inference contradictions.  Files are written through
+``textfmt.write_file``, which leaves a file that already holds the same
+bytes untouched, so a repeated ``corpus`` or ``-o`` keeps the files' mtimes.
+``entry`` exits 1 without a traceback when stdout is closed early, as in
+``| head -1``.
 """
 
 from __future__ import annotations

@@ -4,18 +4,19 @@ The groups are the unknot, the torus knots, and the two-generator
 one-relator showcase group, with their standard classes and peripheral
 words.  ``corpus_files`` renders them, with the rank, Alexander, report and
 splice results computed from them, into the files ``fiberkit corpus``
-writes.  The test suite leans on the same groups; everything is
+writes.  Those texts are a constant of the program, so they are built once
+per process, on the first call, and every later call returns the same
+tuple.  The test suite leans on the same groups; everything is
 constructed, never read from disk.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import gcd
 
 from .errors import HypothesisError
-from .fox import alexander_poly
 from .links import fibered_splice, splice, stallings_report
-from .one_relator import fiber_rank
 from .presentations import GroupFile, Presentation, ZMap, abelianize, canonical_zmap
 from .snf import xgcd
 from .splittings import Edge, Splitting
@@ -104,9 +105,15 @@ def torus_knot_splitting(p: int, q: int) -> tuple[Splitting, ZMap]:
     return split, ZMap({"x": q, "y": p})
 
 
-def corpus_files() -> list[tuple[str, str]]:
+@cache
+def corpus_files() -> tuple[tuple[str, str], ...]:
     """The files of ``fiberkit corpus`` as ``(filename, text)`` pairs, in
-    the order they are written; the texts are deterministic."""
+    the order they are written; the texts are deterministic.
+
+    Built once per process: every call after the first returns the same
+    tuple, which no caller can change.  The rank and Alexander files are
+    read off the two reports the corpus writes anyway.
+    """
     trefoil = trefoil_data()
     knots = [("unknot.grp", unknot_data()), ("trefoil.grp", trefoil)]
     knots += [
@@ -118,22 +125,21 @@ def corpus_files() -> list[tuple[str, str]]:
     files = [(name, format_group(data)) for name, data in knots]
 
     showcase = showcase_presentation()
+    showcase_phi = canonical_zmap(showcase)
     descended = showcase_descended()
+    trefoil_report = stallings_report(trefoil.presentation, trefoil.phi)
+    showcase_report = stallings_report(showcase, showcase_phi, [showcase_hint()])
     zero = trefoil._replace(phi=ZMap({g: 0 for g in trefoil.presentation.generators}))
     spliced = splice(zero, zero)
     verdict = fibered_splice(True, True, False, True)
     files += [
-        ("showcase.grp",
-         format_group(GroupFile("showcase", showcase, canonical_zmap(showcase)))),
+        ("showcase.grp", format_group(GroupFile("showcase", showcase, showcase_phi))),
         ("showcase_descended.grp",
          format_group(GroupFile("showcase-H", descended, canonical_zmap(descended)))),
-        ("showcase.rank.txt", f"rank = {fiber_rank(showcase, [showcase_hint()])}\n"),
-        ("trefoil.alexander.txt", f"{alexander_poly(trefoil.presentation, trefoil.phi)}\n"),
-        ("trefoil.report.txt",
-         stallings_report(trefoil.presentation, trefoil.phi).render() + "\n"),
-        ("showcase.report.txt",
-         stallings_report(showcase, canonical_zmap(showcase), [showcase_hint()]).render()
-         + "\n"),
+        ("showcase.rank.txt", f"rank = {showcase_report.fiber_rank}\n"),
+        ("trefoil.alexander.txt", f"{trefoil_report.alexander}\n"),
+        ("trefoil.report.txt", trefoil_report.render() + "\n"),
+        ("showcase.report.txt", showcase_report.render() + "\n"),
         ("splice_trefoil_trefoil.grp", format_group(spliced)),
         ("splice_trefoil_trefoil.homology.txt",
          f"abelianization = {abelianize(spliced.presentation)}\n"),
@@ -143,4 +149,4 @@ def corpus_files() -> list[tuple[str, str]]:
          "first_incompressible = not asserted\nsecond_incompressible = asserted\n"
          f"fibered_splice = {verdict}\n"),
     ]
-    return files
+    return tuple(files)

@@ -15,7 +15,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import HintError, HypothesisError
-from .fox import LaurentPoly, alexander_poly, monic_degree_check
+from .fox import LaurentPoly, alexander_poly
 from .one_relator import fiber_rank
 from .presentations import (
     AbelianizationResult,
@@ -276,9 +276,9 @@ def stallings_report(
         except HypothesisError as exc:
             diagnostics.append(f"order polynomial unavailable: {exc}")
         else:
-            degree = None if delta.is_zero else delta.span
-            # a polynomial always has its own degree, so this is the unit test
-            monic = monic_degree_check(delta, degree)
+            terms = delta.terms
+            degree = delta.span if terms else None
+            monic = bool(terms) and abs(terms[0][1]) == abs(terms[-1][1]) == 1
 
     if two_gen_one_rel:
         try:

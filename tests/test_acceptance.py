@@ -23,7 +23,7 @@ from fiberkit.corpus import (
     unknot_data,
 )
 from fiberkit.errors import ContradictionError
-from fiberkit.fox import LaurentPoly, alexander_poly, fox_derivative, monic_degree_check
+from fiberkit.fox import LaurentPoly, alexander_poly, fox_derivative
 from fiberkit.inference import FLAG_NAMES, FgConclusions, FgPremises, fg_inference
 from fiberkit.links import (
     NOT_APPLICABLE,
@@ -46,6 +46,7 @@ from tests_support import (
     is_connected,
     is_infinite_cyclic,
     is_trivial,
+    monic_degree_check,
     random_realizable_splitting,
     t_power_minus_one,
     torus_alexander_closed_form,

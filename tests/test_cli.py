@@ -10,7 +10,7 @@ from time import perf_counter
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fiberkit import cli
+from fiberkit import cli, corpus
 from fiberkit.cli import main
 from fiberkit.errors import ContradictionError, FiberkitError, ParseError
 from fiberkit.inference import FLAG_NAMES
@@ -315,7 +315,9 @@ class TestAdversarialSizes:
     """Relators of about 10^5 letters run through the rank recursion in
     bounded time, with no timing bound asserted; a coset graph of a million
     edges gets its rank, and a relator whose omitted Jacobian column would
-    hold 2 * 10^9 terms its order polynomial, in under a second."""
+    hold 2 * 10^9 terms its order polynomial, in under a second.  A relator
+    whose kept column would hold 3 * 10^7 terms is refused in under a
+    second: ``alexander`` exits 2 and ``report`` is inconclusive."""
 
     @pytest.fixture
     def conjugation(self, workdir):
@@ -345,6 +347,35 @@ class TestAdversarialSizes:
             "monic = yes\n"
             "degree = 1000000000\n"
             "note: m = 0: both exponent sums vanish, no torsion number\n"
+            "verdict = inconclusive\n"
+        )
+
+    @pytest.fixture
+    def long_walk(self, workdir):
+        # the kept column of y^-30000001 would hold 30000001 Fox terms
+        path = workdir / "long_walk.grp"
+        path.write_text("group G\ngen x y\nrel x^2 y^-30000001\n", encoding="utf-8")
+        return path
+
+    def test_alexander_refuses_a_long_fox_walk(self, long_walk, capsys):
+        started = perf_counter()
+        code, out, err = run(capsys, "alexander", long_walk)
+        assert perf_counter() - started < 1.0
+        assert (code, out) == (2, "")
+        assert err == "error: the Fox Jacobian would need more than 100000 terms\n"
+
+    def test_report_of_a_long_fox_walk(self, long_walk, capsys):
+        started = perf_counter()
+        code, out, _ = run(capsys, "report", long_walk)
+        assert perf_counter() - started < 1.0
+        assert code == 0
+        assert out == (
+            "image = 1Z\n"
+            "abelianization = Z\n"
+            "alexander = unavailable\n"
+            "fiber-rank = 30000000\n"
+            "note: order polynomial unavailable: "
+            "the Fox Jacobian would need more than 100000 terms\n"
             "verdict = inconclusive\n"
         )
 
@@ -877,6 +908,18 @@ class TestCorpusVerb:
         for path in sorted(target.glob("*.grp")):
             group = parse_group_file(path)
             assert group.presentation.generators
+
+    def test_texts_are_built_once_per_process(self):
+        files = corpus.corpus_files()
+        assert corpus.corpus_files() is files
+        assert files == corpus.corpus_files.__wrapped__()
+
+    def test_texts_are_immutable_pairs(self):
+        files = corpus.corpus_files()
+        assert type(files) is tuple
+        for entry in files:
+            assert type(entry) is tuple
+            assert [type(part) for part in entry] == [str, str]
 
     def test_pinned_bytes_and_order(self, workdir, capsys):
         target = workdir / "corpus"

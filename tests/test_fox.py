@@ -7,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 from fiberkit.corpus import torus_knot_data, trefoil_data
 from fiberkit.errors import HypothesisError
 from fiberkit.fox import (
+    WALK_BOUND,
     GroupRingElement,
     LaurentPoly,
     alexander_matrix,
     alexander_poly,
     fox_derivative,
-    monic_degree_check,
 )
 from fiberkit.links import cable_group
 from fiberkit.presentations import Presentation, ZMap, canonical_zmap, zmap_validate
@@ -20,6 +20,7 @@ from fiberkit.words import Word, concat, reduce_word
 from tests_support import (
     corpus_presentations,
     evaluate_at_one,
+    monic_degree_check,
     sympy_alexander_polys,
     t_power_minus_one,
     torus_alexander_closed_form,
@@ -340,3 +341,21 @@ class TestAlexanderMatrix:
         assert len(matrix) == 1 and len(matrix[0]) == 2
         assert matrix[0][0] == lp({0: 1, 3: 1})
         assert matrix[0][1] == lp({0: -1, 2: -1, 4: -1})
+
+    def test_walks_add_up_to_the_bound(self):
+        half = WALK_BOUND // 2
+        phi = ZMap({"x": 1, "y": 1})
+
+        def relators(rest):
+            return Presentation(("x", "y"), (w(("y", half)), w(("y", -rest))))
+
+        matrix = alexander_matrix(relators(WALK_BOUND - half), phi, omit="x")
+        assert [len(row[0].terms) for row in matrix] == [half, WALK_BOUND - half]
+        with pytest.raises(HypothesisError, match=f"more than {WALK_BOUND} terms"):
+            alexander_matrix(relators(WALK_BOUND - half + 1), phi, omit="x")
+
+    def test_single_letters_and_class_zero_powers_walk_free(self):
+        relator = w(*[("y", 1), ("x", -1)] * (WALK_BOUND + 1), ("z", 10 ** 9))
+        pres = Presentation(("x", "y", "z"), (relator,))
+        matrix = alexander_matrix(pres, ZMap({"x": 1, "y": 1, "z": 0}), omit="x")
+        assert matrix == [[lp({0: WALK_BOUND + 1}), lp({0: 10 ** 9})]]

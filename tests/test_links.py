@@ -10,7 +10,7 @@ from fiberkit.corpus import (
     unknot_data,
 )
 from fiberkit.errors import HypothesisError
-from fiberkit.fox import alexander_poly, monic_degree_check
+from fiberkit.fox import alexander_poly
 from fiberkit.links import (
     NOT_APPLICABLE,
     cable_group,

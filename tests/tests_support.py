@@ -17,9 +17,9 @@ reference applies phi to every relator syllable by syllable, the inference
 reference is the closure with nested ``assign``/``record`` helpers that
 checks every derived literal for a clash, and the Smith normal form oracle
 takes the gcd of every k x k minor by Bareiss elimination.  The small
-predicates after it (``known``, ``implies``, ``is_trivial``,
-``cable_fibered`` and the like) are read only by tests, so they live here
-rather than in the library.
+predicates after it (``monic_degree_check``, ``known``, ``implies``,
+``is_trivial``, ``cable_fibered`` and the like) are read only by tests, so
+they live here rather than in the library.
 """
 
 import math
@@ -103,6 +103,16 @@ def minor_gcd(matrix, k):
 def evaluate_at_one(poly):
     """A Laurent polynomial's value at ``t = 1``."""
     return sum(c for _, c in poly.terms)
+
+
+def monic_degree_check(delta, expected_rank):
+    """True iff both extreme coefficients are units and the normalized
+    degree equals ``expected_rank``."""
+    if delta.is_zero:
+        return False
+    if abs(delta.terms[0][1]) != 1 or abs(delta.terms[-1][1]) != 1:
+        return False
+    return delta.span == expected_rank
 
 
 def known(conclusions):
