@@ -18,6 +18,10 @@ exit codes: 0 on success, 1 on parse errors, 2 on hypothesis violations, 3
 on inference contradictions.  Files are written through
 ``textfmt.write_file``, which leaves a file that already holds the same
 bytes untouched, so a repeated ``corpus`` or ``-o`` keeps the files' mtimes.
+Paths are used and shown as spelled on the command line, with no
+``pathlib`` normalization: ``corpus --dir ./sub/`` writes and reports
+``./sub/unknot.grp``, and ``--dir ""`` writes bare names into the current
+directory.
 ``entry`` exits 1 without a traceback when stdout is closed early, as in
 ``| head -1``.
 """
@@ -189,10 +193,12 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    with writing(args.dir) as target:
-        target.mkdir(parents=True, exist_ok=True)
+    if args.dir:
+        # "" is the current directory, which os.makedirs refuses to create
+        with writing(args.dir):
+            os.makedirs(args.dir, exist_ok=True)
     for filename, content in corpus.corpus_files():
-        print(f"wrote {write_file(target / filename, content)}")
+        print(f"wrote {write_file(os.path.join(args.dir, filename), content)}")
     return 0
 
 

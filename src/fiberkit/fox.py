@@ -33,6 +33,8 @@ __all__ = [
 
 # the most terms the walks of ``alexander_matrix`` may add to one Jacobian
 WALK_BOUND = 100_000
+# the most pairs of terms the cofactor products of ``_det`` may multiply
+PRODUCT_BOUND = 2_000_000
 
 
 class LaurentPoly(NamedTuple):
@@ -279,22 +281,37 @@ def alexander_matrix(
 
 
 def _det(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
-    n = len(matrix)
-    if n == 0:
-        return LaurentPoly.const(1)
-    if n == 1:
-        return matrix[0][0]
-    # cofactor expansion; relator counts here are small
-    total = LaurentPoly()
-    for j, entry in enumerate(matrix[0]):
-        if entry.is_zero:
-            continue
-        minor = [
-            [row[k] for k in range(n) if k != j] for row in matrix[1:]
-        ]
-        piece = entry * _det(minor)
-        total = total + (piece if j % 2 == 0 else -piece)
-    return total
+    """Cofactor expansion along the first row, skipping zero entries.
+
+    Each product ``entry * minor`` multiplies every term of one by every
+    term of the other.  Once those products would multiply more than
+    ``PRODUCT_BOUND`` pairs of terms in all, the determinant is refused
+    with ``HypothesisError`` before the product that crosses the bound.
+    """
+    multiplied = 0
+
+    def det(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
+        nonlocal multiplied
+        n = len(matrix)
+        if n == 0:
+            return LaurentPoly.const(1)
+        if n == 1:
+            return matrix[0][0]
+        total = LaurentPoly()
+        for j, entry in enumerate(matrix[0]):
+            if entry.is_zero:
+                continue
+            minor = det([[row[k] for k in range(n) if k != j] for row in matrix[1:]])
+            multiplied += len(entry.terms) * len(minor.terms)
+            if multiplied > PRODUCT_BOUND:
+                raise HypothesisError(
+                    f"the determinant would multiply more than {PRODUCT_BOUND} pairs of terms"
+                )
+            piece = entry * minor
+            total = total + (piece if j % 2 == 0 else -piece)
+        return total
+
+    return det(matrix)
 
 
 def alexander_poly(pres: Presentation, phi: ZMap) -> LaurentPoly:

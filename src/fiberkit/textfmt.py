@@ -38,7 +38,10 @@ errors, and an error in a line names it as ``<file>:<line>:``.  Every file
 is read and written here, and a file that cannot be read or is not UTF-8,
 or a path that cannot be written, is a parse error too.  ``write_file``
 leaves a file that already holds the bytes it would write untouched, so its
-mtime stays as it was.
+mtime stays as it was.  Paths go to ``open`` and ``os`` as given, a ``str``
+or an ``os.PathLike``, and a message shows a path as the caller spelled it:
+``./g.grp`` stays ``./g.grp``, and a splitting file's factor files are its
+directory joined with their names as written.
 
 The words of one file over one generator list share a table from each
 token to its syllable, so a token is matched and checked once per file,
@@ -50,11 +53,11 @@ a generator.
 
 from __future__ import annotations
 
+import os
 import re
 import stat
 from contextlib import contextmanager
 from functools import partial
-from pathlib import Path
 from typing import Callable, Iterable
 
 from .errors import ParseError
@@ -140,44 +143,47 @@ def _read_word(table: dict[str, Syllable], declared: set[str] | None, text: str)
     return _word(tuple(syllables))
 
 
-def _read(path: Path) -> str:
+def _read(path: str) -> str:
     try:
-        return path.read_bytes().decode("utf-8")
+        with open(path, "rb") as file:
+            return file.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
 @contextmanager
-def writing(path: str | Path):
-    """Yield ``path`` as a Path for creating or writing it; an ``OSError``
+def writing(path: str | os.PathLike):
+    """Yield ``path`` unchanged for creating or writing it; an ``OSError``
     on the way is a parse error, the mirror of reading."""
     try:
-        yield Path(path)
+        yield path
     except OSError as exc:
         raise ParseError(f"cannot write {path}: {exc}") from None
 
 
-def write_file(path: str | Path, text: str) -> Path:
+def write_file(path: str | os.PathLike, text: str) -> str | os.PathLike:
     """Write ``text`` to ``path`` as UTF-8, unless ``path`` is a regular
-    file that already holds exactly those bytes; return ``path`` as a Path.
+    file that already holds exactly those bytes; return ``path`` unchanged.
 
     Only a regular file of the same size is read back, so a FIFO, a tty or
     ``/dev/stdout`` on a pipe is written without being read, which would
     block.  A write that fails is a parse error, as in ``writing``.
     """
     data = text.encode("utf-8")
-    with writing(path) as target:
-        if not _holds(target, data):
-            target.write_bytes(data)
-    return target
+    with writing(path):
+        if not _holds(path, data):
+            with open(path, "wb") as file:
+                file.write(data)
+    return path
 
 
-def _holds(path: Path, data: bytes) -> bool:
+def _holds(path: str | os.PathLike, data: bytes) -> bool:
     try:
-        info = path.stat()
+        info = os.stat(path)
         if not stat.S_ISREG(info.st_mode) or info.st_size != len(data):
             return False
-        return path.read_bytes() == data
+        with open(path, "rb") as file:
+            return file.read() == data
     except OSError:
         # whatever stops the read, the write reports
         return False
@@ -310,9 +316,9 @@ def parse_group_text(text: str, source: str = "<string>") -> GroupFile:
     )
 
 
-def parse_group_file(path: str | Path) -> GroupFile:
-    path = Path(path)
-    return parse_group_text(_read(path), source=str(path))
+def parse_group_file(path: str | os.PathLike) -> GroupFile:
+    path = os.fspath(path)
+    return parse_group_text(_read(path), source=path)
 
 
 def format_group(group: GroupFile) -> str:
@@ -353,17 +359,17 @@ _SPLITTING_LINES = {
 }
 
 
-def parse_splitting_file(path: str | Path) -> tuple[Splitting, ZMap | None]:
+def parse_splitting_file(path: str | os.PathLike) -> tuple[Splitting, ZMap | None]:
     """Parse a splitting file into its ``Splitting`` and its class; factor
     file paths resolve relative to it."""
-    path = Path(path)
+    path = os.fspath(path)
     edge_keys = None
     vertices: list[Presentation] = []
     stable = None
     edge_lines: list[tuple[str, str, str]] = []
     phi_line = None
 
-    for where, line in _lines(_read(path), str(path)):
+    for where, line in _lines(_read(path), path):
         keyword, _, args = line.partition(" ")
         args = args.strip()
         if keyword in _SPLITTING_LINES:
@@ -371,7 +377,8 @@ def parse_splitting_file(path: str | Path) -> tuple[Splitting, ZMap | None]:
                 raise ParseError(f"{where}: repeated splitting line")
             keys, edge_keys = _SPLITTING_LINES[keyword]
             parts = _split_assignments(args, keys, where)
-            vertices = [parse_group_file(path.parent / parts[k]).presentation
+            folder = os.path.dirname(path)
+            vertices = [parse_group_file(os.path.join(folder, parts[k])).presentation
                         for k in ("A", "B") if k in parts]
             stable = parts.get("stable")
         elif keyword == "edge":
@@ -411,14 +418,14 @@ def _yes_no(value: str, what: str) -> bool:
     return value == "yes"
 
 
-def parse_premise_file(path: str | Path) -> tuple[str, FgPremises, bool]:
+def parse_premise_file(path: str | os.PathLike) -> tuple[str, FgPremises, bool]:
     """Parse a premise file into ``(kind, premises, nontrivial)``; the
     nontriviality assertion A != C != B defaults to yes."""
-    path = Path(path)
+    path = os.fspath(path)
     kind = None
     nontrivial = None
     assignments = {}
-    for where, line in _lines(_read(path), str(path)):
+    for where, line in _lines(_read(path), path):
         parts = line.split()
         if parts[0] == "kind" and len(parts) == 2:
             if kind is not None:

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from fiberkit import cli, corpus
 from fiberkit.cli import main
 from fiberkit.errors import ContradictionError, FiberkitError, ParseError
+from fiberkit.fox import LaurentPoly
 from fiberkit.inference import FLAG_NAMES
 from fiberkit.textfmt import parse_group_file
 from tests_support import scrambled_torus_relator
@@ -317,7 +318,9 @@ class TestAdversarialSizes:
     edges gets its rank, and a relator whose omitted Jacobian column would
     hold 2 * 10^9 terms its order polynomial, in under a second.  A relator
     whose kept column would hold 3 * 10^7 terms is refused in under a
-    second: ``alexander`` exits 2 and ``report`` is inconclusive."""
+    second: ``alexander`` exits 2 and ``report`` is inconclusive.  So is a
+    determinant whose cofactor products would multiply 2.5 * 10^9 pairs
+    of terms, though its Jacobian keeps inside the walk bound."""
 
     @pytest.fixture
     def conjugation(self, workdir):
@@ -378,6 +381,43 @@ class TestAdversarialSizes:
             "the Fox Jacobian would need more than 100000 terms\n"
             "verdict = inconclusive\n"
         )
+
+    @staticmethod
+    def wide_product(workdir, n):
+        # the Jacobian is diag(P, P) with P = 1 + t + ... + t^(n-1): 2n walk
+        # terms, and a determinant P * P of n^2 pairs of terms
+        path = workdir / f"wide_{n}.grp"
+        path.write_text(f"group G\ngen x y z\nrel y^{n} x^-{n}\nrel z^{n} x^-{n}\n"
+                        "phi x=1 y=1 z=1\n", encoding="utf-8")
+        return path
+
+    def test_alexander_refuses_a_wide_determinant(self, workdir, capsys):
+        started = perf_counter()
+        code, out, err = run(capsys, "alexander", self.wide_product(workdir, 50_000))
+        assert perf_counter() - started < 1.0
+        assert (code, out) == (2, "")
+        assert err == "error: the determinant would multiply more than 2000000 pairs of terms\n"
+
+    def test_report_of_a_wide_determinant(self, workdir, capsys):
+        started = perf_counter()
+        code, out, _ = run(capsys, "report", self.wide_product(workdir, 50_000))
+        assert perf_counter() - started < 1.0
+        assert code == 0
+        assert out == (
+            "image = 1Z\n"
+            "abelianization = Z/50000 + Z/50000 + Z\n"
+            "alexander = unavailable\n"
+            "note: order polynomial unavailable: "
+            "the determinant would multiply more than 2000000 pairs of terms\n"
+            "verdict = inconclusive\n"
+        )
+
+    def test_alexander_of_a_determinant_inside_the_bound(self, workdir, capsys):
+        # P * P = 1 + 2t + ... + 1000t^999 + 999t^1000 + ... + t^1998
+        code, out, _ = run(capsys, "alexander", self.wide_product(workdir, 1000))
+        coefficients = [*range(1, 1001), *range(999, 0, -1)]
+        assert code == 0
+        assert out == str(LaurentPoly(tuple(enumerate(coefficients)))) + "\n"
 
     def test_rank_of_huge_coset_graph(self, workdir, capsys):
         (workdir / "big.spl").write_text(
@@ -975,6 +1015,100 @@ class TestCorpusVerb:
         code, out, err = run(capsys, "corpus", "--dir", target)
         assert (code, out) == (1, f"wrote {target / 'unknot.grp'}\n")
         assert err.startswith(f"error: cannot write {target / 'trefoil.grp'}: [Errno 21]")
+
+
+class TestPathSpelling:
+    """A path is used and shown as the command line spells it, with no
+    normalization of ``./``, ``//`` or a trailing ``/``."""
+
+    @pytest.fixture
+    def here(self, workdir, monkeypatch):
+        (workdir / "sub").mkdir()
+        for folder in (workdir, workdir / "sub"):
+            (folder / "bad.grp").write_text("gen x\nrel x^0\n", encoding="utf-8")
+        monkeypatch.chdir(workdir)
+        return workdir
+
+    @pytest.mark.parametrize("path", ["./bad.grp", "sub//bad.grp", "./sub/./bad.grp"])
+    def test_group_file(self, here, capsys, path):
+        assert run(capsys, "abelianize", path) == (
+            1, "", f"error: {path}:2: zero exponent in token 'x^0'\n")
+        missing = path.replace("bad", "nope")
+        code, out, err = run(capsys, "abelianize", missing)
+        assert (code, out) == (1, "")
+        assert err == (f"error: cannot read {missing}: "
+                       f"[Errno 2] No such file or directory: '{missing}'\n")
+
+    @pytest.mark.parametrize("path", ["./out.grp", "sub//out.grp"])
+    def test_output_file(self, here, capsys, path):
+        argv = ["cable", "unknot.grp", "-p", "2", "-q", "3"]
+        text = run(capsys, *argv)[1]
+        assert run(capsys, *argv, "-o", path) == (0, "", "")
+        assert (here / path).read_text(encoding="utf-8") == text
+        target = path.replace("out.grp", "nodir/out.grp")
+        code, out, err = run(capsys, *argv, "-o", target)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot write {target}: [Errno 2]")
+
+    def test_trailing_slash_on_a_file(self, here, capsys):
+        # the slash stays, so the system refuses the path as a directory
+        assert run(capsys, "abelianize", "unknot.grp/") == (
+            1, "", "error: cannot read unknot.grp/: [Errno 20] Not a directory: 'unknot.grp/'\n")
+        code, out, err = run(capsys, "cable", "unknot.grp", "-p", "2", "-q", "3",
+                             "-o", "out.grp/")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot write out.grp/: [Errno 21]")
+        assert not (here / "out.grp").exists()
+
+    @pytest.mark.parametrize("path, shown", [
+        ("sub/s.spl", "sub/./bad.grp"),
+        ("./sub//s.spl", "./sub/./bad.grp"),
+        ("s.spl", "./bad.grp"),
+    ])
+    def test_factor_file(self, here, capsys, path, shown):
+        for folder in (here, here / "sub"):
+            (folder / "s.spl").write_text("amalgam A=./bad.grp B=B.grp\n", encoding="utf-8")
+        assert run(capsys, "graph", path) == (
+            1, "", f"error: {shown}:2: zero exponent in token 'x^0'\n")
+
+    @pytest.mark.parametrize("folder, shown", [
+        ("./sub/", "./sub/"), ("sub//deep", "sub//deep/"), ("", ""),
+    ])
+    def test_corpus_dir(self, here, capsys, folder, shown):
+        code, out, err = run(capsys, "corpus", "--dir", folder)
+        assert (code, out, err) == (
+            0, "".join(f"wrote {shown}{name}\n" for name in CORPUS_DIGESTS), "")
+        written = here / folder
+        assert {name: hashlib.sha256((written / name).read_bytes()).hexdigest()
+                for name in CORPUS_DIGESTS} == CORPUS_DIGESTS
+
+
+def test_no_verb_builds_a_pathlib_path(workdir, capsys, monkeypatch):
+    """The verbs read, write and name files without ``pathlib``: with
+    ``pathlib.Path.__new__`` made to raise, each prints what it prints
+    without.  The guarded run goes first, so ``corpus`` creates its
+    directory and files under the guard."""
+    (workdir / "p.inf").write_text("kind amalgam\npremise n_fg yes\n", encoding="utf-8")
+    argvs = [[str(arg) for arg in argv] for argv in (
+        ["report", workdir / "trefoil.grp"],
+        ["alexander", workdir / "trefoil.grp"],
+        ["fiber-rank", workdir / "showcase.grp"],
+        ["graph", workdir / "trefoil.spl"],
+        ["rank", workdir / "trefoil.spl", "--rank-a", "1", "--rank-b", "2"],
+        ["infer", workdir / "p.inf"],
+        ["corpus", "--dir", workdir / "corpus"],
+    )]
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError(f"pathlib.Path built from {args!r}")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "__new__", refuse)
+        with pytest.raises(AssertionError):
+            Path("guarded")
+        guarded = [outcome(capsys, argv) for argv in argvs]
+    assert guarded == [outcome(capsys, argv) for argv in argvs]
+    assert all(code == 0 for code, _, _ in guarded)
 
 
 # SHA-256 of each corpus file, in the order the corpus verb writes them; the

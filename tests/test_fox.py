@@ -5,6 +5,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from fiberkit.corpus import torus_knot_data, trefoil_data
+from fiberkit import fox
 from fiberkit.errors import HypothesisError
 from fiberkit.fox import (
     WALK_BOUND,
@@ -353,6 +354,24 @@ class TestAlexanderMatrix:
         assert [len(row[0].terms) for row in matrix] == [half, WALK_BOUND - half]
         with pytest.raises(HypothesisError, match=f"more than {WALK_BOUND} terms"):
             alexander_matrix(relators(WALK_BOUND - half + 1), phi, omit="x")
+
+    def test_products_add_up_to_the_bound(self, monkeypatch):
+        # Jacobian [[P, 0, 0], [0, P, t^2], [0, t^2, P]] with P = 1 + t: the
+        # minor P * P - t^2 * t^2 = 1 + 2t + t^2 - t^4 multiplies 2 * 2 + 1 * 1
+        # pairs of terms, and P times it 2 * 4 more, 13 in all
+        pres = Presentation(("x", "y", "z", "u"), (
+            w(("y", 2), ("x", -2)), w(("z", 2), ("u", 1), ("x", -3)),
+            w(("u", 2), ("z", 1), ("x", -3)),
+        ))
+        phi = ZMap({"x": 1, "y": 1, "z": 1, "u": 1})
+        matrix = alexander_matrix(pres, phi, omit="x")
+        assert [[len(entry.terms) for entry in row] for row in matrix] == [
+            [2, 0, 0], [0, 2, 1], [0, 1, 2]]
+        monkeypatch.setattr(fox, "PRODUCT_BOUND", 13)
+        assert alexander_poly(pres, phi) == lp({0: -1, 1: -3, 2: -3, 3: -1, 4: 1, 5: 1})
+        monkeypatch.setattr(fox, "PRODUCT_BOUND", 12)
+        with pytest.raises(HypothesisError, match="more than 12 pairs of terms"):
+            alexander_poly(pres, phi)
 
     def test_single_letters_and_class_zero_powers_walk_free(self):
         relator = w(*[("y", 1), ("x", -1)] * (WALK_BOUND + 1), ("z", 10 ** 9))

@@ -18,6 +18,7 @@ from fiberkit.textfmt import (
     parse_premise_file,
     parse_splitting_file,
     parse_word,
+    write_file,
 )
 from fiberkit.words import Word, reduce_word
 from tests_support import assembled, parse_hint, reference_parse_word
@@ -414,6 +415,56 @@ class TestReading:
         with pytest.raises(ParseError) as info:
             parse_group_file(tmp_path)
         assert str(info.value) == f"cannot read {tmp_path}: {opening.value}"
+
+
+class TestPathTypes:
+    """The three readers and ``write_file`` take a ``str`` or any
+    ``os.PathLike`` and name it in messages as ``os.fspath`` spells it."""
+
+    @pytest.fixture(params=[str, Path], ids=["str", "PathLike"])
+    def spell(self, request):
+        return request.param
+
+    def test_parse_group_file(self, tmp_path, spell):
+        path = tmp_path / "g.grp"
+        path.write_text("gen x\nrel x^2\n", encoding="utf-8")
+        assert parse_group_file(spell(path)).presentation.relators == (Word.of(("x", 2)),)
+        path.write_text("gen x\nrel x^0\n", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            parse_group_file(spell(path))
+        assert str(info.value) == f"{path}:2: zero exponent in token 'x^0'"
+
+    def test_parse_splitting_file(self, tmp_path, spell):
+        (tmp_path / "A.grp").write_text("group A\ngen x\n", encoding="utf-8")
+        path = tmp_path / "h.spl"
+        path.write_text("hnn A=A.grp stable=t\nedge inC=x inD=x\nphi x=1 t=1\n",
+                        encoding="utf-8")
+        split, phi = parse_splitting_file(spell(path))
+        assert (split.vertices, phi.values) == ((Presentation(("x",)),), {"x": 1, "t": 1})
+        path.write_text("hnn A=A.grp stable=t\nedge inC=y inD=x\n", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            parse_splitting_file(spell(path))
+        assert str(info.value) == f"{path}:2: undeclared generator 'y'"
+
+    def test_parse_premise_file(self, tmp_path, spell):
+        path = tmp_path / "p.inf"
+        path.write_text("kind hnn\npremise n_fg yes\n", encoding="utf-8")
+        kind, premises, _ = parse_premise_file(spell(path))
+        assert (kind, premises.n_fg) == ("hnn", True)
+        path.write_text("kind hnn\nbogus\n", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            parse_premise_file(spell(path))
+        assert str(info.value) == f"{path}:2: unknown line 'bogus'"
+
+    def test_write_file(self, tmp_path, spell):
+        target = spell(tmp_path / "out.txt")
+        # written, then left alone as identical; either way returned as given
+        for _ in range(2):
+            assert write_file(target, "x\n") is target
+            assert (tmp_path / "out.txt").read_bytes() == b"x\n"
+        with pytest.raises(ParseError) as info:
+            write_file(spell(tmp_path / "nodir" / "out.txt"), "x\n")
+        assert str(info.value).startswith(f"cannot write {tmp_path / 'nodir' / 'out.txt'}: ")
 
 
 def test_cable_tower_round_trips():
