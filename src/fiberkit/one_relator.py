@@ -268,26 +268,28 @@ def validate_automorphism(
     images of both generators, a generator the hint leaves out mapping to
     itself.
 
-    Once the hint is known to move and use only ``x`` and ``y``, a
-    two-stage check, linear in the length of the images: the abelianized
-    2x2 matrix must have determinant +-1, then Nielsen's commutator
-    criterion (J. Nielsen, Math. Ann. 78, 1917) decides whether the images
-    ``(u, v)`` form a basis: they do exactly when ``u v u^-1 v^-1`` is
-    conjugate to ``[x, y]`` or to its inverse ``[y, x]``.  A cyclically
-    reduced conjugate of a cyclically reduced word is one of its rotations,
-    so the check is a lookup of the commutator, cancelled across its ends,
-    among the eight rotations of the two.
+    Once the hint is known to move and use only ``x`` and ``y``, the
+    abelianized 2x2 matrix must have determinant +-1.  Then a shape test
+    settles the elementary moves: one generator ``g`` fixed and the other
+    ``h`` sent to ``a h^+-1 b`` with ``a``, ``b`` powers of ``g`` is an
+    automorphism by construction.  Every other hint goes through Nielsen's
+    commutator criterion (J. Nielsen, Math. Ann. 78, 1917), linear in the
+    length of the images: ``(u, v)`` is a basis exactly when
+    ``u v u^-1 v^-1`` is conjugate to ``[x, y]`` or to its inverse
+    ``[y, x]``.  A cyclically reduced conjugate of a cyclically reduced
+    word is one of its rotations, so the check is a lookup of the
+    commutator, cancelled across its ends, among the eight rotations of
+    the two.
     """
     unknown = set(images) - {x, y}
     if unknown:
         raise HintError(
             f"hint moves generators {sorted(unknown)}, expected {x!r}, {y!r}"
         )
-    images = {
-        x: images.get(x, Word.gen(x)),
-        y: images.get(y, Word.gen(y)),
-    }
-    bad = (images[x].generators() | images[y].generators()) - {x, y}
+    u = images[x] if x in images else Word.gen(x)
+    v = images[y] if y in images else Word.gen(y)
+    images = {x: u, y: v}
+    bad = (u.generators() | v.generators()) - {x, y}
     if bad:
         raise HintError(
             f"hint uses generators {sorted(bad)} outside {x!r}, {y!r}"
@@ -298,13 +300,24 @@ def validate_automorphism(
         raise HintError(
             f"hint is not an automorphism: abelianized determinant {det}"
         )
-    u, v = images[x], images[y]
+    if _elementary(u, v, x, y) or _elementary(v, u, y, x):
+        return images
     commutator = cancel_ends(concat(u, v, u.inverse(), v.inverse())).syllables
     if commutator not in _commutator_rotations(x, y):
         raise HintError(
             "hint is not an automorphism: images do not form a basis"
         )
     return images
+
+
+def _elementary(fixed: Word, moved: Word, g: str, h: str) -> bool:
+    """True when ``fixed`` is ``g`` and ``moved`` is ``g^i h^+-1 g^j``.
+    A reduced word on ``g`` and ``h`` alternates between them, so it has
+    that shape exactly when ``h`` occurs in one syllable, of exponent
+    +-1."""
+    if fixed.syllables != ((g, 1),) or len(moved.syllables) > 3:
+        return False
+    return [e for k, e in moved.syllables if k == h] in ([1], [-1])
 
 
 # ---------------------------------------------------------------------------

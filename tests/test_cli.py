@@ -10,7 +10,7 @@ from time import perf_counter
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fiberkit import cli, corpus
+from fiberkit import cli, corpus, words
 from fiberkit.cli import main
 from fiberkit.errors import ContradictionError, FiberkitError, ParseError
 from fiberkit.fox import LaurentPoly
@@ -320,7 +320,9 @@ class TestAdversarialSizes:
     whose kept column would hold 3 * 10^7 terms is refused in under a
     second: ``alexander`` exits 2 and ``report`` is inconclusive.  So is a
     determinant whose cofactor products would multiply 2.5 * 10^9 pairs
-    of terms, though its Jacobian keeps inside the walk bound."""
+    of terms, though its Jacobian keeps inside the walk bound.  A power or
+    a substitution past ``words.SYLLABLE_BOUND`` syllables exits 2 in under
+    a second, and ``report`` notes the rank recursion unavailable."""
 
     @pytest.fixture
     def conjugation(self, workdir):
@@ -429,6 +431,78 @@ class TestAdversarialSizes:
         assert perf_counter() - started < 1.0
         assert code == 0
         assert out == "chi = -998999\nrank = 999000\n"
+
+    def test_cable_refuses_a_huge_power(self, workdir, capsys):
+        # the meridian x y^-1 to the 300001 would have 600002 syllables
+        started = perf_counter()
+        code, out, err = run(capsys, "cable", workdir / "trefoil.grp", "-p", "300001", "-q", "2")
+        assert perf_counter() - started < 1.0
+        assert (code, out) == (2, "")
+        assert err == "error: the word would grow by more than 500000 syllables\n"
+
+    @staticmethod
+    def power_relator(workdir, n):
+        # x -> x y sends x^n to (x y)^n, of 2n syllables
+        path = workdir / f"power_{n}.grp"
+        path.write_text(f"group G\ngen x y\nrel x^{n} y x y^-5\n", encoding="utf-8")
+        return path
+
+    def test_fiber_rank_refuses_a_huge_substitution(self, workdir, capsys):
+        started = perf_counter()
+        code, out, err = run(capsys, "fiber-rank", self.power_relator(workdir, 3_000_001),
+                             "--nielsen", "x->x y")
+        assert perf_counter() - started < 1.0
+        assert (code, out) == (2, "")
+        assert err == "error: the word would grow by more than 500000 syllables\n"
+
+    def test_report_notes_a_refused_substitution(self, workdir, capsys, monkeypatch):
+        # the same refusal under a bound small enough that the order
+        # polynomial of the relator stays short: the substitution puts
+        # together (x y)^31 y (x y) y^-5, of 66 syllables, 62 more than
+        # the relator has
+        monkeypatch.setattr(words, "SYLLABLE_BOUND", 61)
+        path = self.power_relator(workdir, 31)
+        code, out, _ = run(capsys, "report", path, "--nielsen", "x->x y")
+        assert code == 0
+        assert out == (
+            "image = 1Z\n"
+            "abelianization = Z/4 + Z\n"
+            "alexander = 1 + t^8 + t^16 + t^24 - t^31 + t^32\n"
+            "monic = yes\n"
+            "degree = 32\n"
+            "note: rank recursion unavailable: the word would grow by more than 61 syllables\n"
+            "verdict = consistent with fibered\n"
+        )
+        code, out, _ = run(capsys, "fiber-rank", path, "--nielsen", "x->x y")
+        assert (code, out) == (2, "")
+        monkeypatch.setattr(words, "SYLLABLE_BOUND", 66)
+        code, out, _ = run(capsys, "fiber-rank", path, "--nielsen", "x->x y")
+        assert (code, out) == (0, "rank = unknown\n")
+
+    def test_fiber_rank_counts_a_substitution_once(self, workdir, capsys, monkeypatch):
+        # x y x^2 y ... x^10000 y has 20000 syllables, and x -> y x y^-1
+        # sends each x^e to the three syllables y x^e y^-1: 20000 more,
+        # inside a bound of 30000 that one count of the whole relator
+        # shows, where a count for each of the 10000 distinct powers would
+        # walk the relator 10000 times
+        monkeypatch.setattr(words, "SYLLABLE_BOUND", 30_000)
+        path = workdir / "exponents.grp"
+        relator = " ".join(f"x^{e} y" for e in range(1, 10_001))
+        path.write_text(f"group G\ngen x y\nrel {relator}\n", encoding="utf-8")
+        started = perf_counter()
+        code, out, err = run(capsys, "fiber-rank", path, "--nielsen", "x->y x y^-1")
+        assert perf_counter() - started < 1.0
+        assert (code, out, err) == (0, "rank = unknown\n", "")
+
+    def test_long_relator_under_a_one_syllable_hint(self, workdir, capsys, monkeypatch):
+        # a relator longer than the bound is not refused for its own length
+        path = workdir / "long.grp"
+        relator = " ".join(f"x^{e} y" for e in range(1, 101))
+        path.write_text(f"group G\ngen x y\nrel {relator}\n", encoding="utf-8")
+        expected = run(capsys, "fiber-rank", path, "--nielsen", "x->x^-1")
+        monkeypatch.setattr(words, "SYLLABLE_BOUND", 10)
+        assert run(capsys, "fiber-rank", path, "--nielsen", "x->x^-1") == expected
+        assert expected[0] == 0
 
     def test_fiber_rank(self, scrambled, capsys):
         directory, nielsen, rank = scrambled

@@ -22,6 +22,7 @@ from tests_support import (
     parse_hint,
     reference_exponent_data,
     reference_fiber_rank,
+    reference_validate_automorphism,
     scrambled_torus_relator,
 )
 
@@ -377,6 +378,111 @@ class TestAutomorphisms:
         sylls[i] = (sylls[i][0], sylls[i][1] + delta)
         images[side] = Word.of(*sylls)
         assert hint_verdict(images) == oracle_verdict(images)
+
+
+def short_words(syllables, exponent):
+    """Every reduced word on ``x, y`` of at most ``syllables`` syllables with
+    exponents in ``-exponent..exponent``, the empty word included."""
+    powers = [e for e in range(-exponent, exponent + 1) if e]
+    words = [()]
+    layer = [()]
+    for _ in range(syllables):
+        layer = [
+            word + ((g, e),)
+            for word in layer
+            for g in ("x", "y")
+            if not word or word[-1][0] != g
+            for e in powers
+        ]
+        words += layer
+    return [Word(word) for word in words]
+
+
+def shape_outcome(check, hint):
+    """What ``check(hint, "x", "y")`` returns, or its ``HintError`` message."""
+    try:
+        return check(hint, "x", "y")
+    except HintError as exc:
+        return f"HintError: {exc}"
+
+
+class TestHintShape:
+    """``validate_automorphism`` accepts an elementary move by its shape and
+    sends every other hint through Nielsen's commutator criterion; on every
+    hint it returns what the reference returns, which checks all of them by
+    the criterion, or raises the same message."""
+
+    def assert_matches(self, hint):
+        got = shape_outcome(validate_automorphism, hint)
+        assert got == shape_outcome(reference_validate_automorphism, hint), hint
+        return got
+
+    def test_every_short_hint(self):
+        # 170 x 170 hints: each image left out, empty, or one to three
+        # syllables with exponents in -2..2
+        images = [None] + short_words(3, 2)
+        assert len(images) == 170
+        outcomes = {"accepted": 0, "determinant": 0, "basis": 0}
+        for u in images:
+            for v in images:
+                hint = {g: image for g, image in (("x", u), ("y", v)) if image is not None}
+                got = self.assert_matches(hint)
+                if isinstance(got, dict):
+                    outcomes["accepted"] += 1
+                else:
+                    outcomes["determinant" if "determinant" in got else "basis"] += 1
+        assert sum(outcomes.values()) == 170 * 170
+        assert all(outcomes.values())
+
+    @pytest.mark.parametrize("hint, accepted", [
+        ({"x": Word.gen("y"), "y": Word.gen("x")}, True),
+        ({"x": Word.gen("y", -1), "y": Word.gen("x")}, True),
+        ({"x": Word.gen("x", -1)}, True),
+        ({"x": Word.gen("x", -1), "y": Word.gen("y", -1)}, True),
+        ({"y": w(("x", 7), ("y", -1), ("x", -5))}, True),
+        ({"x": w(("y", 1), ("x", 1), ("y", -1))}, True),
+        # bases with no generator fixed: only the criterion accepts them
+        ({"x": w(("x", 1), ("y", 1)), "y": w(("y", 1), ("x", 1), ("y", 1))}, True),
+        ({"x": w(("x", 2), ("y", 1)), "y": w(("x", 1), ("y", 1))}, True),
+        ({"x": w(("y", 1), ("x", 1)), "y": w(("y", 1), ("x", 1), ("y", 1), ("x", 1), ("y", 1))}, True),
+        # one generator fixed, the other not of the elementary shape
+        ({"y": w(("y", 1), ("x", 1), ("y", 1), ("x", -1), ("y", -1))}, False),
+        ({"y": w(("x", 1), ("y", 2))}, False),
+        ({"x": w(("x", 1), ("y", 2)), "y": w(("y", 1), ("x", 1))}, False),
+        ({"z": Word.gen("x")}, False),
+        ({"x": w(("z", 1))}, False),
+    ])
+    def test_named_hints(self, hint, accepted):
+        assert isinstance(self.assert_matches(hint), dict) == accepted
+
+    def test_seeded_sample_of_longer_hints(self):
+        rng = random.Random(29)
+        kinds = [0, 0, 0]
+        for _ in range(600):
+            kind = rng.randrange(3)
+            kinds[kind] += isinstance(self.assert_matches(self.longer_hint(rng, kind)), dict)
+        # composites and elementary shapes are bases; random pairs rarely are
+        assert kinds[0] > 150 and kinds[2] > 150
+
+    @staticmethod
+    def longer_hint(rng, kind):
+        if kind == 0:
+            # a composite of elementary moves
+            return composite(rng.choice(ELEMENTARY_MOVES) for _ in range(rng.randint(2, 12)))
+        if kind == 1:
+            # two random reduced words of four to eight syllables
+            return {
+                g: Word.of(*[
+                    ("xy"[(i + start) % 2], rng.choice((-3, -2, -1, 1, 2, 3)))
+                    for i in range(rng.randint(4, 8))
+                ])
+                for g, start in (("x", rng.randrange(2)), ("y", rng.randrange(2)))
+            }
+        # an elementary shape with larger powers of the fixed generator,
+        # the fixed generator spelled out or left out
+        g, h = rng.choice((("x", "y"), ("y", "x")))
+        moved = Word.of((g, rng.randint(-9, 9)), (h, rng.choice((1, -1))), (g, rng.randint(-9, 9)))
+        return {h: moved, g: Word.gen(g)} if rng.random() < 0.5 else {h: moved}
 
 
 class TestFiberRank:

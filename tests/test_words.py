@@ -2,8 +2,10 @@ import copy
 import pickle
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from fiberkit import words as words_module
+from fiberkit.errors import HypothesisError
 from fiberkit.words import (
     Word,
     cancel_ends,
@@ -15,6 +17,7 @@ from fiberkit.words import (
 )
 
 from tests_support import (
+    letter_substitute,
     quadratic_cyclic_reduce,
     reference_reduce_word,
     reference_substitute,
@@ -25,6 +28,16 @@ GENS = ("x", "y", "z")
 syllable = st.tuples(st.sampled_from(GENS), st.integers(-5, 5).filter(bool))
 raw_syllables = st.lists(syllable, max_size=12)
 words = raw_syllables.map(reduce_word)
+# u c u^-1 with u nonempty: the first and last syllables are inverse
+conjugated = st.tuples(words.filter(bool), words.filter(bool)).map(
+    lambda uc: uc[0] * uc[1] * uc[0].inverse()
+)
+# images of two or more syllables, conjugated ones among them
+long_images = (words | conjugated).filter(lambda word: len(word.syllables) > 1)
+# words whose exponents are +-1 and +-2 only
+small_exponent_words = st.lists(
+    st.tuples(st.sampled_from(GENS), st.sampled_from((-2, -1, 1, 2))), max_size=12
+).map(reduce_word)
 
 
 def w(*sylls):
@@ -136,6 +149,26 @@ class TestSubstitute:
         # images empty, of one syllable or longer, on the same generator or
         # on another one
         assert substitute(word, images) == reference_substitute(word, images)
+
+    @settings(max_examples=200)
+    @given(small_exponent_words, st.fixed_dictionaries({g: long_images for g in GENS}))
+    @example(
+        w(("x", 1), ("y", -1), ("x", 2), ("z", -2)),
+        {"x": w(("y", 1), ("z", 2), ("y", -1)), "y": w(("x", 1), ("z", 1)),
+         "z": w(("z", -1), ("x", 1), ("y", 1), ("z", 1))},
+    )
+    def test_matches_the_letter_expansion(self, word, images):
+        # multi-syllable images at exponents +-1 and +-2
+        assert substitute(word, images) == letter_substitute(word, images)
+
+    @given(words, st.fixed_dictionaries({g: words | conjugated for g in GENS}))
+    def test_count_is_what_substitute_puts_together(self, word, images):
+        pieces = sum(
+            1 if len(images[g].syllables) == 1 else len((images[g] ** e).syllables)
+            for g, e in word.syllables
+        )
+        # the syllables the bound counts are those the powers put together
+        assert words_module._substituted_size(word.syllables, images) == pieces
 
     @given(words, st.lists(st.tuples(st.sampled_from(GENS), words), max_size=3).map(dict),
            st.lists(st.tuples(st.sampled_from(GENS), words), max_size=3).map(dict))
@@ -265,7 +298,14 @@ class TestFormatting:
         assert Word.gen("x") ** -2 == w(("x", -2))
         assert Word.gen("x") ** 0 == Word()
 
-    @given(words, st.integers(-6, 6))
+    @given(conjugated)
+    @example(w(("y", 1), ("x", 2), ("y", -1)))
+    def test_pow_of_one_and_minus_one(self, u):
+        # words with conjugate ends, where other powers split off u
+        assert u ** 1 is u
+        assert u ** -1 == u.inverse()
+
+    @given(words | conjugated, st.integers(-6, 6))
     def test_pow_matches_repeated_concat(self, u, n):
         base = u if n >= 0 else u.inverse()
         expected = Word()
@@ -309,3 +349,76 @@ class TestValueContract:
     def test_copy_and_pickle_rebuild_an_equal_word(self, u):
         for twin in (copy.copy(u), copy.deepcopy(u), pickle.loads(pickle.dumps(u))):
             assert type(twin) is Word and twin == u
+
+
+class TestSyllableBound:
+    """A power or a substitution that would put together more than
+    ``SYLLABLE_BOUND`` syllables beyond those of its word is refused before
+    it is built; one at the bound is built, and a word longer than the
+    bound is not refused for its own length."""
+
+    MESSAGE = "the word would grow by more than 12 syllables"
+
+    @pytest.fixture(autouse=True)
+    def small_bound(self, monkeypatch):
+        monkeypatch.setattr(words_module, "SYLLABLE_BOUND", 12)
+
+    def test_power(self):
+        # z (x y) z^-1 to the n puts together 2|n| core syllables, 2|n| - 2
+        # more than the core has
+        u = w(("z", 1), ("x", 1), ("y", 1), ("z", -1))
+        assert len((u ** 7).syllables) == 16
+        assert len((u ** -7).syllables) == 16
+        for n in (8, -8, 10 ** 12):
+            with pytest.raises(HypothesisError, match=f"^{self.MESSAGE}$"):
+                u ** n
+
+    def test_one_syllable_cores_never_grow(self):
+        assert w(("z", 1), ("x", 1), ("z", -1)) ** 10 ** 12 == w(
+            ("z", 1), ("x", 10 ** 12), ("z", -1)
+        )
+        assert substitute(w(("x", 10 ** 12), ("y", 1)), {
+            "x": w(("z", 1), ("x", 1), ("z", -1)), "y": Word.gen("y"),
+        }) == w(("z", 1), ("x", 10 ** 12), ("z", -1), ("y", 1))
+
+    def test_substitution_of_short_powers(self):
+        # (x y)^n with x -> x z puts together 3n syllables, n more than the
+        # word has, no power more than two
+        images = {"x": w(("x", 1), ("z", 1)), "y": Word.gen("y")}
+        assert len(substitute(w(*[("x", 1), ("y", 1)] * 12), images).syllables) == 36
+        with pytest.raises(HypothesisError, match=f"^{self.MESSAGE}$"):
+            substitute(w(*[("x", 1), ("y", 1)] * 13), images)
+
+    def test_substitution_counts_every_syllable(self):
+        # one long power early, and short ones after it that pass the
+        # bound: x^4 y (x y)^5 puts together 24 syllables, 12 more
+        images = {"x": w(("x", 1), ("z", 1)), "y": Word.gen("y")}
+        word = w(("x", 4), ("y", 1), *[("x", 1), ("y", 1)] * 5)
+        assert len(substitute(word, images).syllables) == 24
+        with pytest.raises(HypothesisError, match=f"^{self.MESSAGE}$"):
+            substitute(word * Word.gen("x"), images)
+
+    def test_substitution_counts_once(self, monkeypatch):
+        # x y x^2 y ... x^5 y under x -> y x y^-1: each distinct power is
+        # longer than the bound over the ten syllables, and one count of
+        # the whole word settles them all
+        counted = []
+        count = words_module._substituted_size
+        monkeypatch.setattr(words_module, "_substituted_size",
+                            lambda *args: counted.append(1) or count(*args))
+        word = Word.of(*[s for e in range(1, 6) for s in (("x", e), ("y", 1))])
+        y = Word.gen("y")
+        images = {"x": y * Word.gen("x") * y.inverse(), "y": y}
+        assert substitute(word, images) == y * word * y.inverse()
+        assert counted == [1]
+
+    def test_long_word_under_one_syllable_images(self):
+        word = w(*[("x", 1), ("y", 2)] * 20)
+        images = {"x": Word.gen("x", -1), "y": Word.gen("z", 3)}
+        assert substitute(word, images) == reference_substitute(word, images)
+
+    def test_missing_image_still_named(self):
+        # the count passes over z, which has no image, and the substitution
+        # then names it
+        with pytest.raises(ValueError, match="^no image given for generator 'z'$"):
+            substitute(w(*[("x", 1), ("z", 1)] * 13), {"x": w(("x", 1), ("y", 1))})

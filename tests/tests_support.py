@@ -11,15 +11,16 @@ every hint by heap search, the Alexander reference takes sympy
 determinants of Fox derivatives read off the letters, the word parser
 reference matches and checks every token, repeated or not, the free
 reduction reference merges syllables in place on a stack of lists, the
-substitution reference takes the full power of every image, the
-exponent data reference makes one pass per quantity, the class check
-reference applies phi to every relator syllable by syllable, the inference
-reference is the closure with nested ``assign``/``record`` helpers that
-checks every derived literal for a clash, and the Smith normal form oracle
-takes the gcd of every k x k minor by Bareiss elimination.  The small
-predicates after it (``monic_degree_check``, ``known``, ``implies``,
-``is_trivial``, ``cable_fibered`` and the like) are read only by tests, so
-they live here rather than in the library.
+substitution references take the full power of every image or expand
+every letter, the hint reference checks every hint by the commutator
+criterion, the exponent data reference makes one pass per quantity, the
+class check reference applies phi to every relator syllable by syllable,
+the inference reference is the closure with nested ``assign``/``record``
+helpers that checks every derived literal for a clash, and the Smith
+normal form oracle takes the gcd of every k x k minor by Bareiss
+elimination.  The small predicates after it (``monic_degree_check``,
+``known``, ``implies``, ``is_trivial``, ``cable_fibered`` and the like)
+are read only by tests, so they live here rather than in the library.
 """
 
 import math
@@ -34,7 +35,7 @@ from fiberkit.corpus import (
     torus_knot_data,
     unknot_data,
 )
-from fiberkit.errors import ContradictionError, HypothesisError, ParseError
+from fiberkit.errors import ContradictionError, HintError, HypothesisError, ParseError
 from fiberkit.fox import LaurentPoly
 from fiberkit.inference import (
     _BITS,
@@ -58,7 +59,15 @@ from fiberkit.one_relator import (
 from fiberkit.presentations import Presentation, ZMap, canonical_zmap
 from fiberkit.splittings import CosetGraph, Edge, Splitting, vertex_name
 from fiberkit.textfmt import parse_word
-from fiberkit.words import Word, concat, cyclic_reduce, exponent_sum, reduce_word, substitute
+from fiberkit.words import (
+    Word,
+    cancel_ends,
+    concat,
+    cyclic_reduce,
+    exponent_sum,
+    reduce_word,
+    substitute,
+)
 
 
 def int_det(matrix):
@@ -271,6 +280,17 @@ def reference_substitute(word, images):
     )
 
 
+def letter_substitute(word, images):
+    """Reference for ``words.substitute`` that takes no power: each letter
+    ``g^+-1`` of ``word`` contributes the letters of ``images[g]`` or of its
+    inverse, and ``reduce_word`` reduces the whole expansion."""
+    letters = []
+    for g, sign in word.letters():
+        image = images[g].letters()
+        letters.extend(image if sign > 0 else [(h, -s) for h, s in reversed(image)])
+    return reduce_word(letters)
+
+
 def reference_exponent_data(relator, x, y):
     """Reference for the exponent pass of ``one_relator.analyze``: one pass
     for the extra generators, one per exponent sum and one for the
@@ -407,6 +427,43 @@ def parse_hint(text):
     """A ``--nielsen`` string ``gen->word`` as a one-generator image map."""
     gen, _, image = text.partition("->")
     return {gen.strip(): parse_word(image, None)}
+
+
+def reference_validate_automorphism(images, x, y):
+    """Reference for ``one_relator.validate_automorphism``: the same
+    generator and determinant checks, then Nielsen's commutator criterion
+    for every hint, elementary or not, with the rotations of ``[x, y]``
+    and ``[y, x]`` listed in full."""
+    unknown = set(images) - {x, y}
+    if unknown:
+        raise HintError(
+            f"hint moves generators {sorted(unknown)}, expected {x!r}, {y!r}"
+        )
+    images = {
+        x: images.get(x, Word.gen(x)),
+        y: images.get(y, Word.gen(y)),
+    }
+    bad = (images[x].generators() | images[y].generators()) - {x, y}
+    if bad:
+        raise HintError(
+            f"hint uses generators {sorted(bad)} outside {x!r}, {y!r}"
+        )
+    u, v = images[x], images[y]
+    det = exponent_sum(u, x) * exponent_sum(v, y) - exponent_sum(u, y) * exponent_sum(v, x)
+    if det not in (1, -1):
+        raise HintError(
+            f"hint is not an automorphism: abelianized determinant {det}"
+        )
+    commutator = cancel_ends(concat(u, v, u.inverse(), v.inverse())).syllables
+    rotations = set()
+    for a, b in ((x, y), (y, x)):
+        letters = ((a, 1), (b, 1), (a, -1), (b, -1))
+        rotations.update(letters[i:] + letters[:i] for i in range(4))
+    if commutator not in rotations:
+        raise HintError(
+            "hint is not an automorphism: images do not form a basis"
+        )
+    return images
 
 
 def reference_fiber_rank(pres, hints=()):
