@@ -2,15 +2,17 @@
 
 Each verb is a short handler: it reads its files through ``textfmt``, calls
 the library, and prints a deterministic key=value style report.  The verbs
-are declared once, in ``_VERBS``.  A verb named first on the command line
-gets its own parser, ``fiberkit <verb>``, which reads the rest of the line
-exactly as that verb's subparser in the full tree would; any other first
-word (none, ``-h``, a typo, ``--``) gets the full tree, and so do leftover
-arguments, whose error shows every verb on its usage line.  A verb's own
-parser is built once per process and reused by every later ``main`` call
-that names it, so callers that run ``main`` many times in one process
-(tests, scripts, the benchmark) no longer rebuild it; a one-shot ``python
--m fiberkit.cli`` builds one parser either way.  The full tree is built
+are declared once, in ``_VERBS``.  A plain command line, a verb followed
+by its positionals and by options spelled in full, each with its value,
+is matched against that verb's declaration (``_plain_args``) with no
+argparse parser built; the result is the namespace the verb's parser
+would build.  Anything else goes to argparse, which stays the
+specification and the only source of help, usage and error text: a verb
+named first gets its own parser, ``fiberkit <verb>``, which reads the
+rest of the line exactly as that verb's subparser in the full tree
+would, and is built once per process; any other first word (none,
+``-h``, a typo, ``--``) gets the full tree, and so do leftover arguments,
+whose error shows every verb on its usage line.  The full tree is built
 afresh whenever it is needed.  The texts ``corpus`` writes are likewise
 built once per process, by ``corpus.corpus_files``, so a later ``corpus``
 call only checks and writes files.  ``main`` maps the toolkit's errors onto
@@ -276,14 +278,79 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _plain_table(name: str):
+    """Verb ``name``'s declaration as the matcher reads it: each option
+    string mapped to its ``(dest, type, appends)``, the positional dests in
+    order, the required dests, and every dest's default with ``func``."""
+    handler, _, arguments = _VERBS[name]
+    options, positionals, required, defaults = {}, [], set(), {"func": handler}
+    for flags, spec in arguments:
+        if not flags[0].startswith("-"):
+            positionals.append(flags[0])
+            continue
+        # argparse's dest: the first long flag, else the short one
+        dest = next((f for f in flags if f.startswith("--")), flags[0])
+        dest = dest.lstrip("-").replace("-", "_")
+        options.update(dict.fromkeys(flags, (dest, spec.get("type"), "action" in spec)))
+        defaults[dest] = spec.get("default")
+        if spec.get("required"):
+            required.add(dest)
+    return options, positionals, required, defaults
+
+
+def _plain_args(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace that verb ``argv[0]``'s parser would build from the
+    rest of ``argv``, if the rest is plain, else None.
+
+    Plain: each string that starts with ``-`` is an option the verb
+    declares, spelled in full, and is followed by a value that does not
+    start with ``-`` and converts to the option's type; the other strings
+    fill the positional slots exactly, and every required option is given.
+    """
+    options, positionals, required, defaults = _plain_table(argv[0])
+    values = dict(defaults)
+    given = set()
+    filled = []
+    rest = iter(argv[1:])
+    for token in rest:
+        if token[:1] != "-":
+            filled.append(token)
+            continue
+        option = options.get(token)
+        value = next(rest, None)
+        if option is None or value is None or value[:1] == "-":
+            return None
+        dest, convert, appends = option
+        if convert is not None:
+            try:
+                value = convert(value)
+            except ValueError:
+                return None
+        if appends:
+            if dest not in given:
+                # argparse appends to a copy of the default
+                values[dest] = list(defaults[dest])
+            values[dest].append(value)
+        else:
+            values[dest] = value
+        given.add(dest)
+    if len(filled) != len(positionals) or not required <= given:
+        return None
+    values.update(zip(positionals, filled))
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    extras = True
+    args = extras = None
     if argv and argv[0] in _VERBS:
-        # the full tree would hand the verb's subparser every later string,
-        # "--" included
-        args, extras = _verb_parser(argv[0]).parse_known_args(argv[1:])
-    if extras:
+        args = _plain_args(argv)
+        if args is None:
+            # the full tree would hand the verb's subparser every later
+            # string, "--" included
+            args, extras = _verb_parser(argv[0]).parse_known_args(argv[1:])
+    if args is None or extras:
         # the full tree reports leftovers, with every verb on its usage line
         args = _build_parser().parse_args(argv)
     try:

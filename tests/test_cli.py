@@ -320,8 +320,9 @@ class TestAdversarialSizes:
     whose kept column would hold 3 * 10^7 terms is refused in under a
     second: ``alexander`` exits 2 and ``report`` is inconclusive.  So is a
     determinant whose cofactor products would multiply 2.5 * 10^9 pairs
-    of terms, though its Jacobian keeps inside the walk bound.  A power or
-    a substitution past ``words.SYLLABLE_BOUND`` syllables exits 2 in under
+    of terms, though its Jacobian keeps inside the walk bound, and an order
+    polynomial of more than ``fox.QUOTIENT_BOUND`` terms.  A power or a
+    substitution past ``words.SYLLABLE_BOUND`` syllables exits 2 in under
     a second, and ``report`` notes the rank recursion unavailable."""
 
     @pytest.fixture
@@ -447,6 +448,28 @@ class TestAdversarialSizes:
         path.write_text(f"group G\ngen x y\nrel x^{n} y x y^-5\n", encoding="utf-8")
         return path
 
+    def test_alexander_refuses_a_huge_order_polynomial(self, workdir, capsys):
+        # the order polynomial of x^N y x y^-5 has about N terms
+        started = perf_counter()
+        code, out, err = run(capsys, "alexander", self.power_relator(workdir, 3_000_001))
+        assert perf_counter() - started < 1.0
+        assert (code, out) == (2, "")
+        assert err == "error: the Laurent quotient would have more than 200000 terms\n"
+
+    def test_report_of_a_huge_order_polynomial(self, workdir, capsys):
+        started = perf_counter()
+        code, out, _ = run(capsys, "report", self.power_relator(workdir, 3_000_001))
+        assert perf_counter() - started < 1.0
+        assert code == 0
+        assert out == (
+            "image = 1Z\n"
+            "abelianization = Z/2 + Z\n"
+            "alexander = unavailable\n"
+            "note: order polynomial unavailable: "
+            "the Laurent quotient would have more than 200000 terms\n"
+            "verdict = inconclusive\n"
+        )
+
     def test_fiber_rank_refuses_a_huge_substitution(self, workdir, capsys):
         started = perf_counter()
         code, out, err = run(capsys, "fiber-rank", self.power_relator(workdir, 3_000_001),
@@ -570,7 +593,7 @@ TEN_HINTS = ["fiber-rank", "@scrambled.grp"] + [
 
 # "@name" is a file in the workdir fixture, or one the test writes there;
 # the first WELL_FORMED calls name a verb and leave no argument over
-WELL_FORMED = 21
+WELL_FORMED = 26
 ARGVS = [
     ["abelianize", "@trefoil.grp"],
     ["phi", "@showcase.grp"],
@@ -591,9 +614,15 @@ ARGVS = [
     ["fiber-rank", "@stuck.grp", "--nielsen=x->x y"],
     ["fiber-rank", "--", "@showcase.grp"],
     ["cable", "@unknot.grp", "-p", "2", "-q", "3", "-p", "5"],
+    ["cable", "@unknot.grp", "-p", "-3", "-q", "2"],
+    ["fiber-rank", "@showcase.grp", "--nielsen", ""],
+    ["abelianize", "-"],
+    ["rank", "@trefoil.spl", "--rank-a", "1_0"],
+    ["report", "@showcase.grp", "--nielsen", "u->u y", "--nielsen", "u->u y"],
     ["report", "@showcase.grp", "-h"],
     ["report", "@showcase.grp", "--h"],
     TEN_HINTS[:2] + ["--nielsen"],
+    ["cable", "@unknot.grp", "-q", "3", "-p", "2", "-o"],
     ["report"],
     ["splice", "@trefoil.grp"],
     ["cable", "@unknot.grp"],
@@ -621,9 +650,10 @@ ARGVS = [
 
 
 class TestArgvDifferential:
-    """``main`` gives a named verb its own parser, built once per process;
-    every call must end exactly as it does through the full tree of all
-    verbs, whatever calls came before it."""
+    """``main`` matches a plain call against its verb's declaration and
+    gives any other call that names a verb that verb's own parser, built
+    once per process; every call must end exactly as it does through the
+    full tree of all verbs, whatever calls came before it."""
 
     @pytest.fixture
     def files(self, workdir):
@@ -713,9 +743,47 @@ class TestArgvDifferential:
         report = files(["report", "@showcase.grp", "--nielsen", "u->u y"])
         for _ in range(20):
             assert outcome(capsys, report)[0] == 0
+        # plain calls are matched against the declaration alone
+        assert built == []
+        for _ in range(3):
+            assert outcome(capsys, report + ["-h"])[0] == 0
+            assert outcome(capsys, files(["report", "@showcase.grp", "--nielsen=u->u y"]))[0] == 0
         assert built == ["report"]
-        assert outcome(capsys, files(["alexander", "@trefoil.grp"]))[0] == 0
-        assert built == ["report", "alexander"]
+
+    def test_every_declared_argument_is_one_the_matcher_reads(self):
+        # _plain_args reads positionals with no spec, and options that take
+        # one value, stored or appended; another form needs it extended
+        for _, _, arguments in cli._VERBS.values():
+            for flags, spec in arguments:
+                if not flags[0].startswith("-"):
+                    assert spec == {}, flags
+                    continue
+                assert spec.keys() <= {"action", "default", "metavar", "required", "type"}, flags
+                assert spec.get("action", "append") == "append", flags
+
+    def test_plain_args_agree_with_the_verb_parser(self):
+        flags = sorted({flag for _, _, arguments in cli._VERBS.values()
+                        for names, _ in arguments for flag in names if flag.startswith("-")})
+        alphabet = [
+            *cli._VERBS, *flags,
+            *(flag[:-1] for flag in flags if flag.startswith("--")),
+            *(f"{flag}=2" for flag in flags), "-p3",
+            "-", "--", "-h", "--help", "-3", "-0", "3", "0", "1_0", " 4", "+2",
+            "", "", "x", "u->u y", "two", "\u0663", "-\u0663", "\uff12",
+        ]
+        verbs = list(cli._VERBS)
+        rng = random.Random(30)
+        accepted = 0
+        for _ in range(50_000):
+            verb = rng.choice(verbs)
+            argv = [verb, *(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))]
+            plain = cli._plain_args(argv)
+            if plain is None:
+                continue
+            accepted += 1
+            args, extras = cli._verb_parser(verb).parse_known_args(argv[1:])
+            assert (vars(plain), extras) == (vars(args), []), argv
+        assert accepted > 2_000
 
 
 def cli_process(*argv, **kwargs):

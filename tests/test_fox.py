@@ -96,6 +96,15 @@ class TestLaurentPoly:
         product = lp({0: -1, 3: 1})
         assert product.exact_div(lp({0: -1, 1: 1})) == lp({0: 1, 1: 1, 2: 1})
 
+    def test_quotient_terms_up_to_the_bound(self, monkeypatch):
+        # (t^6 - 1) / (t - 1) = 1 + t + ... + t^5, six quotient terms
+        product = lp({0: -1, 6: 1})
+        monkeypatch.setattr(fox, "QUOTIENT_BOUND", 6)
+        assert product.exact_div(lp({0: -1, 1: 1})) == lp(dict.fromkeys(range(6), 1))
+        monkeypatch.setattr(fox, "QUOTIENT_BOUND", 5)
+        with pytest.raises(HypothesisError, match="more than 5 terms"):
+            product.exact_div(lp({0: -1, 1: 1}))
+
     def test_inexact_div_rejected(self):
         with pytest.raises(HypothesisError, match="not exact"):
             lp({0: 1, 1: 1}).exact_div(lp({0: 2}))
