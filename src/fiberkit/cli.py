@@ -2,18 +2,15 @@
 
 Each verb is a short handler: it reads its files through ``textfmt``, calls
 the library, and prints a deterministic key=value style report.  The verbs
-are declared once, in ``_VERBS``.  A plain command line, a verb followed
-by its positionals and by options spelled in full, each with its value,
-is matched against that verb's declaration (``_plain_args``) with no
-argparse parser built; the result is the namespace the verb's parser
-would build.  Anything else goes to argparse, which stays the
-specification and the only source of help, usage and error text: a verb
-named first gets its own parser, ``fiberkit <verb>``, which reads the
-rest of the line exactly as that verb's subparser in the full tree
-would, and is built once per process; any other first word (none,
-``-h``, a typo, ``--``) gets the full tree, and so do leftover arguments,
-whose error shows every verb on its usage line.  The full tree is built
-afresh whenever it is needed.  The texts ``corpus`` writes are likewise
+are declared once, in ``_VERBS``.  A command line takes one of two paths.
+A plain one, a verb followed by its positionals and by options spelled in
+full, each with its value, is matched against that verb's declaration
+(``_plain_args``) with no argparse parser built; the result is the
+namespace the full tree would build, less its ``verb``.  Anything else
+(``-h``, an abbreviation, ``--x=y``, ``--``, ``-``, a usage error, no
+verb) goes to the full tree of all verbs, built afresh by
+``_build_parser``, so argparse stays the specification and the only
+source of help, usage and error text.  The texts ``corpus`` writes are
 built once per process, by ``corpus.corpus_files``, so a later ``corpus``
 call only checks and writes files.  ``main`` maps the toolkit's errors onto
 exit codes: 0 on success, 1 on parse errors, 2 on hypothesis violations, 3
@@ -244,27 +241,6 @@ _VERBS = {
 }
 
 
-def _add_verb(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """Give ``parser`` the arguments and the handler of verb ``name``."""
-    handler, _, arguments = _VERBS[name]
-    for flags, spec in arguments:
-        parser.add_argument(*flags, **spec)
-    parser.set_defaults(func=handler)
-    return parser
-
-
-@functools.cache
-def _verb_parser(name: str) -> argparse.ArgumentParser:
-    """Verb ``name``'s own parser, built on its first use in a process.
-
-    Reuse is safe: parsing leaves a parser as it was (``append`` copies its
-    ``[]`` default before adding to it), and help is laid out afresh for
-    ``COLUMNS`` on each call.
-    """
-    # the full tree would name this subparser "fiberkit <verb>"
-    return _add_verb(argparse.ArgumentParser(prog=f"fiberkit {name}"), name)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     """The full tree: a subparser for each verb."""
     parser = argparse.ArgumentParser(
@@ -273,8 +249,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "amalgams, HNN extensions, and knot-flavored groups.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for name, (_, summary, _) in _VERBS.items():
-        _add_verb(sub.add_parser(name, help=summary), name)
+    for name, (handler, summary, arguments) in _VERBS.items():
+        verb = sub.add_parser(name, help=summary)
+        for flags, spec in arguments:
+            verb.add_argument(*flags, **spec)
+        verb.set_defaults(func=handler)
     return parser
 
 
@@ -300,8 +279,8 @@ def _plain_table(name: str):
 
 
 def _plain_args(argv: list[str]) -> argparse.Namespace | None:
-    """The namespace that verb ``argv[0]``'s parser would build from the
-    rest of ``argv``, if the rest is plain, else None.
+    """The namespace that the full tree would build from ``argv``, less its
+    ``verb``, if the rest of ``argv`` is plain, else None.
 
     Plain: each string that starts with ``-`` is an option the verb
     declares, spelled in full, and is followed by a value that does not
@@ -343,15 +322,8 @@ def _plain_args(argv: list[str]) -> argparse.Namespace | None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = extras = None
-    if argv and argv[0] in _VERBS:
-        args = _plain_args(argv)
-        if args is None:
-            # the full tree would hand the verb's subparser every later
-            # string, "--" included
-            args, extras = _verb_parser(argv[0]).parse_known_args(argv[1:])
-    if args is None or extras:
-        # the full tree reports leftovers, with every verb on its usage line
+    args = _plain_args(argv) if argv and argv[0] in _VERBS else None
+    if args is None:
         args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

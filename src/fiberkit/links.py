@@ -237,13 +237,14 @@ def stallings_report(
 ) -> StallingsReport:
     """Collect the computable fibering evidence for ``(pres, phi)``.
 
-    Verdicts: "consistent with fibered" when the order polynomial is monic
-    (and matches the kernel rank when one is computable), "not fibered"
-    when it is not monic (a fibering would force a unit leading
-    coefficient), "inconclusive" otherwise.  A rank recursion that cannot
-    run is a diagnostic; a hint that is not an automorphism raises
-    ``HintError``, as it does in ``fiber_rank``, and so do hints for a
-    group that is not two-generator one-relator.
+    Verdicts: "not fibered" when the order polynomial is not monic (a
+    fibering would force a unit leading coefficient, whatever b1 is);
+    "consistent with fibered" when it is monic and matches the kernel rank
+    when one is computable, except at m = 0, where both exponent sums of a
+    two-generator one-relator group vanish; "inconclusive" otherwise.  A
+    rank recursion that cannot run is a diagnostic; a hint that is not an
+    automorphism raises ``HintError``, as it does in ``fiber_rank``, and so
+    do hints for a group that is not two-generator one-relator.
     """
     if not zmap_validate(phi, pres):
         raise HypothesisError("map to Z does not kill every relator")
@@ -290,11 +291,9 @@ def stallings_report(
             if not m_zero:
                 diagnostics.append(f"rank recursion unavailable: {exc}")
 
-    if d == 0 or m_zero:
-        verdict = "inconclusive"
-    elif delta is not None and monic is False:
+    if delta is not None and not monic:
         verdict = "not fibered"
-    elif delta is not None and monic:
+    elif delta is not None and not m_zero:
         if rank is not None and rank != degree:
             diagnostics.append(
                 f"rank {rank} disagrees with degree {degree}"

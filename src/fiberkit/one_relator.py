@@ -68,7 +68,7 @@ class RelatorAnalysis(NamedTuple):
 
 
 def analyze(relator: Word, x: str, y: str) -> RelatorAnalysis:
-    """One-pass exponent-sum analysis of a cyclically reduced relator over
+    """Exponent-sum analysis of a cyclically reduced relator over
     ``(x, y)``, in any rotation.
 
     Raises when the relator is not cyclically reduced or uses another
@@ -79,17 +79,11 @@ def analyze(relator: Word, x: str, y: str) -> RelatorAnalysis:
     # a reduced word is cyclically reduced unless its ends share a generator
     if len(sylls) > 1 and sylls[0][0] == sylls[-1][0]:
         raise HypothesisError(f"relator {relator} is not cyclically reduced")
-    p = q = e = 0
-    for g, exp in sylls:
-        if g == x:
-            p += exp
-            e = gcd(e, exp)
-        elif g == y:
-            q += exp
-        else:
-            extra = sorted(relator.generators() - {x, y})
-            raise HypothesisError(f"relator uses unexpected generators {extra}")
-    return _analysis(p, q, e or 1)
+    extra = relator.generators() - {x, y}
+    if extra:
+        raise HypothesisError(f"relator uses unexpected generators {sorted(extra)}")
+    return _analysis(exponent_sum(relator, x), exponent_sum(relator, y),
+                     _x_divisor(relator, x))
 
 
 def _analysis(p: int, q: int, e: int) -> RelatorAnalysis:

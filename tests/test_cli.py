@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 from time import perf_counter
 
 import pytest
+import sympy
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fiberkit import cli, corpus, words
@@ -16,7 +18,7 @@ from fiberkit.errors import ContradictionError, FiberkitError, ParseError
 from fiberkit.fox import LaurentPoly
 from fiberkit.inference import FLAG_NAMES
 from fiberkit.textfmt import parse_group_file
-from tests_support import scrambled_torus_relator
+from tests_support import charpoly, scrambled_torus_relator, transvection_torus
 
 TREFOIL = """\
 group trefoil
@@ -320,8 +322,10 @@ class TestAdversarialSizes:
     whose kept column would hold 3 * 10^7 terms is refused in under a
     second: ``alexander`` exits 2 and ``report`` is inconclusive.  So is a
     determinant whose cofactor products would multiply 2.5 * 10^9 pairs
-    of terms, though its Jacobian keeps inside the walk bound, and an order
-    polynomial of more than ``fox.QUOTIENT_BOUND`` terms.  A power or a
+    of terms, though its Jacobian keeps inside the walk bound, a dense one
+    that would visit more than ``fox.MINOR_BOUND`` minors, in under three
+    seconds, and an order polynomial of more than ``fox.QUOTIENT_BOUND``
+    terms.  A power or a
     substitution past ``words.SYLLABLE_BOUND`` syllables exits 2 in under
     a second, and ``report`` notes the rank recursion unavailable."""
 
@@ -421,6 +425,47 @@ class TestAdversarialSizes:
         coefficients = [*range(1, 1001), *range(999, 0, -1)]
         assert code == 0
         assert out == str(LaurentPoly(tuple(enumerate(coefficients)))) + "\n"
+
+    @staticmethod
+    def mapping_torus(workdir, n):
+        # a dense Jacobian of one- and two-term entries: the determinant
+        # visits 8,469 minors at n = 8 and 918,122 at n = 11
+        text, matrix = transvection_torus(n)
+        path = workdir / f"torus_{n}.grp"
+        path.write_text(text, encoding="utf-8")
+        return path, matrix
+
+    def test_alexander_of_a_mapping_torus_inside_the_bound(self, workdir, capsys):
+        path, matrix = self.mapping_torus(workdir, 8)
+        coefficients = charpoly(matrix)
+        t = sympy.Symbol("t")
+        assert coefficients == sympy.Matrix(matrix).charpoly(t).all_coeffs()[::-1]
+        code, out, _ = run(capsys, "alexander", path)
+        assert code == 0
+        assert out == str(LaurentPoly.from_dict(dict(enumerate(coefficients)))) + "\n"
+
+    def test_alexander_refuses_a_dense_determinant(self, workdir, capsys):
+        path, _ = self.mapping_torus(workdir, 12)
+        started = perf_counter()
+        code, out, err = run(capsys, "alexander", path)
+        assert perf_counter() - started < 3.0
+        assert (code, out) == (2, "")
+        assert err == "error: the determinant would visit more than 100000 minors\n"
+
+    def test_report_of_a_dense_determinant(self, workdir, capsys):
+        path, _ = self.mapping_torus(workdir, 12)
+        started = perf_counter()
+        code, out, _ = run(capsys, "report", path)
+        assert perf_counter() - started < 3.0
+        assert code == 0
+        assert out == (
+            "image = 1Z\n"
+            "abelianization = Z\n"
+            "alexander = unavailable\n"
+            "note: order polynomial unavailable: "
+            "the determinant would visit more than 100000 minors\n"
+            "verdict = inconclusive\n"
+        )
 
     def test_rank_of_huge_coset_graph(self, workdir, capsys):
         (workdir / "big.spl").write_text(
@@ -591,9 +636,7 @@ TEN_HINTS = ["fiber-rank", "@scrambled.grp"] + [
     arg for hint in SCRAMBLED_HINTS for arg in ("--nielsen", hint)
 ]
 
-# "@name" is a file in the workdir fixture, or one the test writes there;
-# the first WELL_FORMED calls name a verb and leave no argument over
-WELL_FORMED = 26
+# "@name" is a file in the workdir fixture, or one the test writes there
 ARGVS = [
     ["abelianize", "@trefoil.grp"],
     ["phi", "@showcase.grp"],
@@ -647,13 +690,15 @@ ARGVS = [
     ["--help", "report"],
     [],
 ]
+# the calls main matches with no parser built
+PLAIN = [argv for argv in ARGVS if argv and argv[0] in cli._VERBS and cli._plain_args(argv)]
 
 
 class TestArgvDifferential:
     """``main`` matches a plain call against its verb's declaration and
-    gives any other call that names a verb that verb's own parser, built
-    once per process; every call must end exactly as it does through the
-    full tree of all verbs, whatever calls came before it."""
+    gives any other call the full tree of all verbs; every call must end
+    exactly as it does through the full tree alone, whatever calls came
+    before it."""
 
     @pytest.fixture
     def files(self, workdir):
@@ -677,14 +722,17 @@ class TestArgvDifferential:
         monkeypatch.setenv("COLUMNS", "80")
         assert outcome(capsys, argv) == outcome(capsys, argv, reference_main)
 
-    @pytest.mark.parametrize("argv", ARGVS[:WELL_FORMED], ids=" ".join)
-    def test_a_named_verb_never_builds_the_full_tree(self, files, capsys, monkeypatch, argv):
-        def full_tree():
-            raise AssertionError("main built the full tree")
+    @pytest.mark.parametrize("argv", PLAIN, ids=" ".join)
+    def test_a_plain_call_builds_no_parser(self, files, capsys, monkeypatch, argv):
+        def no_parser(*args, **kwargs):
+            raise AssertionError("main built a parser")
 
-        monkeypatch.setattr(cli, "_build_parser", full_tree)
+        monkeypatch.setattr(argparse, "ArgumentParser", no_parser)
         _, _, err = outcome(capsys, files(argv))
         assert "usage:" not in err
+
+    def test_plain_is_the_argv_the_matcher_accepts(self):
+        assert len(PLAIN) == 21
 
     def test_a_reused_parser_carries_nothing_over(self, files, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
@@ -730,25 +778,33 @@ class TestArgvDifferential:
             assert helps[-1] == outcome(capsys, ["cable", "--help"], reference_main)
         assert helps[1] != helps[0]
 
-    def test_each_verb_parser_is_built_once(self, files, capsys, monkeypatch):
+    @pytest.fixture
+    def trees(self, monkeypatch):
+        """One entry for each full tree that ``main`` builds."""
         built = []
-        real = cli._add_verb
+        real = cli._build_parser
 
-        def counting(parser, name):
-            built.append(name)
-            return real(parser, name)
+        def counting():
+            built.append(1)
+            return real()
 
-        monkeypatch.setattr(cli, "_add_verb", counting)
-        cli._verb_parser.cache_clear()
+        monkeypatch.setattr(cli, "_build_parser", counting)
+        return built
+
+    def test_plain_report_calls_build_no_parser(self, files, capsys, trees):
         report = files(["report", "@showcase.grp", "--nielsen", "u->u y"])
         for _ in range(20):
             assert outcome(capsys, report)[0] == 0
-        # plain calls are matched against the declaration alone
-        assert built == []
-        for _ in range(3):
-            assert outcome(capsys, report + ["-h"])[0] == 0
-            assert outcome(capsys, files(["report", "@showcase.grp", "--nielsen=u->u y"]))[0] == 0
-        assert built == ["report"]
+        assert trees == []
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "@showcase.grp", "--nielsen", "u->u y", "-h"],
+        ["report", "@showcase.grp", "--nielsen=u->u y"],
+    ], ids=" ".join)
+    def test_a_non_plain_call_builds_the_full_tree_once(self, files, capsys, trees, argv):
+        for calls in range(1, 4):
+            assert outcome(capsys, files(argv))[0] == 0
+            assert len(trees) == calls
 
     def test_every_declared_argument_is_one_the_matcher_reads(self):
         # _plain_args reads positionals with no spec, and options that take
@@ -761,7 +817,7 @@ class TestArgvDifferential:
                 assert spec.keys() <= {"action", "default", "metavar", "required", "type"}, flags
                 assert spec.get("action", "append") == "append", flags
 
-    def test_plain_args_agree_with_the_verb_parser(self):
+    def test_plain_args_agree_with_the_full_tree(self):
         flags = sorted({flag for _, _, arguments in cli._VERBS.values()
                         for names, _ in arguments for flag in names if flag.startswith("-")})
         alphabet = [
@@ -772,6 +828,7 @@ class TestArgvDifferential:
             "", "", "x", "u->u y", "two", "\u0663", "-\u0663", "\uff12",
         ]
         verbs = list(cli._VERBS)
+        tree = cli._build_parser()
         rng = random.Random(30)
         accepted = 0
         for _ in range(50_000):
@@ -781,7 +838,9 @@ class TestArgvDifferential:
             if plain is None:
                 continue
             accepted += 1
-            args, extras = cli._verb_parser(verb).parse_known_args(argv[1:])
+            args, extras = tree.parse_known_args(argv)
+            assert args.verb == verb, argv
+            del args.verb
             assert (vars(plain), extras) == (vars(args), []), argv
         assert accepted > 2_000
 

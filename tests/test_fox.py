@@ -382,6 +382,20 @@ class TestAlexanderMatrix:
         with pytest.raises(HypothesisError, match="more than 12 pairs of terms"):
             alexander_poly(pres, phi)
 
+    def test_minors_add_up_to_the_bound(self, monkeypatch):
+        # the Jacobian above: the 3 x 3 matrix, the minor of its one nonzero
+        # first-row entry, and the two 1 x 1 minors of that are 4 in all
+        pres = Presentation(("x", "y", "z", "u"), (
+            w(("y", 2), ("x", -2)), w(("z", 2), ("u", 1), ("x", -3)),
+            w(("u", 2), ("z", 1), ("x", -3)),
+        ))
+        phi = ZMap({"x": 1, "y": 1, "z": 1, "u": 1})
+        monkeypatch.setattr(fox, "MINOR_BOUND", 4)
+        assert alexander_poly(pres, phi) == lp({0: -1, 1: -3, 2: -3, 3: -1, 4: 1, 5: 1})
+        monkeypatch.setattr(fox, "MINOR_BOUND", 3)
+        with pytest.raises(HypothesisError, match="more than 3 minors"):
+            alexander_poly(pres, phi)
+
     def test_single_letters_and_class_zero_powers_walk_free(self):
         relator = w(*[("y", 1), ("x", -1)] * (WALK_BOUND + 1), ("z", 10 ** 9))
         pres = Presentation(("x", "y", "z"), (relator,))

@@ -1,3 +1,4 @@
+import random
 from math import gcd
 
 import pytest
@@ -28,6 +29,7 @@ from fiberkit.presentations import (
 from fiberkit.snf import xgcd
 from fiberkit.words import Word, concat
 from tests_support import (
+    brown_finitely_generated,
     cable_fibered,
     is_infinite_cyclic,
     is_trivial,
@@ -277,6 +279,44 @@ class TestStallingsReport:
         assert report.alexander is not None
         assert not report.alexander_monic
         assert report.verdict == "not fibered"
+
+    def test_m_zero_keeps_a_non_monic_obstruction(self):
+        pres = Presentation(("x", "y"), (w(
+            ("x", 2), ("y", 1), ("x", -2), ("y", 3), ("x", -2), ("y", -3), ("x", 2), ("y", -1),
+        ),))
+        report = stallings_report(pres, ZMap({"x": -3, "y": -2}))
+        assert report.render().endswith(
+            "monic = no\ndegree = 8\n"
+            "note: m = 0: both exponent sums vanish, no torsion number\n"
+            "verdict = not fibered"
+        )
+
+    def test_m_zero_non_monic_classes_are_not_finitely_generated(self):
+        # seeded relators of alternating x and y syllables whose exponent
+        # sums both vanish, over the primitive classes nonzero on both
+        # generators; Brown's criterion is the oracle
+        rng = random.Random(7)
+        classes = [ZMap({"x": a, "y": b})
+                   for a in range(-4, 5) for b in range(-4, 5) if a and b and gcd(a, b) == 1]
+        assert len(classes) == 44
+        relators = set()
+        while len(relators) < 200:
+            sylls = [(g, rng.choice((-3, -2, -1, 1, 2, 3)))
+                     for g in "xy" * rng.randint(1, 4)]
+            if sum(e for g, e in sylls if g == "x") == sum(e for g, e in sylls if g == "y") == 0:
+                relators.add(w(*sylls))
+        non_monic = 0
+        for relator in sorted(relators, key=str):
+            pres = Presentation(("x", "y"), (relator,))
+            for phi in classes:
+                delta = alexander_poly(pres, phi)
+                terms = delta.terms
+                if terms and abs(terms[0][1]) == abs(terms[-1][1]) == 1:
+                    continue
+                non_monic += 1
+                assert stallings_report(pres, phi).verdict == "not fibered", (relator, phi)
+                assert not brown_finitely_generated(relator, phi), (relator, phi)
+        assert non_monic == 460
 
     def test_trivial_class_inconclusive(self):
         report = stallings_report(

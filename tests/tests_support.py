@@ -18,9 +18,11 @@ class check reference applies phi to every relator syllable by syllable,
 the inference reference is the closure with nested ``assign``/``record``
 helpers that checks every derived literal for a clash, and the Smith
 normal form oracle takes the gcd of every k x k minor by Bareiss
-elimination.  The small predicates after it (``monic_degree_check``,
-``known``, ``implies``, ``is_trivial``, ``cable_fibered`` and the like)
-are read only by tests, so they live here rather than in the library.
+elimination, and Brown's criterion walks the relator letter by letter,
+never through the Fox calculus.  The small predicates after it
+(``monic_degree_check``, ``known``, ``implies``, ``is_trivial``,
+``cable_fibered`` and the like) are read only by tests, so they live here
+rather than in the library.
 """
 
 import math
@@ -94,6 +96,45 @@ def int_det(matrix):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[-1][-1]
+
+
+def charpoly(matrix):
+    """The coefficients of det(tI - A), lowest first, for a square integer
+    matrix ``A``, by Faddeev-LeVerrier; every division is exact."""
+    n = len(matrix)
+    coefficients = [0] * n + [1]
+    m = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        m = [[sum(matrix[i][l] * m[l][j] for l in range(n))
+              + (coefficients[n - k + 1] if i == j else 0) for j in range(n)]
+             for i in range(n)]
+        trace = sum(matrix[i][l] * m[l][i] for i in range(n) for l in range(n))
+        assert trace % k == 0
+        coefficients[n - k] = -trace // k
+    return coefficients
+
+
+def transvection_torus(n):
+    """The mapping torus of the free-group automorphism ``f`` that applies
+    ``x_i -> x_i x_{i+1}`` for i = 0 ... n-2 in turn, then ``x_{n-1} ->
+    x_{n-1} x_0``: the text of its group file, with relators ``t x_i t^-1
+    f(x_i)^-1`` and ``phi x_i=0 t=1``, and ``f`` abelianized, the integer
+    matrix ``A`` whose column i counts the generators of ``f(x_i)``.  Its
+    Alexander polynomial is det(tI - A)."""
+    gens = [f"x{i}" for i in range(n)]
+    images = {g: Word.gen(g) for g in gens}
+    matrix = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        j = (i + 1) % n
+        step = {g: Word.gen(g) for g in gens}
+        step[gens[i]] = concat(Word.gen(gens[i]), Word.gen(gens[j]))
+        images = {g: substitute(image, step) for g, image in images.items()}
+        # each x_i in an image brings an x_j along
+        matrix[j] = [a + b for a, b in zip(matrix[j], matrix[i])]
+    lines = [f"group torus_{n}", f"gen {' '.join(gens)} t"]
+    lines += [f"rel t {g} t^-1 {images[g].inverse()}" for g in gens]
+    lines.append(f"phi {' '.join(f'{g}=0' for g in gens)} t=1")
+    return "\n".join(lines) + "\n", matrix
 
 
 def minor_gcd(matrix, k):
@@ -311,6 +352,19 @@ def reference_exponent_data(relator, x, y):
         if g == x:
             e = math.gcd(e, exp)
     return RelatorAnalysis(p=p, q=q, m=m, a=p // m, b=q // m, e=abs(e) or 1)
+
+
+def brown_finitely_generated(relator, phi):
+    """Brown's criterion, for a class nonzero on both generators: the
+    kernel of ``phi`` on ``<x, y ; r>``, ``r`` cyclically reduced, is
+    finitely generated exactly when the cyclic ``phi``-walk of ``r``,
+    letter by letter, reaches its maximum once and its minimum once."""
+    heights, h = [], 0
+    for g, sign in relator.letters():
+        heights.append(h)
+        h += sign * phi.values[g]
+    assert h == 0, "phi does not kill the relator"
+    return heights.count(max(heights)) == 1 and heights.count(min(heights)) == 1
 
 
 def reference_zmap_validate(phi, pres):
