@@ -13,8 +13,10 @@ comes straight out of the coset graph of the obvious cyclic-edge amalgam.
 nor a descent applies, it consumes a caller-supplied basis change of the
 free group (a Nielsen move) and retries, and reports unknown once the hints
 run out.  It reads the exponent sums once, from the presentation, and
-carries them through each hint and descent, so a stage walks the relator
-only to substitute the hint and to find the ``x``-divisor.
+carries them through each hint and descent.  A reduced word on two
+generators alternates between them, so the loop keeps the relator as its
+exponents and the slot, ``x`` or ``y``, of the first, and applies an
+elementary Nielsen move to that list in closed form (``_nielsen``).
 
 ``invert_automorphism`` with its helpers ``_compose`` and
 ``_signed_basis_fix`` is not on that path: it is the heap-search oracle the
@@ -29,6 +31,7 @@ from functools import cache
 from math import gcd
 from typing import Mapping, NamedTuple, Sequence
 
+from . import words
 from .errors import HintError, HypothesisError
 from .presentations import Presentation, two_generator_relator
 from .words import (
@@ -82,8 +85,9 @@ def analyze(relator: Word, x: str, y: str) -> RelatorAnalysis:
     extra = relator.generators() - {x, y}
     if extra:
         raise HypothesisError(f"relator uses unexpected generators {sorted(extra)}")
-    return _analysis(exponent_sum(relator, x), exponent_sum(relator, y),
-                     _x_divisor(relator, x))
+    start, exps = _encoded(relator, x)
+    return _analysis(sum(exps[start::2]), sum(exps[start ^ 1 :: 2]),
+                     _x_divisor(exps, start))
 
 
 def _analysis(p: int, q: int, e: int) -> RelatorAnalysis:
@@ -98,21 +102,23 @@ def _analysis(p: int, q: int, e: int) -> RelatorAnalysis:
     return RelatorAnalysis(p, q, m, p // m, q // m, e)
 
 
-def _x_divisor(relator: Word, x: str) -> int:
-    """The ``e`` of ``analyze``: the gcd of the ``x``-exponents, 1 when ``x``
-    does not occur; the walk stops once the gcd reaches 1."""
-    e = 0
-    for g, exp in relator.syllables:
-        if g == x:
-            e = gcd(e, exp)
-            if e == 1:
-                break
-    return e or 1
+def _encoded(word: Word, x: str) -> tuple[int, list[int]]:
+    """A reduced word on ``x`` = slot 0 and another generator = slot 1 as
+    the slot of its first syllable and its exponents, which alternate."""
+    sylls = word.syllables
+    return int(bool(sylls) and sylls[0][0] != x), [e for _, e in sylls]
+
+
+def _x_divisor(exps: list[int], start: int) -> int:
+    """The ``e`` of ``analyze``: the gcd of the ``x``-exponents of
+    ``(start, exps)``, 1 when ``x`` does not occur."""
+    return gcd(*exps[start::2]) or 1
 
 
 def descend(relator: Word, e: int, x: str, y: str, new_x: str) -> Word:
     """Rewrite ``r`` as a word in ``x^e`` and ``y``: divide every
-    ``x``-exponent by ``e`` and rename ``x`` to ``new_x``.
+    ``x``-exponent by ``e`` and rename ``x`` to ``new_x``.  The ``Word``
+    form of the descent ``fiber_rank`` makes on its exponent list.
     """
     if e < 1:
         raise HypothesisError("descent step must be positive")
@@ -262,16 +268,16 @@ def validate_automorphism(
     images of both generators, a generator the hint leaves out mapping to
     itself.
 
-    Once the hint is known to move and use only ``x`` and ``y``, the
-    abelianized 2x2 matrix must have determinant +-1.  Then a shape test
-    settles the elementary moves: one generator ``g`` fixed and the other
-    ``h`` sent to ``a h^+-1 b`` with ``a``, ``b`` powers of ``g`` is an
-    automorphism by construction.  Every other hint goes through Nielsen's
-    commutator criterion (J. Nielsen, Math. Ann. 78, 1917), linear in the
-    length of the images: ``(u, v)`` is a basis exactly when
-    ``u v u^-1 v^-1`` is conjugate to ``[x, y]`` or to its inverse
-    ``[y, x]``.  A cyclically reduced conjugate of a cyclically reduced
-    word is one of its rotations, so the check is a lookup of the
+    Once the hint is known to move and use only ``x`` and ``y``, a shape
+    test settles the elementary moves: one generator ``g`` fixed and the
+    other ``h`` sent to ``a h^+-1 b`` with ``a``, ``b`` powers of ``g`` is
+    an automorphism by construction, of determinant +-1.  Every other hint
+    must have an abelianized 2x2 matrix of determinant +-1, and then goes
+    through Nielsen's commutator criterion (J. Nielsen, Math. Ann. 78,
+    1917), linear in the length of the images: ``(u, v)`` is a basis
+    exactly when ``u v u^-1 v^-1`` is conjugate to ``[x, y]`` or to its
+    inverse ``[y, x]``.  A cyclically reduced conjugate of a cyclically
+    reduced word is one of its rotations, so the check is a lookup of the
     commutator, cancelled across its ends, among the eight rotations of
     the two.
     """
@@ -288,14 +294,14 @@ def validate_automorphism(
         raise HintError(
             f"hint uses generators {sorted(bad)} outside {x!r}, {y!r}"
         )
+    if _elementary(u, v, x, y) or _elementary(v, u, y, x):
+        return images
     ux, uy, vx, vy = _abelianized(images, x, y)
     det = ux * vy - uy * vx
     if det not in (1, -1):
         raise HintError(
             f"hint is not an automorphism: abelianized determinant {det}"
         )
-    if _elementary(u, v, x, y) or _elementary(v, u, y, x):
-        return images
     commutator = cancel_ends(concat(u, v, u.inverse(), v.inverse())).syllables
     if commutator not in _commutator_rotations(x, y):
         raise HintError(
@@ -304,14 +310,82 @@ def validate_automorphism(
     return images
 
 
-def _elementary(fixed: Word, moved: Word, g: str, h: str) -> bool:
-    """True when ``fixed`` is ``g`` and ``moved`` is ``g^i h^+-1 g^j``.
-    A reduced word on ``g`` and ``h`` alternates between them, so it has
-    that shape exactly when ``h`` occurs in one syllable, of exponent
-    +-1."""
-    if fixed.syllables != ((g, 1),) or len(moved.syllables) > 3:
-        return False
-    return [e for k, e in moved.syllables if k == h] in ([1], [-1])
+def _elementary(fixed: Word, moved: Word, g: str, h: str) -> tuple[int, int, int] | None:
+    """``(i, s, j)`` when ``fixed`` is ``g`` and ``moved`` is
+    ``g^i h^s g^j`` with ``s`` = +-1, else None.  A reduced word on ``g``
+    and ``h`` alternates between them, so it has that shape exactly when
+    ``h`` occurs in one syllable, of exponent +-1."""
+    sylls = moved.syllables
+    s = [e for k, e in sylls if k == h]
+    if fixed.syllables != ((g, 1),) or len(sylls) > 3 or s not in ([1], [-1]):
+        return None
+    i, j = (e if k == g else 0 for k, e in (sylls[0], sylls[-1]))
+    return i, s[0], j
+
+
+def _action(images: Mapping[str, Word], x: str, y: str) -> tuple[_Matrix, tuple | None]:
+    """The abelianized matrix of a checked hint on ``(x, y)`` and, for an
+    elementary move, the ``(moved slot, i, s, j)`` of ``_nielsen``, whose
+    matrix is read off the shape."""
+    for moved, (g, h) in enumerate(((y, x), (x, y))):
+        shape = _elementary(images[g], images[h], g, h)
+        if shape:
+            i, s, j = shape
+            return ((s, i + j, 0, 1), (1, 0, i + j, s))[moved], (moved, i, s, j)
+    return _abelianized(images, x, y), None
+
+
+def _nielsen(start: int, exps: list[int], moved: int, i: int, s: int, j: int
+             ) -> tuple[int, list[int]]:
+    """The cyclically reduced relator ``(start, exps)`` under the
+    elementary move ``h -> g^i h^s g^j``, ``h`` in slot ``moved``.
+
+    ``h^a`` goes to ``g^i (h^s g^(i+j))^(a-1) h^s g^j`` (for ``a < 0``,
+    with ``(-j, -s, -i)`` for ``(i, s, j)``).  Every ``h``-letter
+    survives: between letters of opposite sign the move leaves the
+    relator's own ``g``-exponent, so a ``g``-exponent that vanishes only
+    merges two ``h``-syllables of one sign, and nothing cancels further.
+    For ``i = -j`` the move conjugates ``h`` by ``g^i``, which cancels
+    around each ``g``-syllable of a cyclic word: only the signs of the
+    ``h``-exponents change.  Refused, before any image is built, exactly
+    when ``substitute`` refuses it.
+    """
+    o = start ^ moved
+    hs = exps[o::2]
+    if not hs:
+        return start, exps
+    size, step = 1 + (i != 0) + (j != 0), 2 * (i + j != 0)
+    longest = max(map(abs, hs))
+    if step:
+        words._check_growth(size * (longest - 1))  # as Word.__pow__
+    if size + step * (longest - 1) > words.SYLLABLE_BOUND // len(exps) + 1:
+        words._check_growth(len(hs) * (size - 1) + step * (sum(map(abs, hs)) - len(hs)))
+    if not step:
+        out = exps[:]
+        out[o::2] = [s * a for a in hs]
+        return start, out
+    # each h-exponent with the g-exponent after it, cyclically
+    after = (exps[1::2] or [0]) if o == 0 else exps[2::2] + exps[:1]
+    # out holds (g, h) pairs; a g-exponent adds up in carry until the next h
+    forward, backward = (i, s, j), (-j, -s, -i)
+    out, carry = [], 0
+    for a, b in zip(hs, after):
+        first, t, last = forward if a > 0 else backward
+        v = carry + first
+        carry = b + last
+        if v or not out:
+            out += (v, t)
+        else:
+            out[-1] += t
+        if a != 1 and a != -1:
+            out += (first + last, t) * (abs(a) - 1)
+    out[0] += carry
+    if out[0]:
+        return moved ^ 1, out
+    # the g-exponent that closes the cycle vanished: merge the h at the ends
+    if len(out) > 2:
+        out[1] += out.pop()
+    return moved, out[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -340,55 +414,60 @@ def fiber_rank(
 
     ``p, q`` are read off the presentation's exponent-sum rows and then
     carried: a hint maps them through its abelianized matrix, kept beside
-    its checked images, and a descent by ``e`` divides ``p`` by ``e``; ``e``
-    is found by a walk that stops once it reaches 1.  The relator is kept
-    cyclically reduced (``cancel_ends``, which keeps the exponent sums) but
-    never rotated: every step depends on it only up to conjugacy.  Each
-    distinct hint is checked once per stage, against that stage's
-    generators, when first consumed; the hints still pending are checked
-    wherever the loop stops, at the base case or on a stage with a zero
-    ``y``-sum, which is refused with the message of ``analyze``.
+    its checked images, and a descent by ``e`` divides ``p`` by ``e``.  The
+    relator is kept as its exponents and the slot of the first: ``e`` is
+    the gcd of the ``x``-slot entries, which a descent divides by ``e``
+    (the new name only meets the hints).  A hint that is not elementary
+    goes through ``substitute`` on a ``Word``.  The relator stays
+    cyclically reduced, which keeps the exponent sums, but is never
+    rotated: every step depends on it only up to conjugacy.  Each distinct
+    hint is checked once per stage, against that stage's generators, when
+    first consumed; the hints still pending are checked wherever the loop
+    stops, at the base case or on a stage with a zero ``y``-sum, which is
+    refused with the message of ``analyze``.
 
     None means the recursion ran out of rules and hints, not that the
     kernel is infinitely generated.
     """
     x, y, relator = two_generator_relator(pres)
-    relator = cancel_ends(relator)
+    start, exps = _encoded(cancel_ends(relator), x)
     p, q = pres.exponent_matrix()[0]
     pending = list(hints)
     descents: list[tuple[int, int, int]] = []
-    checked: dict[frozenset, tuple[dict[str, Word], _Matrix]] = {}
+    checked: dict[frozenset, tuple] = {}
 
-    def images(hint: Mapping[str, Word]) -> tuple[dict[str, Word], _Matrix]:
+    def images(hint: Mapping[str, Word]) -> tuple:
         key = frozenset(hint.items())
         if key not in checked:
             full = validate_automorphism(hint, x, y)
-            checked[key] = full, _abelianized(full, x, y)
+            checked[key] = full, *_action(full, x, y)
         return checked[key]
 
     while True:
-        e = _x_divisor(relator, x)
+        e = _x_divisor(exps, start)
         try:
             data = _analysis(p, q, e)
         except HypothesisError:
             for hint in pending:
                 images(hint)
             raise
-        if len(relator.syllables) == 2 and data.m == 1:
+        if len(exps) == 2 and data.m == 1:
             for hint in pending:
                 images(hint)
             break
         if e > 1:
             descents.append((data.a, data.b, e))
-            new_x = next(name for name in _DESCENT_NAMES if name not in (x, y))
-            # descend keeps the syllable pattern, so no cancel_ends is needed
-            relator = descend(relator, e, x, y, new_x)
-            x = new_x
+            x = next(name for name in _DESCENT_NAMES if name not in (x, y))
+            exps[start::2] = [a // e for a in exps[start::2]]
             p //= e
             checked.clear()
         elif pending:
-            full, (ux, uy, vx, vy) = images(pending.pop(0))
-            relator = cancel_ends(substitute(relator, full))
+            full, (ux, uy, vx, vy), move = images(pending.pop(0))
+            if move:
+                start, exps = _nielsen(start, exps, *move)
+            else:
+                word = Word(tuple(((x, y)[start ^ k & 1], a) for k, a in enumerate(exps)))
+                start, exps = _encoded(cancel_ends(substitute(word, full)), x)
             p, q = p * ux + q * vx, p * uy + q * vy
         else:
             return None

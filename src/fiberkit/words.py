@@ -230,7 +230,9 @@ def substitute(word: Word, images: Mapping[str, Word]) -> Word:
     more than ``SYLLABLE_BOUND`` syllables beyond the syllables of
     ``word``.  They are counted, without building them, at most once: when
     the first power long enough to break the bound with others like it is
-    built.
+    built.  ``one_relator.fiber_rank`` calls it only for a hint that is not
+    an elementary Nielsen move; ``one_relator._nielsen`` applies those, and
+    refuses exactly what this refuses.
     """
     sylls = word.syllables
     # while every power is at most this long, the powers keep inside the bound

@@ -2,7 +2,8 @@
 fiberkit through ``fk.<module>.<name>``; each name must still resolve, or
 ``bench/run.py`` fails only when it is run.  Every command line a workload
 hands to ``cli.main`` must be one that ``cli._plain_args`` matches, so that
-no timed call builds an argparse parser."""
+no timed call builds an argparse parser, and no hint a workload passes may
+send the rank recursion through ``substitute``."""
 
 import importlib
 import pkgutil
@@ -78,6 +79,19 @@ def _workloads_module():
 _WORKLOADS = _workloads_module()
 
 
+def _first_pass(name, work):
+    """Set up the workload ``name`` in ``work``, warm it up and run its
+    first pass."""
+    fk = SimpleNamespace(**{
+        module.name: importlib.import_module(f"fiberkit.{module.name}")
+        for module in pkgutil.iter_modules(fiberkit.__path__)
+    })
+    workload = _WORKLOADS.WORKLOADS[name](fk, work, 1)
+    workload.warm_up()
+    for _, call in workload.ops(0):
+        call()
+
+
 @pytest.mark.parametrize("name", [
     name for name, workload in _WORKLOADS.WORKLOADS.items()
     if issubclass(workload, _WORKLOADS.CliWorkload)
@@ -92,14 +106,31 @@ def test_every_timed_call_is_plain(name, tmp_path, monkeypatch):
         return real(argv)
 
     monkeypatch.setattr(cli, "main", recording)
-    fk = SimpleNamespace(**{
-        module.name: importlib.import_module(f"fiberkit.{module.name}")
-        for module in pkgutil.iter_modules(fiberkit.__path__)
-    })
-    workload = _WORKLOADS.WORKLOADS[name](fk, tmp_path, 1)
-    workload.warm_up()
-    for _, call in workload.ops(0):
-        call()
+    _first_pass(name, tmp_path)
     assert calls
     assert [argv for argv in calls
             if argv[0] not in cli._VERBS or cli._plain_args(argv) is None] == []
+
+
+@pytest.mark.parametrize("name", ["relator-rank", "corpus-cli"])
+def test_rank_recursion_never_substitutes(name, tmp_path, monkeypatch):
+    # every hint these workloads pass is an elementary Nielsen move, which
+    # fiber_rank applies to its exponent list; a hint that reaches
+    # substitute is named in the failure
+    one_relator = importlib.import_module("fiberkit.one_relator")
+    substituted, moves = [], []
+    real_substitute, real_nielsen = one_relator.substitute, one_relator._nielsen
+
+    def substitute(word, images):
+        substituted.append(images)
+        return real_substitute(word, images)
+
+    def nielsen(*args):
+        moves.append(args[2:])
+        return real_nielsen(*args)
+
+    monkeypatch.setattr(one_relator, "substitute", substitute)
+    monkeypatch.setattr(one_relator, "_nielsen", nielsen)
+    _first_pass(name, tmp_path)
+    assert moves
+    assert substituted == []

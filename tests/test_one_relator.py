@@ -1,9 +1,10 @@
 import random
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fiberkit import one_relator
+from fiberkit import one_relator, words
 from fiberkit.errors import HintError, HypothesisError
 from fiberkit.one_relator import (
     analyze,
@@ -19,6 +20,8 @@ from fiberkit.textfmt import parse_word
 from fiberkit.words import Word, cancel_ends, cyclic_reduce, exponent_sum, substitute
 
 from tests_support import (
+    _elementary_nielsen_moves,
+    _rank_recursion_stops,
     parse_hint,
     reference_exponent_data,
     reference_fiber_rank,
@@ -144,6 +147,24 @@ class TestDescend:
             assert bottom.p == top.p // e
             assert bottom.q == top.q
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from("xy"), st.integers(-4, 4).filter(bool)),
+            min_size=1,
+            max_size=8,
+        ),
+        st.sampled_from((2, 3, 6)),
+    )
+    def test_descend_matches_the_descents_of_fiber_rank(self, sylls, factor):
+        # with no hints every stage after the first is a descent of the one
+        # before; descend makes it on the Word, fiber_rank on its exponents
+        relator = cancel_ends(w(*((g, e * factor if g == "x" else e) for g, e in sylls)))
+        _, stages, carried = recorded_stages(Presentation(("x", "y"), (relator,)), [])
+        assert stages[0] == relator
+        for before, after, (_, _, e) in zip(stages, stages[1:], carried):
+            assert after == descend(before, e, "x", "y", "x")
+
 
 class TestRankTransfer:
     def test_showcase_instance(self):
@@ -210,6 +231,34 @@ MOVE_TEMPLATES = [
 
 # how reference_fiber_rank names a bad hint
 REFERENCE_HINT_REFUSALS = ("hint moves other generators", "hint is not an automorphism")
+
+
+def decoded(start, exps):
+    """The word of an exponent list that alternates between the slots
+    ``x`` = 0 and ``y`` = 1, its first entry in slot ``start``."""
+    return Word.of(*(("xy"[start ^ (k & 1)], e) for k, e in enumerate(exps)))
+
+
+def recorded_stages(pres, hints):
+    """The outcome of ``fiber_rank`` (as ``rank_outcome`` gives it), the
+    relator of each stage it reached as a word on ``x, y``, whatever the
+    stage's names, and the ``(p, q, e)`` it carried into each stage."""
+    stages, carried = [], []
+    x_divisor, exponent_analysis = one_relator._x_divisor, one_relator._analysis
+
+    def divisor(exps, start):
+        stages.append(decoded(start, exps))
+        return x_divisor(exps, start)
+
+    def analysis(p, q, e):
+        carried.append((p, q, e))
+        return exponent_analysis(p, q, e)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(one_relator, "_x_divisor", divisor)
+        patch.setattr(one_relator, "_analysis", analysis)
+        got = rank_outcome(fiber_rank, pres, hints)
+    return got, stages, carried
 
 
 def rank_outcome(rank_fn, pres, hints):
@@ -485,6 +534,105 @@ class TestHintShape:
         return {h: moved, g: Word.gen(g)} if rng.random() < 0.5 else {h: moved}
 
 
+def elementary_outcome(start, exps, moved, i, s, j):
+    """``_nielsen`` and ``cancel_ends`` of ``substitute`` on the same
+    relator and move, each as the least rotation of its word or the
+    message it raised; also the move ``_action`` reads off the images."""
+    g, h = "xy"[moved ^ 1], "xy"[moved]
+    images = {g: Word.gen(g), h: Word.of((g, i), (h, s), (g, j))}
+    matrix, move = one_relator._action(images, "x", "y")
+    assert matrix == one_relator._abelianized(images, "x", "y")
+    outcomes = []
+    def nielsen():
+        start_after, out = one_relator._nielsen(start, exps, *move)
+        # no zero and an even length (or at most one entry): cyclically reduced
+        assert all(out) and (len(out) < 2 or len(out) % 2 == 0), out
+        return decoded(start_after, out)
+
+    for apply in (nielsen, lambda: cancel_ends(substitute(decoded(start, exps), images))):
+        try:
+            outcomes.append(cyclic_reduce(apply(), order=("x", "y")))
+        except HypothesisError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+class TestElementaryMoves:
+    """``fiber_rank`` applies an elementary Nielsen move to its exponent
+    list by ``_nielsen``; ``cancel_ends`` of ``substitute`` is the
+    reference, up to rotation, for the result and for every refusal."""
+
+    def test_seeded_moves_match_substitute(self, monkeypatch):
+        rng = random.Random(32)
+        seen = dict.fromkeys(
+            ("empty", "one g", "one h", "|a| > 1", "i = -j", "two-sided",
+             "cascade", "refused", "bounded"), 0)
+        for case in range(20_000):
+            moved, s = rng.randrange(2), rng.choice((1, -1))
+            i, j = rng.randint(-3, 3), rng.randint(-3, 3)
+            if rng.random() < 0.2:
+                j = -i
+            length = rng.choice((0, 1, 1, 2, 2, 4, 6, 10))
+            start = rng.randrange(2) if length else 0
+            exps = [rng.choice((-1, 1, -1, 1, -2, 2, 3, -4, 7)) for _ in range(length)]
+            if case % 4 == 0:
+                # the inverse image of a short word: the move cancels the
+                # relator back down to that word (never to nothing, as an
+                # automorphism sends only the empty word there)
+                g, h = "xy"[moved ^ 1], "xy"[moved]
+                inverse = (((g, -i), (h, 1), (g, -j)) if s == 1 else ((g, j), (h, -1), (g, i)))
+                word = cyclic_reduce(substitute(decoded(start, exps[:2]), {
+                    g: Word.gen(g), h: Word.of(*inverse)}), order=("x", "y"))
+                start = int(bool(word.syllables) and word.syllables[0][0] == "y")
+                exps = [e for _, e in word.syllables]
+            bound = words.SYLLABLE_BOUND
+            if case % 5 == 0:
+                bound = rng.randint(0, 24)
+                monkeypatch.setattr(words, "SYLLABLE_BOUND", bound)
+            got, want = elementary_outcome(start, exps, moved, i, s, j)
+            monkeypatch.undo()
+            assert got == want, (start, exps, moved, i, s, j, bound)
+            hs = exps[start ^ moved :: 2]
+            seen["empty"] += not exps
+            seen["one g"] += len(exps) == 1 and not hs
+            seen["one h"] += len(exps) == 1 and bool(hs)
+            seen["|a| > 1"] += any(abs(a) > 1 for a in hs)
+            seen["i = -j"] += bool(hs) and i == -j != 0
+            seen["two-sided"] += bool(hs) and i != 0 and j != 0 and i != -j
+            seen["cascade"] += isinstance(got, Word) and len(got.syllables) < len(exps) // 2
+            seen["refused"] += isinstance(got, str)
+            seen["bounded"] += bound < 25 and isinstance(got, Word)
+        assert min(seen.values()) >= 200, seen
+
+    def test_two_sided_move_at_the_bound(self, monkeypatch):
+        # x -> y x y sends each x^a to y x (y^2 x)^(a-1) y, whose growth
+        # words._substituted_size counts: one below it is refused, at it not
+        relator = parse_word("x y^2 x^2 y x^3 y^-1 x y^3", None)
+        images = {"x": parse_word("y x y", None), "y": Word.gen("y")}
+        growth = words._substituted_size(relator.syllables, images) - len(relator.syllables)
+        assert growth == 14
+        exps = [e for _, e in relator.syllables]
+        monkeypatch.setattr(words, "SYLLABLE_BOUND", growth - 1)
+        assert elementary_outcome(0, exps, 0, 1, 1, 1) == [
+            "the word would grow by more than 13 syllables"] * 2
+        monkeypatch.setattr(words, "SYLLABLE_BOUND", growth)
+        got, want = elementary_outcome(0, exps, 0, 1, 1, 1)
+        assert got == want == cyclic_reduce(substitute(relator, images), order=("x", "y"))
+
+    def test_conjugation_of_a_huge_power(self):
+        # x -> y x y^-1 conjugates x, so only the signs of the x-exponents
+        # can change; the pattern of the other moves would put together
+        # 2 * 10^12 syllables for x^(10^12); x^(10^12) y alone is a base
+        # case, so fiber_rank consumes the hint on a longer relator
+        started = perf_counter()
+        assert one_relator._nielsen(0, [10**12, 1], 0, 1, 1, -1) == (0, [10**12, 1])
+        assert one_relator._nielsen(0, [10**12, 1, 1, 2], 0, 1, -1, -1) == (
+            0, [-10**12, 1, -1, 2])
+        pres = two_gen("x", "y", ("x", 10**12), ("y", 1), ("x", 1), ("y", 2))
+        assert fiber_rank(pres, hints_of("x->y x y^-1")) is None
+        assert perf_counter() - started < 0.1
+
+
 class TestFiberRank:
     def test_showcase_with_hint(self):
         pres = two_gen("x", "y", ("x", 2), ("y", 2), ("x", 2), ("y", -1))
@@ -558,6 +706,66 @@ class TestFiberRank:
             assert rank == reference_fiber_rank(pres, hints)
             assert rank == (abs(alpha) - 1) * (abs(beta) - 1)
 
+    def test_scrambles_with_a_hint_that_is_not_elementary(self):
+        # a basis change that is not elementary, and its inverse, spliced
+        # into the hints: fiber_rank applies just these through substitute
+        general = [
+            {"x": Word.gen("y"), "y": Word.gen("x")},
+            {"x": w(("x", 1), ("y", 1)), "y": w(("y", 1), ("x", 1), ("y", 1))},
+            {"x": Word.gen("y", -1), "y": w(("x", 1), ("y", 2))},
+        ]
+        general = [(move, invert_automorphism(move, "x", "y")) for move in general]
+        substituted = []
+        real = one_relator.substitute
+
+        def recording(word, images):
+            substituted.append(images)
+            return real(word, images)
+
+        rng = random.Random(11)
+        ranks = 0
+        for case in range(12):
+            alpha, beta, relator, texts = scrambled_torus_relator(rng, 60 + 20 * case)
+            pres = Presentation(("x", "y"), (relator,))
+            hints = hints_of(*texts)
+            at = rng.randrange(len(hints) + 1)
+            hints[at:at] = general[case % 3]
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(one_relator, "substitute", recording)
+                got = rank_outcome(fiber_rank, pres, hints)
+            assert got == rank_outcome(reference_fiber_rank, pres, hints)
+            ranks += got == (abs(alpha) - 1) * (abs(beta) - 1)
+        assert ranks == 12
+        assert substituted and all(
+            one_relator._action(images, "x", "y")[1] is None for images in substituted)
+
+    def test_scrambles_with_a_descent_between_hints(self):
+        # a scramble lifted by x -> x^e and scrambled again: fiber_rank
+        # undoes the second scramble, descends, then undoes the first on
+        # (u, y)
+        rng = random.Random(13)
+        descended = 0
+        for case in range(12):
+            _, _, relator, texts = scrambled_torus_relator(rng, 40 + 10 * case)
+            e = rng.choice((2, 3))
+            relator = cancel_ends(substitute(relator, {"x": Word.gen("x", e), "y": Word.gen("y")}))
+            hints = []
+            for _ in range(4):
+                moves = _elementary_nielsen_moves()
+                rng.shuffle(moves)
+                for a, image, undo in moves:
+                    moved = cancel_ends(substitute(relator, {"x": Word.gen("x"), "y": Word.gen("y"), a: image}))
+                    if len(moved) > len(relator) and not _rank_recursion_stops(moved):
+                        relator = moved
+                        hints.insert(0, {a: undo})
+                        break
+            hints += hints_of(*(text.replace("x", "u") for text in texts))
+            pres = Presentation(("x", "y"), (relator,))
+            got, _, carried = recorded_stages(pres, hints)
+            assert got == rank_outcome(reference_fiber_rank, pres, hints)
+            descended += got is not None and any(e > 1 for _, _, e in carried[1:-1])
+        assert descended == 12
+
     @settings(max_examples=150, deadline=None)
     @given(
         st.lists(
@@ -596,21 +804,7 @@ class TestFiberRank:
         relator = w(*((g, exp * factor if g == "x" else exp) for g, exp in sylls))
         pres = Presentation(("x", "y"), (relator,))
         hints = [MOVE_TEMPLATES[i](a) for a, i in moves]
-        stages, carried = [], []
-
-        def divisor(relator, x):
-            stages.append((relator, x))
-            return x_divisor(relator, x)
-
-        def analysis(p, q, e):
-            carried.append((p, q, e))
-            return exponent_analysis(p, q, e)
-
-        x_divisor, exponent_analysis = one_relator._x_divisor, one_relator._analysis
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(one_relator, "_x_divisor", divisor)
-            patch.setattr(one_relator, "_analysis", analysis)
-            got = rank_outcome(fiber_rank, pres, hints)
+        got, stages, carried = recorded_stages(pres, hints)
         assert got == rank_outcome(reference_fiber_rank, pres, hints)
         assert len(stages) == len(carried) >= 1
 
@@ -620,8 +814,8 @@ class TestFiberRank:
             except HypothesisError as exc:
                 return str(exc)
 
-        assert [analysis_or_refusal(analyze, r, x, "y") for r, x in stages] == [
-            analysis_or_refusal(exponent_analysis, *data) for data in carried
+        assert [analysis_or_refusal(analyze, r, "x", "y") for r in stages] == [
+            analysis_or_refusal(one_relator._analysis, *data) for data in carried
         ]
 
     def test_needs_two_generator_one_relator(self):
