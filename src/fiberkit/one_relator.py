@@ -16,7 +16,10 @@ run out.  It reads the exponent sums once, from the presentation, and
 carries them through each hint and descent.  A reduced word on two
 generators alternates between them, so the loop keeps the relator as its
 exponents and the slot, ``x`` or ``y``, of the first, and applies an
-elementary Nielsen move to that list in closed form (``_nielsen``).
+elementary Nielsen move to that list in closed form (``_nielsen``).  A
+hint is checked in one place, ``_checked``, which returns its images, its
+abelianized matrix and, for an elementary move, the move ``_nielsen``
+applies; ``validate_automorphism`` is its public face.
 
 ``invert_automorphism`` with its helpers ``_compose`` and
 ``_signed_basis_fix`` is not on that path: it is the heap-search oracle the
@@ -281,6 +284,15 @@ def validate_automorphism(
     commutator, cancelled across its ends, among the eight rotations of
     the two.
     """
+    return _checked(images, x, y)[0]
+
+
+def _checked(images: Mapping[str, Word], x: str, y: str
+             ) -> tuple[dict[str, Word], _Matrix, tuple | None]:
+    """``validate_automorphism`` with what ``fiber_rank`` keeps of a checked
+    hint: its images, its abelianized matrix and, for an elementary move,
+    the ``(moved slot, i, s, j)`` of ``_nielsen``, whose matrix is read off
+    the shape."""
     unknown = set(images) - {x, y}
     if unknown:
         raise HintError(
@@ -294,9 +306,12 @@ def validate_automorphism(
         raise HintError(
             f"hint uses generators {sorted(bad)} outside {x!r}, {y!r}"
         )
-    if _elementary(u, v, x, y) or _elementary(v, u, y, x):
-        return images
-    ux, uy, vx, vy = _abelianized(images, x, y)
+    for moved, (g, h) in enumerate(((y, x), (x, y))):
+        shape = _elementary(images[g], images[h], g, h)
+        if shape:
+            i, s, j = shape
+            return images, ((s, i + j, 0, 1), (1, 0, i + j, s))[moved], (moved, i, s, j)
+    matrix = ux, uy, vx, vy = _abelianized(images, x, y)
     det = ux * vy - uy * vx
     if det not in (1, -1):
         raise HintError(
@@ -307,7 +322,7 @@ def validate_automorphism(
         raise HintError(
             "hint is not an automorphism: images do not form a basis"
         )
-    return images
+    return images, matrix, None
 
 
 def _elementary(fixed: Word, moved: Word, g: str, h: str) -> tuple[int, int, int] | None:
@@ -321,18 +336,6 @@ def _elementary(fixed: Word, moved: Word, g: str, h: str) -> tuple[int, int, int
         return None
     i, j = (e if k == g else 0 for k, e in (sylls[0], sylls[-1]))
     return i, s[0], j
-
-
-def _action(images: Mapping[str, Word], x: str, y: str) -> tuple[_Matrix, tuple | None]:
-    """The abelianized matrix of a checked hint on ``(x, y)`` and, for an
-    elementary move, the ``(moved slot, i, s, j)`` of ``_nielsen``, whose
-    matrix is read off the shape."""
-    for moved, (g, h) in enumerate(((y, x), (x, y))):
-        shape = _elementary(images[g], images[h], g, h)
-        if shape:
-            i, s, j = shape
-            return ((s, i + j, 0, 1), (1, 0, i + j, s))[moved], (moved, i, s, j)
-    return _abelianized(images, x, y), None
 
 
 def _nielsen(start: int, exps: list[int], moved: int, i: int, s: int, j: int
@@ -358,6 +361,8 @@ def _nielsen(start: int, exps: list[int], moved: int, i: int, s: int, j: int
     longest = max(map(abs, hs))
     if step:
         words._check_growth(size * (longest - 1))  # as Word.__pow__
+    # while every power is at most this long, the powers keep inside the
+    # bound, so only a longer one needs the count substitute makes
     if size + step * (longest - 1) > words.SYLLABLE_BOUND // len(exps) + 1:
         words._check_growth(len(hs) * (size - 1) + step * (sum(map(abs, hs)) - len(hs)))
     if not step:
@@ -413,8 +418,9 @@ def fiber_rank(
     * otherwise consume the next hint as a basis change and retry.
 
     ``p, q`` are read off the presentation's exponent-sum rows and then
-    carried: a hint maps them through its abelianized matrix, kept beside
-    its checked images, and a descent by ``e`` divides ``p`` by ``e``.  The
+    carried: a hint maps them through its abelianized matrix, which
+    ``_checked`` returns beside its images and, for an elementary move, the
+    move of ``_nielsen``; a descent by ``e`` divides ``p`` by ``e``.  The
     relator is kept as its exponents and the slot of the first: ``e`` is
     the gcd of the ``x``-slot entries, which a descent divides by ``e``
     (the new name only meets the hints).  A hint that is not elementary
@@ -422,9 +428,10 @@ def fiber_rank(
     cyclically reduced, which keeps the exponent sums, but is never
     rotated: every step depends on it only up to conjugacy.  Each distinct
     hint is checked once per stage, against that stage's generators, when
-    first consumed; the hints still pending are checked wherever the loop
-    stops, at the base case or on a stage with a zero ``y``-sum, which is
-    refused with the message of ``analyze``.
+    first consumed, and the stage keeps the result of that one check; the
+    hints still pending are checked wherever the loop stops, at the base
+    case or on a stage with a zero ``y``-sum, which is refused with the
+    message of ``analyze``.
 
     None means the recursion ran out of rules and hints, not that the
     kernel is infinitely generated.
@@ -436,11 +443,10 @@ def fiber_rank(
     descents: list[tuple[int, int, int]] = []
     checked: dict[frozenset, tuple] = {}
 
-    def images(hint: Mapping[str, Word]) -> tuple:
+    def check(hint: Mapping[str, Word]) -> tuple:
         key = frozenset(hint.items())
         if key not in checked:
-            full = validate_automorphism(hint, x, y)
-            checked[key] = full, *_action(full, x, y)
+            checked[key] = _checked(hint, x, y)
         return checked[key]
 
     while True:
@@ -449,11 +455,11 @@ def fiber_rank(
             data = _analysis(p, q, e)
         except HypothesisError:
             for hint in pending:
-                images(hint)
+                check(hint)
             raise
         if len(exps) == 2 and data.m == 1:
             for hint in pending:
-                images(hint)
+                check(hint)
             break
         if e > 1:
             descents.append((data.a, data.b, e))
@@ -462,7 +468,7 @@ def fiber_rank(
             p //= e
             checked.clear()
         elif pending:
-            full, (ux, uy, vx, vy), move = images(pending.pop(0))
+            full, (ux, uy, vx, vy), move = check(pending.pop(0))
             if move:
                 start, exps = _nielsen(start, exps, *move)
             else:

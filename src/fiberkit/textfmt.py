@@ -9,7 +9,9 @@ Group file::
     peripheral meridian=x y^-1 longitude=x^2 x y^-1 ...
 
 Words are whitespace-separated ``<id>^<int>`` tokens with ``^1`` omitted
-and ``1`` for the empty word.  A group file reads into the
+and ``1`` for the empty word.  An ``<id>`` (a letter or ``_``, then
+letters, digits, ``_`` or ``'``) is the one form of a generator name: on a
+``gen`` line, in ``stable=`` and on the left of a hint.  A group file reads into the
 ``presentations.GroupFile`` that ``links`` splices and cables; the phi and
 peripheral lines are optional.  A splitting file names its factor files and
 reads into a ``splittings.Splitting`` with one edge: a tree edge from A to
@@ -79,7 +81,8 @@ __all__ = [
     "write_file",
 ]
 
-_TOKEN = re.compile(r"^([A-Za-z_][A-Za-z0-9_']*)(?:\^(-?\d+))?$")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+_TOKEN = re.compile(rf"^({_NAME.pattern})(?:\^(-?\d+))?$")
 
 
 def parse_word(text: str, generators=None) -> Word:
@@ -107,7 +110,7 @@ def parse_hints(texts: Iterable[str]) -> list[dict[str, Word]]:
             raise ParseError(f"bad hint {text!r}, expected 'gen->word'")
         gen, _, image = text.partition("->")
         gen = gen.strip()
-        if not gen or any(ch.isspace() for ch in gen):
+        if not _NAME.fullmatch(gen):
             raise ParseError(f"bad hint generator in {text!r}")
         hints.append({gen: _read_word(table, None, image)})
     return hints
@@ -272,7 +275,7 @@ def parse_group_text(text: str, source: str = "<string>") -> GroupFile:
             if not args:
                 raise ParseError(f"{where}: gen needs at least one name")
             for g in args.split():
-                if not _TOKEN.match(g) or "^" in g:
+                if not _NAME.fullmatch(g):
                     raise ParseError(f"{where}: bad generator name {g!r}")
                 if g in generators:
                     raise ParseError(f"{where}: duplicate generator {g!r}")
@@ -381,6 +384,8 @@ def parse_splitting_file(path: str | os.PathLike) -> tuple[Splitting, ZMap | Non
             vertices = [parse_group_file(os.path.join(folder, parts[k])).presentation
                         for k in ("A", "B") if k in parts]
             stable = parts.get("stable")
+            if stable and not _NAME.fullmatch(stable):
+                raise ParseError(f"{where}: bad generator name {stable!r}")
         elif keyword == "edge":
             if edge_keys is None:
                 raise ParseError(f"{where}: edge before the splitting line")

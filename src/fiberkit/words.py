@@ -11,7 +11,6 @@ fields, hash, refused assignment and deletion, copy and pickle, and repr.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Mapping, Sequence
 
 from .errors import HypothesisError
@@ -222,41 +221,21 @@ def substitute(word: Word, images: Mapping[str, Word]) -> Word:
     """Apply a generator assignment and freely reduce the image.
 
     Every generator occurring in ``word`` must have an image.  A syllable
-    ``g^e`` contributes ``images[g] ** e``, built once per distinct
-    syllable, so a huge exponent costs no more than the power it produces;
-    the power of a one-syllable image ``h^f`` is written as ``h^(f e)``.
-    Each power is bounded as ``Word.__pow__`` bounds it, and the
-    substitution is refused when its powers together would put together
-    more than ``SYLLABLE_BOUND`` syllables beyond the syllables of
-    ``word``.  They are counted, without building them, at most once: when
-    the first power long enough to break the bound with others like it is
-    built.  ``one_relator.fiber_rank`` calls it only for a hint that is not
-    an elementary Nielsen move; ``one_relator._nielsen`` applies those, and
-    refuses exactly what this refuses.
+    ``g^e`` contributes ``images[g] ** e``, bounded as ``Word.__pow__``
+    bounds it.  Before any power is built, the powers are counted
+    (``_substituted_size``), and the substitution is refused when they
+    would put together more than ``SYLLABLE_BOUND`` syllables beyond the
+    syllables of ``word``.  ``one_relator.fiber_rank`` calls it only for a
+    hint that is not an elementary Nielsen move; ``one_relator._nielsen``
+    applies those, and refuses exactly what this refuses.
     """
     sylls = word.syllables
-    # while every power is at most this long, the powers keep inside the bound
-    short = SYLLABLE_BOUND // (len(sylls) or 1) + 1
-    powers: dict[Syllable, tuple[Syllable, ...]] = {}
+    _check_growth(_substituted_size(sylls, images) - len(sylls))
     pieces: list[Syllable] = []
-    for syllable in sylls:
-        piece = powers.get(syllable)
-        if piece is None:
-            g, e = syllable
-            if g not in images:
-                raise ValueError(f"no image given for generator {g!r}")
-            image = images[g].syllables
-            if len(image) == 1:
-                h, f = image[0]
-                piece = ((h, f * e),)
-            else:
-                piece = (images[g] ** e).syllables
-            if len(piece) > short:
-                _check_growth(_substituted_size(sylls, images) - len(sylls))
-                # the count covered every syllable, so none need count again
-                short = math.inf
-            powers[syllable] = piece
-        pieces.extend(piece)
+    for g, e in sylls:
+        if g not in images:
+            raise ValueError(f"no image given for generator {g!r}")
+        pieces.extend((images[g] ** e).syllables)
     return reduce_word(pieces)
 
 

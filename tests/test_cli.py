@@ -946,6 +946,24 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("hint", ["x^2->x y", "1->x"])
+    @pytest.mark.parametrize("verb", ["fiber-rank", "report"])
+    def test_hint_generator_is_a_name(self, workdir, capsys, verb, hint):
+        # a hint's left side is a generator name, checked when parsed
+        assert run(capsys, verb, workdir / "showcase.grp", "--nielsen", hint) == (
+            1, "", f"error: bad hint generator in {hint!r}\n"
+        )
+
+    @pytest.mark.parametrize("stable", ["t^2", "1"])
+    def test_stable_letter_is_a_name(self, workdir, capsys, stable):
+        # a stable letter is a generator name, as on a gen line
+        path = workdir / "h.spl"
+        path.write_text(f"hnn A=A.grp stable={stable}\nedge inC=x^2 inD=x^2\n"
+                        f"phi x=1 {stable}=1\n", encoding="utf-8")
+        assert run(capsys, "graph", path) == (
+            1, "", f"error: {path}:1: bad generator name {stable!r}\n"
+        )
+
     def test_hypothesis_violation(self, workdir, capsys):
         (workdir / "comm.grp").write_text(
             "group c\ngen x y\nrel x y x^-1 y^-1\n", encoding="utf-8"

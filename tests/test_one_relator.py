@@ -537,10 +537,10 @@ class TestHintShape:
 def elementary_outcome(start, exps, moved, i, s, j):
     """``_nielsen`` and ``cancel_ends`` of ``substitute`` on the same
     relator and move, each as the least rotation of its word or the
-    message it raised; also the move ``_action`` reads off the images."""
+    message it raised; also the move ``_checked`` reads off the images."""
     g, h = "xy"[moved ^ 1], "xy"[moved]
     images = {g: Word.gen(g), h: Word.of((g, i), (h, s), (g, j))}
-    matrix, move = one_relator._action(images, "x", "y")
+    _, matrix, move = one_relator._checked(images, "x", "y")
     assert matrix == one_relator._abelianized(images, "x", "y")
     outcomes = []
     def nielsen():
@@ -737,7 +737,7 @@ class TestFiberRank:
             ranks += got == (abs(alpha) - 1) * (abs(beta) - 1)
         assert ranks == 12
         assert substituted and all(
-            one_relator._action(images, "x", "y")[1] is None for images in substituted)
+            one_relator._checked(images, "x", "y")[2] is None for images in substituted)
 
     def test_scrambles_with_a_descent_between_hints(self):
         # a scramble lifted by x -> x^e and scrambled again: fiber_rank
@@ -838,14 +838,15 @@ class TestHintChecks:
 
     @pytest.fixture
     def checks(self, monkeypatch):
-        """The ``(hint, x, y)`` of every ``validate_automorphism`` call."""
+        """The ``(hint, x, y)`` of every hint check."""
         calls = []
+        check = one_relator._checked
 
         def counted(images, x, y):
             calls.append((images, x, y))
-            return validate_automorphism(images, x, y)
+            return check(images, x, y)
 
-        monkeypatch.setattr(one_relator, "validate_automorphism", counted)
+        monkeypatch.setattr(one_relator, "_checked", counted)
         return calls
 
     @pytest.fixture(scope="class")
@@ -863,6 +864,17 @@ class TestHintChecks:
         assert [frozenset(h.items()) for h, _, _ in checks] == list(
             dict.fromkeys(frozenset(h.items()) for h in hints)
         )
+
+    def test_each_check_tests_the_shape_once(self, scrambled, checks, monkeypatch):
+        # the shape test runs on each orientation of a hint at most once
+        shapes = []
+        elementary = one_relator._elementary
+        monkeypatch.setattr(one_relator, "_elementary",
+                            lambda *args: shapes.append(1) or elementary(*args))
+        pres, hints, rank = scrambled
+        assert fiber_rank(pres, hints) == rank
+        assert len(checks) == 4
+        assert 0 < len(shapes) <= 2 * len(checks)
 
     def test_repeated_hints_match_the_reference(self, scrambled):
         pres, hints, rank = scrambled

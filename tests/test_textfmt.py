@@ -249,6 +249,13 @@ class TestSplittingFiles:
             Word.of(("t", 1), ("x", 2), ("t", -1), ("x", -2)),
         )
 
+    def test_primed_stable_letter(self, tmp_path):
+        # a stable letter follows the generator-name rule of gen lines
+        self.write(tmp_path, "A.grp", "group A\ngen x\n")
+        path = self.write(tmp_path, "h.spl", "hnn A=A.grp stable=t'\nedge inC=x inD=x\n")
+        split, phi = parse_splitting_file(path)
+        assert (split.edges[0].stable, phi) == ("t'", None)
+
     def test_missing_factor_file(self, tmp_path):
         path = self.write(tmp_path, "t.spl", "amalgam A=missing.grp B=missing.grp\n")
         with pytest.raises(ParseError, match="cannot read"):
@@ -335,6 +342,8 @@ PARSE_ERRORS = [
               "peripheral meridian=x longitude=1\n", "3: repeated peripheral line"),
     ("t.spl", "amalgam A=A.grp C=B.grp\n", "1: expected A/B assignments"),
     ("t.spl", "hnn A=A.grp\n", "1: missing stable=..."),
+    ("t.spl", "hnn A=A.grp stable=t^2\n", "1: bad generator name 't^2'"),
+    ("t.spl", "hnn A=A.grp stable=1\n", "1: bad generator name '1'"),
     ("t.spl", "amalgam A=A.grp B=B.grp\nhnn A=A.grp stable=t\n",
      "2: repeated splitting line"),
     ("t.spl", "amalgam A=A.grp B=B.grp\nphi x=3 y=2\nphi x=3 y=2\n",
@@ -571,6 +580,7 @@ class TestParseHints:
         texts = ["x->x y", " y -> y^-1 x ", "x->1", "x->x x^-1 y", "x->x y"]
         assert parse_hints(texts) == [parse_hint(text) for text in texts]
         assert parse_hints([]) == []
+        assert parse_hints(["x'->x' y"]) == [{"x'": Word.of(("x'", 1), ("y", 1))}]
 
     @pytest.mark.parametrize("texts, message", [
         (["x y"], "bad hint 'x y', expected 'gen->word'"),
@@ -578,6 +588,8 @@ class TestParseHints:
         (["x z->x"], "bad hint generator in 'x z->x'"),
         (["x->x^0"], "zero exponent in token 'x^0'"),
         (["x->x", "y->y^", "z"], "bad word token 'y^'"),
+        (["x^2->x y"], "bad hint generator in 'x^2->x y'"),
+        (["1->x"], "bad hint generator in '1->x'"),
     ])
     def test_refusals(self, texts, message):
         with pytest.raises(ParseError) as info:

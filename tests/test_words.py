@@ -398,6 +398,20 @@ class TestSyllableBound:
         with pytest.raises(HypothesisError, match=f"^{self.MESSAGE}$"):
             substitute(word * Word.gen("x"), images)
 
+    def test_refused_substitution_builds_no_power(self, monkeypatch):
+        # the count refuses x^4 y (x y)^5 x before (x z)^4 is built
+        powers = []
+        power = Word.__pow__
+        monkeypatch.setattr(Word, "__pow__", lambda word, n: powers.append(n) or power(word, n))
+        images = {"x": w(("x", 1), ("z", 1)), "y": Word.gen("y")}
+        word = w(("x", 4), ("y", 1), *[("x", 1), ("y", 1)] * 5)
+        substitute(word, images)
+        assert powers
+        powers.clear()
+        with pytest.raises(HypothesisError, match=f"^{self.MESSAGE}$"):
+            substitute(word * Word.gen("x"), images)
+        assert powers == []
+
     def test_substitution_counts_once(self, monkeypatch):
         # x y x^2 y ... x^5 y under x -> y x y^-1: each distinct power is
         # longer than the bound over the ten syllables, and one count of
