@@ -30,7 +30,6 @@ change to the benchmark.
 
 from __future__ import annotations
 
-from functools import cache
 from math import gcd
 from typing import Mapping, NamedTuple, Sequence
 
@@ -170,10 +169,9 @@ def _abelianized(images: Mapping[str, Word], x: str, y: str) -> _Matrix:
             exponent_sum(v, x), exponent_sum(v, y))
 
 
-@cache
 def _commutator_rotations(x: str, y: str) -> frozenset:
     """The eight rotations of ``[x, y]`` and ``[y, x]`` as syllable tuples,
-    built once per generator pair."""
+    built for each hint that is not an elementary move."""
     # [x, y] = x y x^-1 y^-1 and [y, x] = y x y^-1 x^-1, each twice over so
     # that its four rotations are the windows of length 4
     xyxy = ((x, 1), (y, 1), (x, -1), (y, -1)) * 2

@@ -379,6 +379,7 @@ def parse_splitting_file(path: str | os.PathLike) -> tuple[Splitting, ZMap | Non
             if edge_keys is not None:
                 raise ParseError(f"{where}: repeated splitting line")
             keys, edge_keys = _SPLITTING_LINES[keyword]
+            split_where = where
             parts = _split_assignments(args, keys, where)
             folder = os.path.dirname(path)
             vertices = [parse_group_file(os.path.join(folder, parts[k])).presentation
@@ -413,7 +414,7 @@ def parse_splitting_file(path: str | os.PathLike) -> tuple[Splitting, ZMap | Non
     try:
         split = Splitting(tuple(vertices), (edge,))
     except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+        raise ParseError(f"{split_where}: {exc}") from None
     return split, _phi_map(phi_line, split.generators)
 
 

@@ -3,7 +3,9 @@ fiberkit through ``fk.<module>.<name>``; each name must still resolve, or
 ``bench/run.py`` fails only when it is run.  Every command line a workload
 hands to ``cli.main`` must be one that ``cli._plain_args`` matches, so that
 no timed call builds an argparse parser, and no hint a workload passes may
-send the rank recursion through ``substitute``."""
+send the rank recursion through ``substitute``.  No timed op reaches
+``words.reduce_word`` or ``one_relator._commutator_rotations``, which
+therefore keep no fast path of their own."""
 
 import importlib
 import pkgutil
@@ -79,23 +81,31 @@ def _workloads_module():
 _WORKLOADS = _workloads_module()
 
 
-def _first_pass(name, work):
-    """Set up the workload ``name`` in ``work``, warm it up and run its
-    first pass."""
+def _warmed_up(name, work):
+    """The workload ``name``, set up in ``work`` and warmed up."""
     fk = SimpleNamespace(**{
         module.name: importlib.import_module(f"fiberkit.{module.name}")
         for module in pkgutil.iter_modules(fiberkit.__path__)
     })
     workload = _WORKLOADS.WORKLOADS[name](fk, work, 1)
     workload.warm_up()
-    for _, call in workload.ops(0):
+    return workload
+
+
+def _first_pass(name, work):
+    """Set up the workload ``name`` in ``work``, warm it up and run its
+    first pass."""
+    for _, call in _warmed_up(name, work).ops(0):
         call()
 
 
-@pytest.mark.parametrize("name", [
+CLI_WORKLOADS = [
     name for name, workload in _WORKLOADS.WORKLOADS.items()
     if issubclass(workload, _WORKLOADS.CliWorkload)
-])
+]
+
+
+@pytest.mark.parametrize("name", CLI_WORKLOADS)
 def test_every_timed_call_is_plain(name, tmp_path, monkeypatch):
     # the calls of a workload's set-up, warm-up and first pass
     calls = []
@@ -134,3 +144,37 @@ def test_rank_recursion_never_substitutes(name, tmp_path, monkeypatch):
     _first_pass(name, tmp_path)
     assert moves
     assert substituted == []
+
+
+@pytest.mark.parametrize("name", CLI_WORKLOADS)
+def test_timed_ops_skip_the_retired_fast_paths(name, tmp_path, monkeypatch):
+    # set-up may reduce words (cable-tower's cables do); a timed op that
+    # reaches either function is named with it in the failure
+    workload = _warmed_up(name, tmp_path)
+    modules = [module for key, module in sys.modules.items()
+               if key == "fiberkit" or key.startswith("fiberkit.")]
+    reached, argv = [], [None]
+    real_main = cli.main
+
+    def main(args):
+        argv[0] = " ".join(args)
+        return real_main(args)
+
+    monkeypatch.setattr(cli, "main", main)
+    for module_name, func in (("words", "reduce_word"),
+                              ("one_relator", "_commutator_rotations")):
+        real = getattr(importlib.import_module(f"fiberkit.{module_name}"), func)
+
+        def recording(*args, _real=real, _name=f"{module_name}.{func}"):
+            reached.append((_name, argv[0]))
+            return _real(*args)
+
+        # every namespace that binds the function, as the tracer patches it
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, recording)
+    for _, call in workload.ops(0):
+        call()
+    assert argv[0] is not None
+    assert sorted(set(reached)) == []

@@ -964,6 +964,17 @@ class TestExitCodes:
             1, "", f"error: {path}:1: bad generator name {stable!r}\n"
         )
 
+    @pytest.mark.parametrize("stable, message", [
+        ("", "HNN extension needs a stable letter"),
+        ("x", "stable letter collides with a factor generator"),
+    ])
+    def test_splitting_errors_name_their_line(self, workdir, capsys, stable, message):
+        # the splitting's own refusals belong to its hnn line
+        path = workdir / "h.spl"
+        path.write_text(f"# one loop\nhnn A=A.grp stable={stable}\nedge inC=x^2 inD=x^2\n",
+                        encoding="utf-8")
+        assert run(capsys, "graph", path) == (1, "", f"error: {path}:2: {message}\n")
+
     def test_hypothesis_violation(self, workdir, capsys):
         (workdir / "comm.grp").write_text(
             "group c\ngen x y\nrel x y x^-1 y^-1\n", encoding="utf-8"

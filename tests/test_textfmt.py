@@ -337,6 +337,7 @@ PARSE_ERRORS = [
     ("g.grp", "group g\ngen x\ngroup h\n", "3: repeated group line"),
     ("g.grp", "group\ngen x\n", "1: group needs a name"),
     ("g.grp", "group g\ngen\n", "2: gen needs at least one name"),
+    ("g.grp", "gen x^2\n", "1: bad generator name 'x^2'"),
     ("g.grp", "gen x\nphi x=1\nphi x=1\n", "3: repeated phi line"),
     ("g.grp", "gen x\nperipheral meridian=x longitude=1\n"
               "peripheral meridian=x longitude=1\n", "3: repeated peripheral line"),
@@ -344,6 +345,9 @@ PARSE_ERRORS = [
     ("t.spl", "hnn A=A.grp\n", "1: missing stable=..."),
     ("t.spl", "hnn A=A.grp stable=t^2\n", "1: bad generator name 't^2'"),
     ("t.spl", "hnn A=A.grp stable=1\n", "1: bad generator name '1'"),
+    ("t.spl", "amalgam A=A.grp B=A.grp\n", "1: factor generators must be disjoint: ['x']"),
+    ("t.spl", "hnn A=A.grp stable=\n", "1: HNN extension needs a stable letter"),
+    ("t.spl", "hnn A=A.grp stable=x\n", "1: stable letter collides with a factor generator"),
     ("t.spl", "amalgam A=A.grp B=B.grp\nhnn A=A.grp stable=t\n",
      "2: repeated splitting line"),
     ("t.spl", "amalgam A=A.grp B=B.grp\nphi x=3 y=2\nphi x=3 y=2\n",

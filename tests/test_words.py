@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 
 import pytest
@@ -285,6 +286,19 @@ class TestCyclicReduceOracle:
         assert cyclic_reduce(word, order=("x", "y")) == w(
             ("x", 10 ** 9), ("y", 2), ("x", -1), ("y", 1)
         )
+
+
+class TestLeastRotation:
+    def test_every_short_key_list(self):
+        # all 9,840 lists of one to eight keys over three symbols, the
+        # periodic and constant ones among them
+        lists = [keys for n in range(1, 9) for keys in itertools.product("abc", repeat=n)]
+        assert len(lists) == 9840
+        for keys in lists:
+            start = words_module._least_rotation(keys)
+            assert 0 <= start < len(keys)
+            rotations = [keys[i:] + keys[:i] for i in range(len(keys))]
+            assert keys[start:] + keys[:start] == min(rotations), keys
 
 
 class TestFormatting:
