@@ -31,6 +31,7 @@ change to the benchmark.
 from __future__ import annotations
 
 from math import gcd
+from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence
 
 from . import words
@@ -74,7 +75,8 @@ class RelatorAnalysis(NamedTuple):
 
 def analyze(relator: Word, x: str, y: str) -> RelatorAnalysis:
     """Exponent-sum analysis of a cyclically reduced relator over
-    ``(x, y)``, in any rotation.
+    ``(x, y)``, in any rotation: the plain tuple of ``_analysis`` as a
+    ``RelatorAnalysis``.
 
     Raises when the relator is not cyclically reduced or uses another
     generator, and when the exponent sum in ``y`` vanishes; nothing
@@ -88,27 +90,28 @@ def analyze(relator: Word, x: str, y: str) -> RelatorAnalysis:
     if extra:
         raise HypothesisError(f"relator uses unexpected generators {sorted(extra)}")
     start, exps = _encoded(relator, x)
-    return _analysis(sum(exps[start::2]), sum(exps[start ^ 1 :: 2]),
-                     _x_divisor(exps, start))
+    return RelatorAnalysis(*_analysis(sum(exps[start::2]), sum(exps[start ^ 1 :: 2]),
+                                      _x_divisor(exps, start)))
 
 
-def _analysis(p: int, q: int, e: int) -> RelatorAnalysis:
-    """``RelatorAnalysis`` of the exponent sums ``p, q`` and the
-    ``x``-divisor ``e``; refuses ``q = 0``."""
+def _analysis(p: int, q: int, e: int) -> tuple[int, int, int, int, int, int]:
+    """The plain tuple ``(p, q, m, a, b, e)`` of the exponent sums ``p, q``
+    and the ``x``-divisor ``e``, refusing ``q = 0``: ``analyze`` wraps it in
+    ``RelatorAnalysis``, and no stage of ``fiber_rank`` builds one."""
     if q == 0:
         raise HypothesisError(
             "exponent sum in the second generator is zero; "
             "the descent hypothesis fails"
         )
     m = gcd(p, q)
-    return RelatorAnalysis(p, q, m, p // m, q // m, e)
+    return p, q, m, p // m, q // m, e
 
 
 def _encoded(word: Word, x: str) -> tuple[int, list[int]]:
     """A reduced word on ``x`` = slot 0 and another generator = slot 1 as
     the slot of its first syllable and its exponents, which alternate."""
     sylls = word.syllables
-    return int(bool(sylls) and sylls[0][0] != x), [e for _, e in sylls]
+    return int(bool(sylls) and sylls[0][0] != x), list(map(itemgetter(1), sylls))
 
 
 def _x_divisor(exps: list[int], start: int) -> int:
@@ -269,8 +272,8 @@ def validate_automorphism(
     images of both generators, a generator the hint leaves out mapping to
     itself.
 
-    Once the hint is known to move and use only ``x`` and ``y``, a shape
-    test settles the elementary moves: one generator ``g`` fixed and the
+    Once the hint is known to move only ``x`` and ``y``, a shape test
+    settles the elementary moves: one generator ``g`` fixed and the
     other ``h`` sent to ``a h^+-1 b`` with ``a``, ``b`` powers of ``g`` is
     an automorphism by construction, of determinant +-1.  Every other hint
     must have an abelianized 2x2 matrix of determinant +-1, and then goes
@@ -290,25 +293,27 @@ def _checked(images: Mapping[str, Word], x: str, y: str
     """``validate_automorphism`` with what ``fiber_rank`` keeps of a checked
     hint: its images, its abelianized matrix and, for an elementary move,
     the ``(moved slot, i, s, j)`` of ``_nielsen``, whose matrix is read off
-    the shape."""
+    the shape.  The shape test may precede the check for generators outside
+    ``x, y``: an elementary shape names only ``x`` and ``y``, and every
+    other hint meets that check before its determinant."""
     unknown = set(images) - {x, y}
     if unknown:
         raise HintError(
             f"hint moves generators {sorted(unknown)}, expected {x!r}, {y!r}"
         )
-    u = images[x] if x in images else Word.gen(x)
-    v = images[y] if y in images else Word.gen(y)
+    u = images[x] if x in images else words._word(((x, 1),))
+    v = images[y] if y in images else words._word(((y, 1),))
     images = {x: u, y: v}
-    bad = (u.generators() | v.generators()) - {x, y}
-    if bad:
-        raise HintError(
-            f"hint uses generators {sorted(bad)} outside {x!r}, {y!r}"
-        )
     for moved, (g, h) in enumerate(((y, x), (x, y))):
         shape = _elementary(images[g], images[h], g, h)
         if shape:
             i, s, j = shape
             return images, ((s, i + j, 0, 1), (1, 0, i + j, s))[moved], (moved, i, s, j)
+    bad = (u.generators() | v.generators()) - {x, y}
+    if bad:
+        raise HintError(
+            f"hint uses generators {sorted(bad)} outside {x!r}, {y!r}"
+        )
     matrix = ux, uy, vx, vy = _abelianized(images, x, y)
     det = ux * vy - uy * vx
     if det not in (1, -1):
@@ -327,13 +332,17 @@ def _elementary(fixed: Word, moved: Word, g: str, h: str) -> tuple[int, int, int
     """``(i, s, j)`` when ``fixed`` is ``g`` and ``moved`` is
     ``g^i h^s g^j`` with ``s`` = +-1, else None.  A reduced word on ``g``
     and ``h`` alternates between them, so it has that shape exactly when
-    ``h`` occurs in one syllable, of exponent +-1."""
+    ``h`` occurs in one syllable, of exponent +-1.  Only ``g`` may stand
+    beside that syllable, so an image on any other generator fails."""
     sylls = moved.syllables
-    s = [e for k, e in sylls if k == h]
-    if fixed.syllables != ((g, 1),) or len(sylls) > 3 or s not in ([1], [-1]):
+    if fixed.syllables != ((g, 1),) or not sylls:
         return None
-    i, j = (e if k == g else 0 for k, e in (sylls[0], sylls[-1]))
-    return i, s[0], j
+    i = sylls[0][1] if sylls[0][0] == g else 0
+    j = sylls[-1][1] if len(sylls) > 1 and sylls[-1][0] == g else 0
+    if len(sylls) != 1 + (i != 0) + (j != 0):
+        return None
+    k, s = sylls[i != 0]
+    return (i, s, j) if k == h and s in (1, -1) else None
 
 
 def _nielsen(start: int, exps: list[int], moved: int, i: int, s: int, j: int
@@ -450,17 +459,17 @@ def fiber_rank(
     while True:
         e = _x_divisor(exps, start)
         try:
-            data = _analysis(p, q, e)
+            _, _, m, a, b, _ = _analysis(p, q, e)
         except HypothesisError:
             for hint in pending:
                 check(hint)
             raise
-        if len(exps) == 2 and data.m == 1:
+        if len(exps) == 2 and m == 1:
             for hint in pending:
                 check(hint)
             break
         if e > 1:
-            descents.append((data.a, data.b, e))
+            descents.append((a, b, e))
             x = next(name for name in _DESCENT_NAMES if name not in (x, y))
             exps[start::2] = [a // e for a in exps[start::2]]
             p //= e

@@ -50,7 +50,7 @@ token to its syllable, so a token is matched and checked once per file,
 not once per line; the two ends of a splitting file's edge each have their
 own, and the hints of one call share one.  A word is its tokens looked up
 in that table, and ``reduce_word`` runs only when two adjacent tokens share
-a generator.
+a generator.  Each distinct hint text of one call is read once.
 """
 
 from __future__ import annotations
@@ -96,23 +96,27 @@ def parse_word(text: str, generators=None) -> Word:
 
 
 def parse_hints(texts: Iterable[str]) -> list[dict[str, Word]]:
-    """Parse Nielsen hints ``GEN->WORD`` in order, each into ``{GEN: WORD}``;
-    the images of one call share one token table, as the words of a group
-    file do.
+    """Parse Nielsen hints ``GEN->WORD`` in order, each into a fresh
+    ``{GEN: WORD}``; the images of one call share one token table, as the
+    words of a group file do, and each distinct text is read once per call.
 
     >>> parse_hints(["x->x y", "y -> y^-1"])
     [{'x': Word('x y')}, {'y': Word('y^-1')}]
     """
     table: dict[str, Syllable] = {}
+    read: dict[str, tuple[str, Word]] = {}
     hints = []
     for text in texts:
-        if "->" not in text:
-            raise ParseError(f"bad hint {text!r}, expected 'gen->word'")
-        gen, _, image = text.partition("->")
-        gen = gen.strip()
-        if not _NAME.fullmatch(gen):
-            raise ParseError(f"bad hint generator in {text!r}")
-        hints.append({gen: _read_word(table, None, image)})
+        if text not in read:
+            if "->" not in text:
+                raise ParseError(f"bad hint {text!r}, expected 'gen->word'")
+            gen, _, image = text.partition("->")
+            gen = gen.strip()
+            if not _NAME.fullmatch(gen):
+                raise ParseError(f"bad hint generator in {text!r}")
+            read[text] = gen, _read_word(table, None, image)
+        gen, word = read[text]
+        hints.append({gen: word})
     return hints
 
 

@@ -5,7 +5,9 @@ hands to ``cli.main`` must be one that ``cli._plain_args`` matches, so that
 no timed call builds an argparse parser, and no hint a workload passes may
 send the rank recursion through ``substitute``.  No timed op reaches
 ``words.reduce_word`` or ``one_relator._commutator_rotations``, which
-therefore keep no fast path of their own."""
+therefore keep no fast path of their own.  ``textfmt.parse_hints`` reads
+each distinct hint text once per call, which pays because most hint texts
+of a ``relator-rank`` op repeat within it."""
 
 import importlib
 import pkgutil
@@ -178,3 +180,36 @@ def test_timed_ops_skip_the_retired_fast_paths(name, tmp_path, monkeypatch):
         call()
     assert argv[0] is not None
     assert sorted(set(reached)) == []
+
+
+def test_relator_rank_reads_each_hint_text_once(tmp_path, monkeypatch):
+    # the hint texts of each timed op and the images read while parsing
+    # them; an op that reads a text twice is named by its group
+    textfmt = importlib.import_module("fiberkit.textfmt")
+    workload = _warmed_up("relator-rank", tmp_path)
+    ops, op, reading = [], [None], [None]
+    real_parse, real_read = cli.parse_hints, textfmt._read_word
+
+    def parse_hints(texts):
+        texts, reading[0] = list(texts), []
+        try:
+            return real_parse(texts)
+        finally:
+            ops.append((op[0], texts, reading[0]))
+            reading[0] = None
+
+    def read_word(table, declared, text):
+        if reading[0] is not None:
+            reading[0].append(text)
+        return real_read(table, declared, text)
+
+    monkeypatch.setattr(cli, "parse_hints", parse_hints)
+    monkeypatch.setattr(textfmt, "_read_word", read_word)
+    for op[0], call in workload.ops(0):
+        call()
+    assert len(ops) == workload.size
+    assert [f"group {key}" for key, texts, read in ops if len(read) != len(set(texts))] == []
+    total = sum(len(texts) for _, texts, _ in ops)
+    repeats = sum(len(texts) - len(set(texts)) for _, texts, _ in ops)
+    print(f"relator-rank: {repeats} of {total} hint texts repeat within their op")
+    assert 2 * repeats >= total

@@ -429,9 +429,10 @@ class TestAutomorphisms:
         assert hint_verdict(images) == oracle_verdict(images)
 
 
-def short_words(syllables, exponent):
-    """Every reduced word on ``x, y`` of at most ``syllables`` syllables with
-    exponents in ``-exponent..exponent``, the empty word included."""
+def short_words(syllables, exponent, generators=("x", "y")):
+    """Every reduced word on ``generators`` of at most ``syllables``
+    syllables with exponents in ``-exponent..exponent``, the empty word
+    included."""
     powers = [e for e in range(-exponent, exponent + 1) if e]
     words = [()]
     layer = [()]
@@ -439,7 +440,7 @@ def short_words(syllables, exponent):
         layer = [
             word + ((g, e),)
             for word in layer
-            for g in ("x", "y")
+            for g in generators
             if not word or word[-1][0] != g
             for e in powers
         ]
@@ -482,6 +483,21 @@ class TestHintShape:
                     outcomes["determinant" if "determinant" in got else "basis"] += 1
         assert sum(outcomes.values()) == 170 * 170
         assert all(outcomes.values())
+
+    def test_every_short_hint_with_a_third_generator(self):
+        # 110 x 110 hints: each image left out, or up to two syllables over
+        # x, y, z with exponents -2..2; the shape test runs before the check
+        # for generators outside x, y, so a z must still meet that check
+        images = [None] + short_words(2, 2, ("x", "y", "z"))
+        assert len(images) == 110
+        outside = 0
+        for u in images:
+            for v in images:
+                hint = {g: image for g, image in (("x", u), ("y", v)) if image is not None}
+                got = self.assert_matches(hint)
+                outside += "outside" in str(got)
+        # every hint but the 42 x 42 whose images avoid z
+        assert outside == 110 * 110 - 42 * 42
 
     @pytest.mark.parametrize("hint, accepted", [
         ({"x": Word.gen("y"), "y": Word.gen("x")}, True),

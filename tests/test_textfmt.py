@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from fiberkit import textfmt
 from fiberkit.corpus import trefoil_data
 from fiberkit.errors import ParseError
 from fiberkit.links import cable_group
@@ -578,7 +579,8 @@ def test_only_textfmt_writes_files():
 
 class TestParseHints:
     """``--nielsen`` hints: one image per hint, in order, through one token
-    table per call; the first bad hint is the one reported."""
+    table per call, each distinct text read once; the first bad hint is the
+    one reported."""
 
     def test_images_in_order(self):
         texts = ["x->x y", " y -> y^-1 x ", "x->1", "x->x x^-1 y", "x->x y"]
@@ -594,8 +596,30 @@ class TestParseHints:
         (["x->x", "y->y^", "z"], "bad word token 'y^'"),
         (["x^2->x y"], "bad hint generator in 'x^2->x y'"),
         (["1->x"], "bad hint generator in '1->x'"),
+        (["x->x y", "x->x y", "y->y^0", "y->y^0"], "zero exponent in token 'y^0'"),
     ])
     def test_refusals(self, texts, message):
         with pytest.raises(ParseError) as info:
             parse_hints(texts)
         assert str(info.value) == message
+
+    def test_each_distinct_text_is_read_once(self, monkeypatch):
+        images = []
+        real = textfmt._read_word
+
+        def recording(table, declared, text):
+            images.append(text)
+            return real(table, declared, text)
+
+        monkeypatch.setattr(textfmt, "_read_word", recording)
+        hints = parse_hints(["x->x y"] * 5 + ["y->y x"])
+        assert images == ["x y", "y x"]
+        assert hints == [{"x": Word.of(("x", 1), ("y", 1))}] * 5 + [
+            {"y": Word.of(("y", 1), ("x", 1))}]
+
+    def test_repeated_texts_give_distinct_dicts(self):
+        hints = parse_hints(["x->x y", "y->y^-1", "x->x y"])
+        assert hints[0] == hints[2] and hints[0] is not hints[2]
+        hints[0]["x"] = Word.gen("y")
+        hints[0]["y"] = Word.gen("x")
+        assert hints[2] == {"x": Word.of(("x", 1), ("y", 1))}
